@@ -47,7 +47,6 @@ from .metagraph import (
 )
 from .selection import (
     Component,
-    SelectionConfig,
     SubnetworkReport,
     build_report,
     extract_subnetworks,
@@ -92,7 +91,6 @@ __all__ = [
     "NetworkDatabase",
     "NetworkInstance",
     "NodeIndex",
-    "SelectionConfig",
     "SolverConfig",
     "SpectralModel",
     "StateMatrix",

@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-validation folds (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0,
                    help="fold-shuffle seed (default: %(default)s)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel fold workers (default: %(default)s)")
     p.add_argument("--ground-truth", default=None,
                    help="ground-truth node TSV (default: dataset's ground_truth.tsv if present)")
     p.add_argument("--out", required=True, help="output directory")
@@ -105,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-validation folds (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0,
                    help="fold-shuffle seed (default: %(default)s)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel grid workers (default: %(default)s)")
     p.add_argument("--ground-truth", default=None,
                    help="ground-truth node TSV (default: dataset's ground_truth.tsv if present)")
     p.add_argument("--out", required=True, help="output TSV path")
@@ -158,7 +154,9 @@ def _cmd_transform(args) -> int:
     node_ids, u_matrix, _ = solver.load_model(args.model)
     if node_ids != db.node_ids:
         raise UnknownNode("model nodes do not match the dataset")
-    embedded = u_matrix.T @ assemble_state_matrix(db).matrix
+    # transform reads U only; the saved model has no basis
+    model = solver.SpectralModel(u_matrix=u_matrix, eigenvalues=None, basis=None, alpha=None)
+    embedded = solver.transform(model, assemble_state_matrix(db))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     d = embedded.shape[0]
@@ -196,7 +194,7 @@ def _eval_configs(args, db):
     else:
         grid = evaluation.DEFAULT_ALPHA_GRID
     eval_cfg = evaluation.EvalConfig(
-        folds=args.folds, alpha_grid=grid, k=args.k, d=args.dim, seed=args.seed
+        folds=args.folds, alpha_grid=grid, k=args.k, seed=args.seed
     )
     solver_cfg = solver.SolverConfig(
         alpha=grid[0], energy_fraction=args.energy, d=args.dim
@@ -208,9 +206,7 @@ def _cmd_evaluate(args) -> int:
     db = load_database(args.dataset)
     eval_cfg, solver_cfg = _eval_configs(args, db)
     gt = _gt_ordinals(args, db)
-    report = evaluation.evaluate_dataset(
-        db, eval_cfg, solver_cfg, gt_nodes=gt, threads=args.threads
-    )
+    report = evaluation.evaluate_dataset(db, eval_cfg, solver_cfg, gt_nodes=gt)
     evaluation.write_eval_report(report, args.out)
     line = (
         f"accuracy mean={report.mean_accuracy:.4f} sd={report.sd_accuracy:.4f} "
@@ -227,9 +223,7 @@ def _cmd_sweep_alpha(args) -> int:
     args.alpha = None  # sweep has no fixed-alpha flag
     eval_cfg, solver_cfg = _eval_configs(args, db)
     gt = _gt_ordinals(args, db)
-    rows = evaluation.sweep_alpha(
-        db, eval_cfg, solver_cfg, gt_nodes=gt, threads=args.threads
-    )
+    rows = evaluation.sweep_alpha(db, eval_cfg, solver_cfg, gt_nodes=gt)
     evaluation.write_sweep(rows, args.out)
     best = max(rows, key=lambda r: r.mean_accuracy)
     print(f"wrote {args.out}; best alpha={best.alpha!r} mean={best.mean_accuracy:.4f}")

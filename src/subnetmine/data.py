@@ -18,9 +18,12 @@ Dataset directory format (UTF-8, tab-separated, header row, LF endings):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     DuplicateEdge,
@@ -94,6 +97,30 @@ class NetworkDatabase:
         """Distinct global states in ascending order."""
         return sorted({inst.global_state for inst in self.instances})
 
+    @cached_property
+    def edge_index(self) -> EdgeIndex:
+        """The union edges and which instances carry them, built on first use
+        and kept: the database and its arrays are immutable."""
+        m, n = self.m, self.n
+        lengths = np.fromiter(map(len, self.instance_edges), dtype=np.int64, count=m)
+        ends = np.fromiter(
+            chain.from_iterable(chain.from_iterable(self.instance_edges)),
+            dtype=np.int64,
+            count=2 * int(lengths.sum()),
+        )
+        # p * n + q sorts like (p, q) because q < n
+        keys, edge_of = np.unique(ends[0::2] * n + ends[1::2], return_inverse=True)
+        presence = sparse.csr_array(
+            (
+                np.ones(edge_of.size, dtype=bool),
+                edge_of,
+                np.concatenate(([0], np.cumsum(lengths))),
+            ),
+            shape=(m, keys.size),
+        )
+        pairs = _freeze(np.column_stack(np.divmod(keys, n)))
+        return EdgeIndex(n=n, pairs=pairs, presence=presence)
+
 
 @dataclass(frozen=True)
 class GeneralizedNetwork:
@@ -101,6 +128,30 @@ class GeneralizedNetwork:
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
+
+
+@dataclass(frozen=True)
+class EdgeIndex:
+    """Distinct instance edges of a database and which instances carry them.
+
+    ``pairs`` is E x 2, one (p, q) row per union edge, sorted by (p, q);
+    ``presence`` is the sparse m x E matrix that is True where instance i
+    carries edge j.
+    """
+
+    n: int
+    pairs: np.ndarray
+    presence: sparse.csr_array
+
+    def network(self, indices) -> GeneralizedNetwork:
+        """Union network of the instances at ``indices``; each edge weighs
+        the share of those instances that carry it."""
+        indices = np.asarray(indices, dtype=np.intp)
+        counts = self.presence[indices].sum(axis=0)
+        kept = np.flatnonzero(counts)
+        weights = counts[kept] / indices.size
+        p, q = self.pairs[kept].T.tolist()
+        return GeneralizedNetwork(n=self.n, edges=tuple(zip(p, q, weights.tolist())))
 
 
 @dataclass(frozen=True)
@@ -296,13 +347,7 @@ def write_database(db: NetworkDatabase, path) -> None:
 
 def build_generalized_network(db: NetworkDatabase) -> GeneralizedNetwork:
     """Union of instance edges weighted by presence fraction count/m."""
-    counts: dict[tuple[int, int], int] = {}
-    for edges in db.instance_edges:
-        for edge in edges:
-            counts[edge] = counts.get(edge, 0) + 1
-    m = db.m
-    edges = tuple((p, q, count / m) for (p, q), count in sorted(counts.items()))
-    return GeneralizedNetwork(n=db.n, edges=edges)
+    return db.edge_index.network(np.arange(db.m))
 
 
 def assemble_state_matrix(db: NetworkDatabase) -> StateMatrix:

@@ -72,6 +72,10 @@ class ZeroMatrix(SubnetmineError):
     """All singular values vanish; the affinity graph is degenerate."""
 
 
+class NegativeDegree(SubnetmineError, ValueError):
+    """A same-state affinity row sum is negative, so D+ is not PSD."""
+
+
 class RankDeficient(SubnetmineError):
     pass
 
@@ -80,8 +84,8 @@ class CTooLarge(SubnetmineError):
     pass
 
 
-class ConfigInvalid(SubnetmineError):
-    pass
+class ConfigInvalid(SubnetmineError, ValueError):
+    """An invalid setting; the CLI reports it as a usage error (exit 2)."""
 
 
 class TooFewPerClass(SubnetmineError):

@@ -11,26 +11,23 @@ curve of the scores against a ground-truth node set.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import (
-    NetworkDatabase,
-    StateMatrix,
-    assemble_state_matrix,
-    build_generalized_network,
-    GeneralizedNetwork,
+from .data import NetworkDatabase, StateMatrix, assemble_state_matrix
+from .errors import (
+    ConfigInvalid,
+    DegenerateGroundTruth,
+    KTooLarge,
+    SingleClassFold,
+    TooFewPerClass,
 )
-from .errors import SingleClassFold, TooFewPerClass, DegenerateGroundTruth
 from .metagraph import (
-    MetaGraphConfig,
     _affinity_pair,
     _cosine_matrix,
-    build_affinities,
     build_constraint_matrix,
     build_laplacian_set,
 )
@@ -46,8 +43,6 @@ class EvalConfig:
     folds: int = 10
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
     k: int = 10
-    c: int = 50
-    d: int | None = None
     seed: int = 0
 
 
@@ -105,9 +100,9 @@ def stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     labels = np.asarray(labels)
     m = labels.shape[0]
     if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+        raise ConfigInvalid(f"folds must be >= 2, got {folds}")
     if folds > m:
-        raise ValueError(f"folds={folds} exceeds instance count {m}")
+        raise ConfigInvalid(f"folds={folds} exceeds instance count {m}")
     if folds == m:
         return np.arange(m)
     rng = substream(seed, "folds")
@@ -193,6 +188,37 @@ def train_linear_classifier(
 # model fitting
 
 
+def _fit(
+    db: NetworkDatabase,
+    v: np.ndarray,
+    labels: np.ndarray,
+    idx: np.ndarray,
+    k: int,
+    alpha: float,
+    energy_fraction: float,
+    d: int,
+) -> SpectralModel:
+    """The one fit behind every model: meta-graphs, Laplacians, generalized
+    network and spectral solve over the instances at ``idx`` only.
+
+    ``v`` and ``labels`` cover the whole database; k is clamped to
+    |idx| - 1.
+    """
+    k = min(k, idx.size - 1)
+    if k < 1:
+        raise KTooLarge(f"k={k} outside 1..{idx.size - 1}")
+    v_train = StateMatrix(v[:, idx].copy())
+    aff = _affinity_pair(_cosine_matrix(v_train), labels[idx], k)
+    lap = build_laplacian_set(aff)
+    c = build_constraint_matrix(db.edge_index.network(idx))
+    return fit_spectral(v_train, lap, c, alpha, energy_fraction, d)
+
+
+def _dimension(d: int | None, labels: np.ndarray) -> int:
+    """d, defaulting to the number of distinct global states."""
+    return d if d is not None else len(np.unique(labels))
+
+
 def fit_model(
     db: NetworkDatabase,
     k: int = 10,
@@ -205,105 +231,17 @@ def fit_model(
 
     alpha is the relative topology weight of ``solver.fit_spectral``, so the
     model does not depend on the units of the node values.  k is clamped to
-    m - 1 so fold-restricted databases keep working; d defaults to the
-    number of distinct global states.
+    m - 1 so small databases keep working; d defaults to the number of
+    distinct global states.  Invalid settings raise ConfigInvalid.
     """
-    v = assemble_state_matrix(db)
-    cfg = MetaGraphConfig(k=min(k, db.m - 1))
-    aff = build_affinities(db, v, cfg)
-    lap = build_laplacian_set(aff)
-    g = build_generalized_network(db)
-    c = build_constraint_matrix(g)
-    d_eff = d if d is not None else len(db.states())
-    return fit_spectral(v, lap, c, alpha, energy_fraction, d_eff)
-
-
-@dataclass(frozen=True)
-class _CvContext:
-    """Precomputed full-database arrays shared by all fold fits."""
-
-    v: np.ndarray            # n x m state matrix
-    labels: np.ndarray       # m
-    edge_pairs: np.ndarray   # E x 2 union edge list
-    presence: np.ndarray     # m x E boolean
-    k: int
-    d: int
-    energy_fraction: float
-
-
-def _make_context(db: NetworkDatabase, k: int, d: int | None, energy: float) -> _CvContext:
-    v = assemble_state_matrix(db).matrix
+    SolverConfig(alpha=alpha, energy_fraction=energy_fraction, d=d)  # validates
     labels = db.labels()
-    edge_id: dict[tuple[int, int], int] = {}
-    for edges in db.instance_edges:
-        for edge in edges:
-            if edge not in edge_id:
-                edge_id[edge] = len(edge_id)
-    presence = np.zeros((db.m, max(len(edge_id), 1)), dtype=bool)
-    for i, edges in enumerate(db.instance_edges):
-        for edge in edges:
-            presence[i, edge_id[edge]] = True
-    pairs = np.zeros((max(len(edge_id), 1), 2), dtype=int)
-    for edge, j in edge_id.items():
-        pairs[j] = edge
-    n = v.shape[0]
-    d_eff = d if d is not None else len(np.unique(labels))
-    return _CvContext(
-        v=v,
-        labels=labels,
-        edge_pairs=pairs,
-        presence=presence if len(edge_id) else np.zeros((db.m, 0), dtype=bool),
-        k=k,
-        d=d_eff,
-        energy_fraction=energy,
-    )
+    v = assemble_state_matrix(db).matrix
+    d = _dimension(d, labels)
+    return _fit(db, v, labels, np.arange(db.m), k, alpha, energy_fraction, d)
 
 
-def _subset_network(ctx: _CvContext, train_idx: np.ndarray, n: int) -> GeneralizedNetwork:
-    counts = ctx.presence[train_idx].sum(axis=0)
-    kept = np.flatnonzero(counts > 0)
-    m_train = len(train_idx)
-    edges = tuple(
-        (int(ctx.edge_pairs[j, 0]), int(ctx.edge_pairs[j, 1]), counts[j] / m_train)
-        for j in kept
-    )
-    return GeneralizedNetwork(n=n, edges=edges)
-
-
-def _fit_subset(ctx: _CvContext, train_idx: np.ndarray, alpha: float) -> SpectralModel:
-    v_train = StateMatrix(ctx.v[:, train_idx].copy())
-    labels_train = ctx.labels[train_idx]
-    k = min(ctx.k, len(train_idx) - 1)
-    aff = _affinity_pair(_cosine_matrix(v_train), labels_train, k)
-    lap = build_laplacian_set(aff)
-    c = build_constraint_matrix(_subset_network(ctx, train_idx, ctx.v.shape[0]))
-    return fit_spectral(v_train, lap, c, alpha, ctx.energy_fraction, ctx.d)
-
-
-def _fit_and_score(
-    ctx: _CvContext, train_idx: np.ndarray, eval_idx: np.ndarray, alpha: float
-) -> float:
-    model = _fit_subset(ctx, train_idx, alpha)
-    emb_train = model.u_matrix.T @ ctx.v[:, train_idx]
-    emb_eval = model.u_matrix.T @ ctx.v[:, eval_idx]
-    clf = train_linear_classifier(emb_train, ctx.labels[train_idx])
-    predicted = clf.predict(emb_eval)
-    return float(np.mean(predicted == ctx.labels[eval_idx]))
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def run_cv(
-    db: NetworkDatabase,
-    eval_cfg: EvalConfig,
-    solver_cfg: SolverConfig,
-    threads: int = 1,
-) -> EvalReport:
+def run_cv(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig) -> EvalReport:
     """Outer cross validation with nested alpha selection.
 
     With two or more grid points, each outer fold picks its alpha by
@@ -313,34 +251,42 @@ def run_cv(
     one, ties to the smaller value.
     """
     grid = tuple(sorted(eval_cfg.alpha_grid)) if eval_cfg.alpha_grid else ()
-    d = eval_cfg.d if eval_cfg.d is not None else solver_cfg.d
-    ctx = _make_context(db, eval_cfg.k, d, solver_cfg.energy_fraction)
-    assignment = stratified_folds(ctx.labels, eval_cfg.folds, eval_cfg.seed)
+    labels = db.labels()
+    v = assemble_state_matrix(db).matrix
+    d = _dimension(solver_cfg.d, labels)
+    assignment = stratified_folds(labels, eval_cfg.folds, eval_cfg.seed)
     folds = int(assignment.max()) + 1
 
-    def run_fold(fold: int) -> tuple[float, float]:
-        test_idx = np.flatnonzero(assignment == fold)
-        train_idx = np.flatnonzero(assignment != fold)
+    def fit_and_score(train: np.ndarray, held_out: np.ndarray, alpha: float) -> float:
+        train_idx = np.flatnonzero(train)
+        eval_idx = np.flatnonzero(held_out)
+        model = _fit(
+            db, v, labels, train_idx, eval_cfg.k, alpha, solver_cfg.energy_fraction, d
+        )
+        clf = train_linear_classifier(model.u_matrix.T @ v[:, train_idx], labels[train_idx])
+        predicted = clf.predict(model.u_matrix.T @ v[:, eval_idx])
+        return float(np.mean(predicted == labels[eval_idx]))
+
+    accuracies, alphas = [], []
+    for fold in range(folds):
+        test = assignment == fold
         if len(grid) > 1:
             inner_folds = [g for g in range(folds) if g != fold]
-            means = []
-            for alpha in grid:
-                accs = []
-                for g in inner_folds:
-                    val_idx = np.flatnonzero(assignment == g)
-                    fit_idx = np.flatnonzero((assignment != fold) & (assignment != g))
-                    accs.append(_fit_and_score(ctx, fit_idx, val_idx, alpha))
-                means.append(float(np.mean(accs)))
+            means = [
+                np.mean([
+                    fit_and_score(~test & (assignment != g), assignment == g, alpha)
+                    for g in inner_folds
+                ])
+                for alpha in grid
+            ]
             alpha_f = grid[int(np.argmax(means))]  # argmax keeps the smaller alpha on ties
         elif len(grid) == 1:
             alpha_f = grid[0]
         else:
             alpha_f = solver_cfg.alpha
-        return _fit_and_score(ctx, train_idx, test_idx, alpha_f), alpha_f
+        accuracies.append(fit_and_score(~test, test, alpha_f))
+        alphas.append(alpha_f)
 
-    results = _parallel_map(run_fold, range(folds), threads)
-    accuracies = tuple(acc for acc, _ in results)
-    alphas = tuple(alpha for _, alpha in results)
     counts: dict[float, int] = {}
     for alpha in alphas:
         counts[alpha] = counts.get(alpha, 0) + 1
@@ -348,10 +294,10 @@ def run_cv(
     mean = float(np.mean(accuracies))
     sd = float(np.std(accuracies, ddof=1)) if len(accuracies) > 1 else 0.0
     return EvalReport(
-        fold_accuracies=accuracies,
+        fold_accuracies=tuple(accuracies),
         mean_accuracy=mean,
         sd_accuracy=sd,
-        fold_alphas=alphas,
+        fold_alphas=tuple(alphas),
         best_alpha=best_alpha,
     )
 
@@ -395,11 +341,10 @@ def evaluate_dataset(
     eval_cfg: EvalConfig,
     solver_cfg: SolverConfig,
     gt_nodes=None,
-    threads: int = 1,
 ) -> EvalReport:
     """run_cv plus, when ground truth is supplied, the node-ranking AUC of a
     full-database model fitted at the selected alpha."""
-    report = run_cv(db, eval_cfg, solver_cfg, threads=threads)
+    report = run_cv(db, eval_cfg, solver_cfg)
     if gt_nodes is None:
         return report
     model = fit_model(
@@ -407,7 +352,7 @@ def evaluate_dataset(
         k=eval_cfg.k,
         alpha=report.best_alpha,
         energy_fraction=solver_cfg.energy_fraction,
-        d=eval_cfg.d if eval_cfg.d is not None else solver_cfg.d,
+        d=solver_cfg.d,
     )
     auc, roc = ranking_auc(score_nodes(model.u_matrix), gt_nodes)
     return replace(report, auc=auc, roc=tuple(roc))
@@ -426,15 +371,13 @@ def sweep_alpha(
     eval_cfg: EvalConfig,
     solver_cfg: SolverConfig,
     gt_nodes=None,
-    threads: int = 1,
 ) -> list[SweepRow]:
     """Fixed-alpha cross validation for every grid point, with the AUC of a
     full-database model at that alpha when ground truth is available."""
     grid = tuple(sorted(eval_cfg.alpha_grid)) if eval_cfg.alpha_grid else (solver_cfg.alpha,)
-
-    def run_point(alpha: float) -> SweepRow:
-        point_cfg = replace(eval_cfg, alpha_grid=(alpha,))
-        report = run_cv(db, point_cfg, solver_cfg)
+    rows = []
+    for alpha in grid:
+        report = run_cv(db, replace(eval_cfg, alpha_grid=(alpha,)), solver_cfg)
         auc = None
         if gt_nodes is not None:
             model = fit_model(
@@ -442,17 +385,18 @@ def sweep_alpha(
                 k=eval_cfg.k,
                 alpha=alpha,
                 energy_fraction=solver_cfg.energy_fraction,
-                d=eval_cfg.d if eval_cfg.d is not None else solver_cfg.d,
+                d=solver_cfg.d,
             )
             auc, _ = ranking_auc(score_nodes(model.u_matrix), gt_nodes)
-        return SweepRow(
-            alpha=alpha,
-            mean_accuracy=report.mean_accuracy,
-            sd_accuracy=report.sd_accuracy,
-            auc=auc,
+        rows.append(
+            SweepRow(
+                alpha=alpha,
+                mean_accuracy=report.mean_accuracy,
+                sd_accuracy=report.sd_accuracy,
+                auc=auc,
+            )
         )
-
-    return _parallel_map(run_point, grid, threads)
+    return rows
 
 
 # ---------------------------------------------------------------------------

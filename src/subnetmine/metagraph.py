@@ -15,6 +15,7 @@ downstream whitening checks for that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -25,10 +26,9 @@ from .errors import AsymmetricInput, DimensionMismatch, KTooLarge, LengthMismatc
 
 @dataclass(frozen=True)
 class MetaGraphConfig:
-    """Neighborhood parameters; similarity is fixed to cosine."""
+    """Neighborhood size; similarity is always cosine."""
 
     k: int = 10
-    similarity: str = "cosine"
 
 
 @dataclass(frozen=True)
@@ -89,16 +89,12 @@ def _cosine_matrix(v_matrix: StateMatrix) -> np.ndarray:
     return sims
 
 
-def _neighbor_sets(sims: np.ndarray, k: int) -> list[frozenset[int]]:
-    m = sims.shape[0]
-    order_key = sims.copy()
-    np.fill_diagonal(order_key, -np.inf)
-    out = []
-    for i in range(m):
-        # descending similarity, ties broken by lower instance index
-        order = np.lexsort((np.arange(m), -order_key[i]))
-        out.append(frozenset(int(j) for j in order[:k]))
-    return out
+def _nearest(sims: np.ndarray, k: int) -> np.ndarray:
+    """m x k: row i holds the k instances most similar to i, by descending
+    similarity with ties broken by the lower instance index."""
+    key = -sims
+    np.fill_diagonal(key, np.inf)
+    return np.argsort(key, axis=1, kind="stable")[:, :k]
 
 
 def knn_neighborhoods(v_matrix: StateMatrix, k: int) -> list[frozenset[int]]:
@@ -106,15 +102,13 @@ def knn_neighborhoods(v_matrix: StateMatrix, k: int) -> list[frozenset[int]]:
     m = v_matrix.m_cols
     if not 1 <= k <= m - 1:
         raise KTooLarge(f"k={k} outside 1..{m - 1}")
-    return _neighbor_sets(_cosine_matrix(v_matrix), k)
+    return [frozenset(row) for row in _nearest(_cosine_matrix(v_matrix), k).tolist()]
 
 
 def _affinity_pair(sims: np.ndarray, labels, k: int) -> AffinityPair:
     m = sims.shape[0]
-    neighbors = _neighbor_sets(sims, k)
     member = np.zeros((m, m), dtype=bool)
-    for i, nb in enumerate(neighbors):
-        member[i, list(nb)] = True
+    member[np.arange(m)[:, np.newaxis], _nearest(sims, k)] = True
     linked = member | member.T
     labels = np.asarray(labels)
     same = labels[:, np.newaxis] == labels[np.newaxis, :]
@@ -183,13 +177,14 @@ def build_laplacian_set(aff: AffinityPair) -> LaplacianSet:
 def build_constraint_matrix(g: GeneralizedNetwork) -> ConstraintMatrix:
     """Laplacian of the generalized network: diagonal holds weighted degrees,
     off-diagonal entries are minus the shared-edge weights."""
-    rows, cols, vals = [], [], []
-    for p, q, w in g.edges:
-        rows.extend((p, q))
-        cols.extend((q, p))
-        vals.extend((-w, -w))
-        rows.extend((p, q))
-        cols.extend((p, q))
-        vals.extend((w, w))
+    flat = chain.from_iterable(g.edges)
+    edges = np.fromiter(flat, dtype=np.float64, count=3 * len(g.edges)).reshape(-1, 3)
+    p = edges[:, 0].astype(np.intp)
+    q = edges[:, 1].astype(np.intp)
+    w = edges[:, 2]
+    # per edge: (p, q) and (q, p) at -w, then w onto both degrees
+    rows = np.column_stack((p, q, p, q)).ravel()
+    cols = np.column_stack((q, p, p, q)).ravel()
+    vals = np.column_stack((-w, -w, w, w)).ravel()
     c = sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(g.n, g.n)))
     return ConstraintMatrix(c=c)

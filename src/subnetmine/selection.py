@@ -14,14 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import GeneralizedNetwork
-from .errors import CTooLarge
-
-
-@dataclass(frozen=True)
-class SelectionConfig:
-    """Number of top-scoring nodes to keep."""
-
-    c: int = 50
+from .errors import ConfigInvalid, CTooLarge
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,7 @@ def select_top_nodes(scores: np.ndarray, c: int) -> list[int]:
     if c > n:
         raise CTooLarge(f"c={c} exceeds node count {n}")
     if c < 1:
-        raise ValueError(f"c must be positive, got {c}")
+        raise ConfigInvalid(f"c must be positive, got {c}")
     order = np.lexsort((np.arange(n), -scores))
     return [int(p) for p in order[:c]]
 

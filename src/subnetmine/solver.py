@@ -31,7 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from .data import StateMatrix
-from .errors import DimensionMismatch, ParseError, RankDeficient, ZeroMatrix
+from .errors import (
+    ConfigInvalid,
+    DimensionMismatch,
+    NegativeDegree,
+    ParseError,
+    RankDeficient,
+    ZeroMatrix,
+)
 from .metagraph import ConstraintMatrix, LaplacianSet
 
 # singular values below this fraction of the largest are discarded outright
@@ -52,10 +59,12 @@ class SolverConfig:
     d: int | None = None
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not self.alpha >= 0:  # NaN fails too
+            raise ConfigInvalid(f"alpha must be nonnegative, got {self.alpha}")
         if not 0.0 < self.energy_fraction <= 1.0:
-            raise ValueError(f"energy_fraction must be in (0, 1], got {self.energy_fraction}")
+            raise ConfigInvalid(f"energy_fraction must be in (0, 1], got {self.energy_fraction}")
+        if self.d is not None and self.d < 1:
+            raise ConfigInvalid(f"d must be positive, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +144,7 @@ def truncated_svd_basis(
             f"degree diagonal has length {d_plus.shape}, expected ({v.m_cols},)"
         )
     if np.any(d_plus < 0.0):
-        raise ValueError(
+        raise NegativeDegree(
             "D+ has negative diagonal entries; same-state affinity row sums "
             "must be >= 0 (reduce k or use more training instances)"
         )
@@ -190,7 +199,7 @@ def _top_eigenpairs(
     if d > basis.r:
         raise RankDeficient(f"requested d={d} exceeds retained rank r={basis.r}")
     if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
+        raise ConfigInvalid(f"d must be positive, got {d}")
     eigvals, eigvecs = np.linalg.eigh(reduced)
     eigvals = eigvals[::-1]
     eigvecs = eigvecs[:, ::-1]

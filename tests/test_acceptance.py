@@ -64,11 +64,9 @@ def desk_runs():
         eval_cfg = EvalConfig(folds=10, seed=s)
         solver_cfg = SolverConfig(alpha=DEFAULT_ALPHA_GRID[0])
         start = time.perf_counter()
-        report = evaluate_dataset(
-            db, eval_cfg, solver_cfg, gt_nodes=gt_nodes, threads=4
-        )
+        report = evaluate_dataset(db, eval_cfg, solver_cfg, gt_nodes=gt_nodes)
         elapsed = time.perf_counter() - start
-        rows = sweep_alpha(db, eval_cfg, solver_cfg, gt_nodes=gt_nodes, threads=4)
+        rows = sweep_alpha(db, eval_cfg, solver_cfg, gt_nodes=gt_nodes)
         runs.append((report, elapsed, rows))
     return runs
 
@@ -275,7 +273,7 @@ def test_criterion_8_end_to_end_determinism(capsys, tmp_path):
             "--seed", "7", "--out", str(dataset),
         ]) == 0
         assert cli.main([
-            "evaluate", str(dataset), "--folds", "4", "--threads", "1",
+            "evaluate", str(dataset), "--folds", "4",
             "--out", str(tmp_path / tag / "eval"),
         ]) == 0
 

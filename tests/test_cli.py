@@ -204,3 +204,42 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    """12 instances: the default k of 10 drives some same-state row sums of
+    the affinity below zero."""
+    path = tmp_path_factory.mktemp("small") / "ds"
+    assert cli.main([
+        "generate", "--nodes", "30", "--instances", "12", "--gt", "5",
+        "--edges-per-node", "4", "--seed", "0", "--out", str(path),
+    ]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def model_file(dataset, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.tsv"
+    assert cli.main(["fit", str(dataset), "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["fit", "{small}"], 1),
+    (["fit", "{dataset}", "--alpha", "-1"], 2),
+    (["fit", "{dataset}", "--dim", "0"], 2),
+    (["select", "{dataset}", "--model", "{model}", "--top-c", "0"], 2),
+    (["evaluate", "{dataset}", "--energy", "0"], 2),
+    (["evaluate", "{dataset}", "--folds", "1"], 2),
+])
+def test_contract_errors_exit_with_one_line(
+    argv, code, dataset, small_dataset, model_file, tmp_path, capsys
+):
+    paths = {"dataset": dataset, "small": small_dataset, "model": model_file}
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

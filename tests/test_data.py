@@ -113,6 +113,21 @@ def test_generalized_network_random_counts():
             assert w == expected[(p, q)] / db.m
 
 
+def test_subset_network_matches_counting_loop():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        db = random_db(rng, n=8, m=12)
+        subset = np.sort(rng.choice(db.m, size=7, replace=False))
+        counts = {}
+        for i in subset:
+            for e in db.instance_edges[i]:
+                counts[e] = counts.get(e, 0) + 1
+        expected = tuple((p, q, c / subset.size) for (p, q), c in sorted(counts.items()))
+        got = db.edge_index.network(subset).edges
+        assert got == expected
+        assert all(type(x) is int and type(y) is int and type(w) is float for x, y, w in got)
+
+
 def test_state_matrix_masks_invalid_entries():
     # a nonzero value behind an invalid mask must not reach the matrix
     inst = NetworkInstance(

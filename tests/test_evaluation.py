@@ -9,7 +9,13 @@ import pytest
 
 from helpers import build_db, template_db
 from subnetmine.data import StateMatrix, assemble_state_matrix, restrict_instances
-from subnetmine.errors import DegenerateGroundTruth, SingleClassFold, TooFewPerClass
+from subnetmine.errors import (
+    ConfigInvalid,
+    DegenerateGroundTruth,
+    KTooLarge,
+    SingleClassFold,
+    TooFewPerClass,
+)
 from subnetmine.evaluation import (
     DEFAULT_ALPHA_GRID,
     EvalConfig,
@@ -188,6 +194,17 @@ def test_fit_model_clamps_k():
     assert np.array_equal(big.u_matrix, clamped.u_matrix)
 
 
+def test_fit_rejects_invalid_settings():
+    db = class_db(1, n=6, m=12)
+    for bad in ({"alpha": -1.0}, {"energy_fraction": 0.0}, {"d": 0}):
+        with pytest.raises(ConfigInvalid):
+            fit_model(db, **bad)
+    with pytest.raises(KTooLarge):
+        fit_model(db, k=0)
+    with pytest.raises(KTooLarge):
+        run_cv(db, EvalConfig(folds=3, alpha_grid=(1.0,), k=0), SolverConfig(alpha=1.0))
+
+
 def test_cv_matches_manual_per_fold_refit():
     """Pin the no-leakage contract: each fold must equal an explicit refit
     on the restricted training database."""
@@ -249,15 +266,6 @@ def test_cv_empty_grid_falls_back_to_solver_alpha():
     report = run_cv(db, eval_cfg, SolverConfig(alpha=1.25))
     assert report.fold_alphas == (1.25, 1.25, 1.25)
     assert report.best_alpha == 1.25
-
-
-def test_cv_threading_matches_serial():
-    db = class_db(4, n=8, m=24)
-    eval_cfg = EvalConfig(folds=4, alpha_grid=(0.1, 1.0), k=3, seed=5)
-    solver_cfg = SolverConfig(alpha=0.1)
-    serial = run_cv(db, eval_cfg, solver_cfg, threads=1)
-    threaded = run_cv(db, eval_cfg, solver_cfg, threads=4)
-    assert serial == threaded
 
 
 def test_cv_report_invariants():

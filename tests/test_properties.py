@@ -1,0 +1,91 @@
+"""Property tests: invariants of the fit under reordering, and reuse of the
+per-database edge index."""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import build_db, template_db
+from subnetmine.data import NetworkDatabase, assemble_state_matrix, build_generalized_network
+from subnetmine.evaluation import EvalConfig, fit_model, run_cv
+from subnetmine.selection import score_nodes
+from subnetmine.solver import SolverConfig
+
+SETTINGS = settings(max_examples=12, derandomize=True, deadline=None)
+K = 4
+
+
+def sized_db(seed: int, n: int, m: int) -> NetworkDatabase:
+    """Continuous positive values, so cosines are positive and kNN has no ties."""
+    return template_db(np.random.default_rng(seed), n=n, m=m)
+
+
+def relative_error(got: np.ndarray, expected: np.ndarray) -> float:
+    return float(np.linalg.norm(got - expected) / np.linalg.norm(expected))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**16), n=st.integers(6, 12), m=st.integers(12, 24))
+def test_instance_order_does_not_change_the_fit(seed, n, m):
+    db = sized_db(seed, n, m)
+    order = np.random.default_rng(seed + 1).permutation(m)
+    shuffled = NetworkDatabase(
+        nodes=db.nodes,
+        instances=tuple(db.instances[i] for i in order),
+        instance_edges=tuple(db.instance_edges[i] for i in order),
+    )
+    expected = fit_model(db, k=K, alpha=1.0).u_matrix
+    got = fit_model(shuffled, k=K, alpha=1.0).u_matrix
+    assert relative_error(got, expected) <= 1e-10
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**16), n=st.integers(6, 12), m=st.integers(12, 24))
+def test_node_order_permutes_rows_scores_and_edges(seed, n, m):
+    db = sized_db(seed, n, m)
+    order = np.random.default_rng(seed + 1).permutation(n)  # new node j is old order[j]
+    new_of = np.argsort(order)
+    values = assemble_state_matrix(db).matrix[order]
+    edge_lists = [
+        [(int(new_of[p]), int(new_of[q])) for p, q in edges] for edges in db.instance_edges
+    ]
+    permuted = build_db(values, db.labels(), edge_lists)
+
+    base = fit_model(db, k=K, alpha=1.0).u_matrix
+    moved = fit_model(permuted, k=K, alpha=1.0).u_matrix
+    assert relative_error(moved, base[order]) <= 1e-10
+    scores = score_nodes(moved)
+    assert np.allclose(scores, score_nodes(base)[order], rtol=1e-10, atol=0.0)
+
+    expected_edges = sorted(
+        (min(new_of[p], new_of[q]), max(new_of[p], new_of[q]), w)
+        for p, q, w in build_generalized_network(db).edges
+    )
+    assert list(build_generalized_network(permuted).edges) == expected_edges
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**16),
+    alphas=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=3),
+)
+def test_repeated_fits_reuse_one_edge_index(seed, alphas):
+    db = sized_db(seed, 8, 18)
+    prop = vars(NetworkDatabase)["edge_index"]
+    builds = []
+
+    def counting(database):
+        builds.append(database)
+        return build(database)
+
+    build = prop.func
+    with mock.patch.object(prop, "func", counting):
+        for alpha in alphas:
+            fit_model(db, k=K, alpha=alpha)
+        run_cv(db, EvalConfig(folds=3, alpha_grid=tuple(alphas), k=K), SolverConfig(alpha=0.0))
+        build_generalized_network(db)
+    assert len(builds) == 1 and builds[0] is db
