@@ -17,7 +17,6 @@ from .data import (
     assemble_state_matrix,
     build_generalized_network,
     load_database,
-    restrict_instances,
     write_database,
 )
 from .errors import SubnetmineError
@@ -41,8 +40,6 @@ from .metagraph import (
     build_affinities,
     build_constraint_matrix,
     build_laplacian_set,
-    cosine_similarity,
-    knn_neighborhoods,
     laplacian,
 )
 from .selection import (
@@ -54,12 +51,13 @@ from .selection import (
     select_top_nodes,
 )
 from .solver import (
+    ReducedProblem,
     SolverConfig,
     SpectralModel,
     TruncatedBasis,
     assemble_objective_matrix,
-    fit_spectral,
     load_model,
+    reduce_problem,
     save_model,
     solve_spectral,
     transform,
@@ -91,6 +89,7 @@ __all__ = [
     "NetworkDatabase",
     "NetworkInstance",
     "NodeIndex",
+    "ReducedProblem",
     "SolverConfig",
     "SpectralModel",
     "StateMatrix",
@@ -105,20 +104,17 @@ __all__ = [
     "build_generalized_network",
     "build_laplacian_set",
     "build_report",
-    "cosine_similarity",
     "evaluate_dataset",
     "extract_subnetworks",
     "fit_model",
-    "fit_spectral",
     "generate_backbone",
     "generate_dataset",
-    "knn_neighborhoods",
     "laplacian",
     "load_database",
     "load_model",
     "ranking_auc",
     "read_ground_truth",
-    "restrict_instances",
+    "reduce_problem",
     "run_cv",
     "sample_database",
     "save_model",

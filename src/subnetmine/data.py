@@ -17,6 +17,7 @@ Dataset directory format (UTF-8, tab-separated, header row, LF endings):
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -179,11 +180,11 @@ class StateMatrix:
 # dataset loading
 
 
-def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
-    """Return (line_number, fields) rows of a TSV file, header validated."""
+def _read_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield the (line_number, fields) rows of a TSV file, header validated,
+    one at a time: a file is never held in memory as a list of rows."""
     if not path.is_file():
         raise MissingFile(path)
-    rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
@@ -200,8 +201,7 @@ def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[s
                 raise ParseError(
                     path, lineno, f"expected {len(expected_header)} fields, got {len(fields)}"
                 )
-            rows.append((lineno, fields))
-    return rows
+            yield lineno, fields
 
 
 def load_database(path) -> NetworkDatabase:
@@ -212,10 +212,9 @@ def load_database(path) -> NetworkDatabase:
     """
     root = Path(path)
 
-    node_rows = _read_rows(root / "nodes.tsv", ["node_id"])
     nodes: list[NodeIndex] = []
     ordinal_of: dict[str, int] = {}
-    for lineno, (node_id,) in node_rows:
+    for lineno, (node_id,) in _read_rows(root / "nodes.tsv", ["node_id"]):
         if node_id in ordinal_of:
             raise ParseError(root / "nodes.tsv", lineno, f"duplicate node id {node_id!r}")
         ordinal_of[node_id] = len(nodes)
@@ -224,10 +223,11 @@ def load_database(path) -> NetworkDatabase:
     if n == 0:
         raise ParseError(root / "nodes.tsv", 1, "no nodes defined")
 
-    inst_rows = _read_rows(root / "instances.tsv", ["instance_id", "global_state"])
     instance_order: dict[str, int] = {}
     labels: list[int] = []
-    for lineno, (inst_id, state) in inst_rows:
+    for lineno, (inst_id, state) in _read_rows(
+        root / "instances.tsv", ["instance_id", "global_state"]
+    ):
         if inst_id in instance_order:
             raise ParseError(
                 root / "instances.tsv", lineno, f"duplicate instance id {inst_id!r}"
@@ -356,17 +356,3 @@ def assemble_state_matrix(db: NetworkDatabase) -> StateMatrix:
     for i, inst in enumerate(db.instances):
         mat[inst.valid, i] = inst.values[inst.valid]
     return StateMatrix(matrix=mat)
-
-
-def restrict_instances(db: NetworkDatabase, indices) -> NetworkDatabase:
-    """Database over a subset of instances (same node index, given order).
-
-    Used by cross validation to rebuild all derived structures from training
-    instances only; does not re-check the two-class invariant.
-    """
-    indices = [int(i) for i in indices]
-    return NetworkDatabase(
-        nodes=db.nodes,
-        instances=tuple(db.instances[i] for i in indices),
-        instance_edges=tuple(db.instance_edges[i] for i in indices),
-    )

@@ -52,10 +52,6 @@ class SingleClassDatabase(SubnetmineError):
         super().__init__("database must contain at least two distinct global states")
 
 
-class LengthMismatch(SubnetmineError):
-    pass
-
-
 class KTooLarge(SubnetmineError):
     pass
 

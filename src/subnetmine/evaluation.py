@@ -6,12 +6,19 @@ leaks into the learned subspace.  Alpha is chosen per outer fold by an
 inner cross validation over the remaining training folds (ties go to the
 smaller alpha); node-ranking quality is scored as the area under the ROC
 curve of the scores against a ground-truth node set.
+
+Per distinct training set, ``_reduce`` runs once: kNN affinities, Laplacians,
+subset network, constraint, SVD basis and whitened terms.  Per alpha there is
+one r x r eigensolve and one classifier.  Inner splits (f, g) and (g, f) share
+their training set, so F-fold ``run_cv`` reduces F + F(F-1)/2 sets and
+``sweep_alpha`` F, plus the full database when ground truth is given.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +40,7 @@ from .metagraph import (
 )
 from .seeds import substream
 from .selection import score_nodes
-from .solver import SolverConfig, SpectralModel, fit_spectral
+from .solver import ReducedProblem, SolverConfig, SpectralModel, reduce_problem
 
 DEFAULT_ALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.5)
 
@@ -44,6 +51,10 @@ class EvalConfig:
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
     k: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        for alpha in self.alpha_grid:
+            SolverConfig(alpha=alpha)  # rejects a negative or NaN grid point
 
 
 @dataclass(frozen=True)
@@ -118,8 +129,7 @@ def stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def _hinge_objective(x, y, w, b, reg):
-    margins = 1.0 - y * (w @ x + b)
+def _hinge_objective(margins, w, reg):
     return 0.5 * reg * float(w @ w) + float(np.mean(np.maximum(margins, 0.0)))
 
 
@@ -160,9 +170,11 @@ def train_linear_classifier(
     w_avg = np.zeros(dim)
     b_avg = 0.0
     radius = 1.0 / np.sqrt(reg)
-    best = (_hinge_objective(x, y, w, b, reg), w.copy(), b)
+    # hinge margins of (w, b), shared by the objective and the next epoch
+    margins = 1.0 - y * (w @ x + b)
+    best = (_hinge_objective(margins, w, reg), w.copy(), b)
     for t in range(epochs):
-        active = (1.0 - y * (w @ x + b)) > 0.0
+        active = margins > 0.0
         grad_w = reg * w - (x[:, active] * y[active]).sum(axis=1) / y.size
         grad_b = -y[active].sum() / y.size
         step = 1.0 / (reg * (t + 2))
@@ -173,8 +185,12 @@ def train_linear_classifier(
             w *= radius / norm
         w_avg += (w - w_avg) / (t + 1)
         b_avg += (b - b_avg) / (t + 1)
-        for cand_w, cand_b in ((w, b), (w_avg, b_avg)):
-            obj = _hinge_objective(x, y, cand_w, cand_b, reg)
+        margins = 1.0 - y * (w @ x + b)
+        for cand_w, cand_b, cand_margins in (
+            (w, b, margins),
+            (w_avg, b_avg, 1.0 - y * (w_avg @ x + b_avg)),
+        ):
+            obj = _hinge_objective(cand_margins, cand_w, reg)
             if obj < best[0]:
                 best = (obj, cand_w.copy(), float(cand_b))
 
@@ -188,18 +204,17 @@ def train_linear_classifier(
 # model fitting
 
 
-def _fit(
+def _reduce(
     db: NetworkDatabase,
     v: np.ndarray,
     labels: np.ndarray,
     idx: np.ndarray,
     k: int,
-    alpha: float,
     energy_fraction: float,
-    d: int,
-) -> SpectralModel:
-    """The one fit behind every model: meta-graphs, Laplacians, generalized
-    network and spectral solve over the instances at ``idx`` only.
+) -> ReducedProblem:
+    """The alpha-invariant part of every fit: meta-graphs, Laplacians,
+    generalized network and reduced problem over the instances at ``idx``
+    only.
 
     ``v`` and ``labels`` cover the whole database; k is clamped to
     |idx| - 1.
@@ -211,7 +226,14 @@ def _fit(
     aff = _affinity_pair(_cosine_matrix(v_train), labels[idx], k)
     lap = build_laplacian_set(aff)
     c = build_constraint_matrix(db.edge_index.network(idx))
-    return fit_spectral(v_train, lap, c, alpha, energy_fraction, d)
+    return reduce_problem(v_train, lap, c, energy_fraction)
+
+
+def _reduce_all(db: NetworkDatabase, k: int, energy_fraction: float):
+    """The reduced problem over every instance, plus the labels."""
+    labels = db.labels()
+    v = assemble_state_matrix(db).matrix
+    return _reduce(db, v, labels, np.arange(db.m), k, energy_fraction), labels
 
 
 def _dimension(d: int | None, labels: np.ndarray) -> int:
@@ -229,16 +251,45 @@ def fit_model(
     """Full pipeline on one database: affinities, Laplacians, constraint,
     truncated basis, eigenvectors.
 
-    alpha is the relative topology weight of ``solver.fit_spectral``, so the
-    model does not depend on the units of the node values.  k is clamped to
-    m - 1 so small databases keep working; d defaults to the number of
+    alpha is the relative topology weight of ``ReducedProblem.model``, so
+    the model does not depend on the units of the node values.  k is clamped
+    to m - 1 so small databases keep working; d defaults to the number of
     distinct global states.  Invalid settings raise ConfigInvalid.
     """
     SolverConfig(alpha=alpha, energy_fraction=energy_fraction, d=d)  # validates
+    problem, labels = _reduce_all(db, k, energy_fraction)
+    return problem.model(alpha, _dimension(d, labels))
+
+
+def _cv_scorer(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig):
+    """Fold count, plus ``score(left_out, held_out, alphas)``: reduce once on
+    the instances outside the folds ``left_out``, then per alpha solve, train
+    one classifier and score it on each fold in ``held_out``.  ``score``
+    returns the len(alphas) x len(held_out) accuracies."""
     labels = db.labels()
     v = assemble_state_matrix(db).matrix
-    d = _dimension(d, labels)
-    return _fit(db, v, labels, np.arange(db.m), k, alpha, energy_fraction, d)
+    d = _dimension(solver_cfg.d, labels)
+    assignment = stratified_folds(labels, eval_cfg.folds, eval_cfg.seed)
+
+    def score(left_out, held_out, alphas) -> np.ndarray:
+        train = np.flatnonzero(~np.isin(assignment, left_out))
+        held = [np.flatnonzero(assignment == fold) for fold in held_out]
+        problem = _reduce(db, v, labels, train, eval_cfg.k, solver_cfg.energy_fraction)
+        table = np.empty((len(alphas), len(held)))
+        for a, alpha in enumerate(alphas):
+            u = problem.model(alpha, d).u_matrix
+            clf = train_linear_classifier(u.T @ v[:, train], labels[train])
+            for h, idx in enumerate(held):
+                table[a, h] = np.mean(clf.predict(u.T @ v[:, idx]) == labels[idx])
+        return table
+
+    return int(assignment.max()) + 1, score
+
+
+def _mean_sd(accuracies) -> tuple[float, float]:
+    mean = float(np.mean(accuracies))
+    sd = float(np.std(accuracies, ddof=1)) if len(accuracies) > 1 else 0.0
+    return mean, sd
 
 
 def run_cv(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig) -> EvalReport:
@@ -251,48 +302,23 @@ def run_cv(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig) 
     one, ties to the smaller value.
     """
     grid = tuple(sorted(eval_cfg.alpha_grid)) if eval_cfg.alpha_grid else ()
-    labels = db.labels()
-    v = assemble_state_matrix(db).matrix
-    d = _dimension(solver_cfg.d, labels)
-    assignment = stratified_folds(labels, eval_cfg.folds, eval_cfg.seed)
-    folds = int(assignment.max()) + 1
-
-    def fit_and_score(train: np.ndarray, held_out: np.ndarray, alpha: float) -> float:
-        train_idx = np.flatnonzero(train)
-        eval_idx = np.flatnonzero(held_out)
-        model = _fit(
-            db, v, labels, train_idx, eval_cfg.k, alpha, solver_cfg.energy_fraction, d
-        )
-        clf = train_linear_classifier(model.u_matrix.T @ v[:, train_idx], labels[train_idx])
-        predicted = clf.predict(model.u_matrix.T @ v[:, eval_idx])
-        return float(np.mean(predicted == labels[eval_idx]))
-
-    accuracies, alphas = [], []
-    for fold in range(folds):
-        test = assignment == fold
-        if len(grid) > 1:
-            inner_folds = [g for g in range(folds) if g != fold]
-            means = [
-                np.mean([
-                    fit_and_score(~test & (assignment != g), assignment == g, alpha)
-                    for g in inner_folds
-                ])
-                for alpha in grid
-            ]
-            alpha_f = grid[int(np.argmax(means))]  # argmax keeps the smaller alpha on ties
-        elif len(grid) == 1:
-            alpha_f = grid[0]
-        else:
-            alpha_f = solver_cfg.alpha
-        accuracies.append(fit_and_score(~test, test, alpha_f))
-        alphas.append(alpha_f)
+    folds, score = _cv_scorer(db, eval_cfg, solver_cfg)
+    alphas = [grid[0] if grid else solver_cfg.alpha] * folds
+    if len(grid) > 1:
+        # inner[a, f, g]: accuracy at grid[a] on fold g, trained without f and g
+        inner = np.empty((len(grid), folds, folds))
+        for f, g in combinations(range(folds), 2):
+            inner[:, f, g], inner[:, g, f] = score((f, g), (g, f), grid).T
+        for f in range(folds):
+            means = [np.mean(np.delete(inner[a, f], f)) for a in range(len(grid))]
+            alphas[f] = grid[int(np.argmax(means))]  # argmax keeps the smaller alpha on ties
+    accuracies = [float(score((f,), (f,), (alphas[f],))[0, 0]) for f in range(folds)]
 
     counts: dict[float, int] = {}
     for alpha in alphas:
         counts[alpha] = counts.get(alpha, 0) + 1
     best_alpha = min(counts, key=lambda a: (-counts[a], a))
-    mean = float(np.mean(accuracies))
-    sd = float(np.std(accuracies, ddof=1)) if len(accuracies) > 1 else 0.0
+    mean, sd = _mean_sd(accuracies)
     return EvalReport(
         fold_accuracies=tuple(accuracies),
         mean_accuracy=mean,
@@ -375,28 +401,20 @@ def sweep_alpha(
     """Fixed-alpha cross validation for every grid point, with the AUC of a
     full-database model at that alpha when ground truth is available."""
     grid = tuple(sorted(eval_cfg.alpha_grid)) if eval_cfg.alpha_grid else (solver_cfg.alpha,)
-    rows = []
-    for alpha in grid:
-        report = run_cv(db, replace(eval_cfg, alpha_grid=(alpha,)), solver_cfg)
-        auc = None
-        if gt_nodes is not None:
-            model = fit_model(
-                db,
-                k=eval_cfg.k,
-                alpha=alpha,
-                energy_fraction=solver_cfg.energy_fraction,
-                d=solver_cfg.d,
-            )
-            auc, _ = ranking_auc(score_nodes(model.u_matrix), gt_nodes)
-        rows.append(
-            SweepRow(
-                alpha=alpha,
-                mean_accuracy=report.mean_accuracy,
-                sd_accuracy=report.sd_accuracy,
-                auc=auc,
-            )
-        )
-    return rows
+    folds, score = _cv_scorer(db, eval_cfg, solver_cfg)
+    # accuracies[a, f]: accuracy at grid[a] on outer fold f
+    accuracies = np.hstack([score((f,), (f,), grid) for f in range(folds)])
+    aucs = [None] * len(grid)
+    if gt_nodes is not None:
+        full, labels = _reduce_all(db, eval_cfg.k, solver_cfg.energy_fraction)
+        d = _dimension(solver_cfg.d, labels)
+        aucs = [
+            ranking_auc(score_nodes(full.model(alpha, d).u_matrix), gt_nodes)[0]
+            for alpha in grid
+        ]
+    return [
+        SweepRow(alpha, *_mean_sd(accuracies[a]), aucs[a]) for a, alpha in enumerate(grid)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .data import GeneralizedNetwork, NetworkDatabase, StateMatrix
-from .errors import AsymmetricInput, DimensionMismatch, KTooLarge, LengthMismatch
+from .errors import AsymmetricInput, DimensionMismatch, KTooLarge
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,13 @@ class AffinityPair:
 
 @dataclass(frozen=True)
 class LaplacianSet:
-    """Laplacians of the affinity pair.
+    """What the solver needs of the affinity pair's Laplacians.
 
     ``d_plus`` stores the diagonal entries of D+ (row sums of A+);
     ``l_tilde`` is L- minus L+.
     """
 
     d_plus: np.ndarray
-    l_plus: sparse.csr_array
-    l_minus: sparse.csr_array
     l_tilde: sparse.csr_array
 
 
@@ -58,19 +56,6 @@ class ConstraintMatrix:
     """Laplacian of the generalized network (n x n, PSD)."""
 
     c: sparse.csr_array
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors; 0 if either norm is 0."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise LengthMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
 
 
 def _cosine_matrix(v_matrix: StateMatrix) -> np.ndarray:
@@ -95,14 +80,6 @@ def _nearest(sims: np.ndarray, k: int) -> np.ndarray:
     key = -sims
     np.fill_diagonal(key, np.inf)
     return np.argsort(key, axis=1, kind="stable")[:, :k]
-
-
-def knn_neighborhoods(v_matrix: StateMatrix, k: int) -> list[frozenset[int]]:
-    """Indices of the k most cosine-similar other instances, per instance."""
-    m = v_matrix.m_cols
-    if not 1 <= k <= m - 1:
-        raise KTooLarge(f"k={k} outside 1..{m - 1}")
-    return [frozenset(row) for row in _nearest(_cosine_matrix(v_matrix), k).tolist()]
 
 
 def _affinity_pair(sims: np.ndarray, labels, k: int) -> AffinityPair:
@@ -166,12 +143,7 @@ def laplacian(a: sparse.csr_array) -> tuple[np.ndarray, sparse.csr_array]:
 def build_laplacian_set(aff: AffinityPair) -> LaplacianSet:
     d_plus, l_plus = laplacian(aff.a_plus)
     _, l_minus = laplacian(aff.a_minus)
-    return LaplacianSet(
-        d_plus=d_plus,
-        l_plus=l_plus,
-        l_minus=l_minus,
-        l_tilde=sparse.csr_array(l_minus - l_plus),
-    )
+    return LaplacianSet(d_plus=d_plus, l_tilde=sparse.csr_array(l_minus - l_plus))
 
 
 def build_constraint_matrix(g: GeneralizedNetwork) -> ConstraintMatrix:

@@ -14,11 +14,15 @@ spectrum real and the normalization u'Bu = ||w||^2 = 1 exact.
 
 With Q = P S^{-1} the reduced matrix splits into a data term and a topology
 term, M = M0 - alpha M1 with M0 = (V'Q)' Ltilde (V'Q) and M1 = Q' C Q.
-Multiplying every node value by s leaves M0 unchanged but scales M1 by
-1/s^2, so an absolute alpha would mean something different in every unit
-system.  ``fit_spectral`` therefore takes alpha relative to the data term:
-the topology weight actually used is alpha * rho(M0) / rho(M1), rho being
-the largest absolute eigenvalue.  ``assemble_objective_matrix`` and
+Only the final r x r eigensolve depends on alpha, so a fit runs in two
+steps: ``reduce_problem`` does the alpha-invariant work once per training
+set (SVD basis, M0, M1 and their spectral radii) and returns a
+``ReducedProblem``; ``ReducedProblem.model(alpha, d)`` then costs one r x r
+``eigh`` per alpha.  Multiplying every node value by s leaves M0 unchanged
+but scales M1 by 1/s^2, so an absolute alpha would mean something different
+in every unit system.  Alpha is therefore relative to the data term: the
+topology weight actually used is alpha * rho(M0) / rho(M1), rho being the
+largest absolute eigenvalue.  ``assemble_objective_matrix`` and
 ``solve_spectral`` keep the absolute weight and form the dense reference.
 """
 
@@ -50,9 +54,10 @@ _EIG_TIE_RTOL = 1e-12
 @dataclass(frozen=True)
 class SolverConfig:
     """alpha weights the topology constraint relative to the data term (see
-    ``fit_spectral``; 1 means the two terms have equal spectral radius in
-    the whitened space); energy_fraction controls the SVD truncation; d is
-    the subspace dimension (None = number of distinct global states)."""
+    ``ReducedProblem.model``; 1 means the two terms have equal spectral
+    radius in the whitened space); energy_fraction controls the SVD
+    truncation; d is the subspace dimension (None = number of distinct
+    global states)."""
 
     alpha: float
     energy_fraction: float = 0.95
@@ -81,7 +86,8 @@ class SpectralModel:
     """Transformation matrix U (n x d), its eigenvalues, and the basis used.
 
     ``alpha`` is the weight the model was requested with: relative when the
-    model comes from ``fit_spectral``, absolute from ``solve_spectral``.
+    model comes from ``ReducedProblem.model``, absolute from
+    ``solve_spectral``.
     """
 
     u_matrix: np.ndarray
@@ -117,7 +123,7 @@ def assemble_objective_matrix(
     """A = V Ltilde V' - alpha C, symmetrized to kill roundoff.
 
     ``alpha`` is the absolute weight in the units of the node values; this
-    dense n x n form is the reference that ``fit_spectral`` is checked
+    dense n x n form is the reference that ``ReducedProblem`` is checked
     against.
     """
     _check_dims(v, lap, c)
@@ -232,24 +238,40 @@ def solve_spectral(
     return _top_eigenpairs((reduced + reduced.T) / 2.0, basis, d, alpha)
 
 
-def fit_spectral(
-    v: StateMatrix,
-    lap: LaplacianSet,
-    c: ConstraintMatrix,
-    alpha: float,
-    energy_fraction: float,
-    d: int,
-) -> SpectralModel:
-    """Truncated basis plus the top-d eigenpairs of M0 - alpha_eff M1.
+@dataclass(frozen=True)
+class ReducedProblem:
+    """The alpha-invariant part of one fit: the truncated basis, the whitened
+    data term M0 and topology term M1 (both r x r), and their spectral radii.
 
-    ``alpha`` is relative: alpha_eff = alpha * rho(M0) / rho(M1), so alpha = 1
-    gives the topology term the same spectral radius as the data term in the
-    whitened space, and multiplying every node value by s scales U by 1/s
-    and changes nothing else.  Without edges (rho(M1) = 0) alpha is used
-    as is.  The result equals
-    ``solve_spectral(assemble_objective_matrix(v, lap, c, alpha_eff), ...)``
-    but never forms an n x n matrix.
+    rho0 and rho1 are kept apart, not as a ratio, so every weight is
+    computed as alpha * rho0 / rho1 with one rounding order.
     """
+
+    basis: TruncatedBasis
+    m0: np.ndarray
+    m1: np.ndarray
+    rho0: float
+    rho1: float
+
+    def model(self, alpha: float, d: int) -> SpectralModel:
+        """Top-d eigenpairs of M0 - alpha_eff M1, mapped back to node space.
+
+        ``alpha`` is relative: alpha_eff = alpha * rho(M0) / rho(M1), so
+        alpha = 1 gives the topology term the same spectral radius as the
+        data term in the whitened space, and multiplying every node value by
+        s scales U by 1/s and changes nothing else.  Without edges
+        (rho(M1) = 0) alpha is used as is.  The result equals
+        ``solve_spectral(assemble_objective_matrix(v, lap, c, alpha_eff), ...)``
+        but never forms an n x n matrix.
+        """
+        weight = alpha * self.rho0 / self.rho1 if self.rho1 > 0.0 else alpha
+        return _top_eigenpairs(self.m0 - weight * self.m1, self.basis, d, alpha)
+
+
+def reduce_problem(
+    v: StateMatrix, lap: LaplacianSet, c: ConstraintMatrix, energy_fraction: float
+) -> ReducedProblem:
+    """Truncated basis of V (D+)^{1/2} plus the whitened terms M0 and M1."""
     _check_dims(v, lap, c)
     basis = truncated_svd_basis(v, lap.d_plus, energy_fraction)
     q = _whitening(basis)
@@ -260,8 +282,7 @@ def fit_spectral(
     m1 = (m1 + m1.T) / 2.0
     rho0 = float(np.abs(np.linalg.eigvalsh(m0)).max())
     rho1 = float(np.abs(np.linalg.eigvalsh(m1)).max())
-    weight = alpha * rho0 / rho1 if rho1 > 0.0 else alpha
-    return _top_eigenpairs(m0 - weight * m1, basis, d, alpha)
+    return ReducedProblem(basis=basis, m0=m0, m1=m1, rho0=rho0, rho1=rho1)
 
 
 def transform(model: SpectralModel, v: StateMatrix) -> np.ndarray:

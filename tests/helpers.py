@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from subnetmine.data import NetworkDatabase, NetworkInstance, NodeIndex
+from subnetmine.data import NetworkDatabase, NetworkInstance, NodeIndex, StateMatrix
+from subnetmine.metagraph import _cosine_matrix, _nearest
 
 
 def build_db(values, labels, edge_lists, valid=None, node_ids=None) -> NetworkDatabase:
@@ -87,3 +88,32 @@ def random_db(rng, n=6, m=10, edge_prob=0.4, null_prob=0.15, value_loc=0.0) -> N
                     pairs.append((p, q))
         edge_lists.append(pairs)
     return build_db(values, labels, edge_lists, valid=valid)
+
+
+def restrict_instances(db, indices) -> NetworkDatabase:
+    """Database over a subset of instances (same node index, given order):
+    the oracle for fits that must see training instances only."""
+    indices = [int(i) for i in indices]
+    return NetworkDatabase(
+        nodes=db.nodes,
+        instances=tuple(db.instances[i] for i in indices),
+        instance_edges=tuple(db.instance_edges[i] for i in indices),
+    )
+
+
+def cosine_similarity(a, b) -> float:
+    """Cosine of the angle between two vectors; 0 if either norm is 0."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError(f"vector shapes differ: {a.shape} vs {b.shape}")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
+
+
+def knn_neighborhoods(v_matrix: StateMatrix, k: int) -> list[frozenset[int]]:
+    """The k instances the library's kNN step links to each instance."""
+    return [frozenset(row) for row in _nearest(_cosine_matrix(v_matrix), k).tolist()]

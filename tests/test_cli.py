@@ -232,6 +232,9 @@ def model_file(dataset, tmp_path_factory):
     (["select", "{dataset}", "--model", "{model}", "--top-c", "0"], 2),
     (["evaluate", "{dataset}", "--energy", "0"], 2),
     (["evaluate", "{dataset}", "--folds", "1"], 2),
+    (["evaluate", "{dataset}", "--alpha-grid", "2,-1"], 2),
+    (["evaluate", "{dataset}", "--alpha-grid", "2,nan"], 2),
+    (["sweep-alpha", "{dataset}", "--alpha-grid", "2,-1"], 2),
 ])
 def test_contract_errors_exit_with_one_line(
     argv, code, dataset, small_dataset, model_file, tmp_path, capsys

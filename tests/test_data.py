@@ -5,13 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import build_db, random_db
+from helpers import build_db, random_db, restrict_instances
 from subnetmine.data import (
     NetworkInstance,
     assemble_state_matrix,
     build_generalized_network,
     load_database,
-    restrict_instances,
     write_database,
 )
 from subnetmine.errors import (

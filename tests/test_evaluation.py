@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from helpers import build_db, template_db
-from subnetmine.data import StateMatrix, assemble_state_matrix, restrict_instances
+from helpers import build_db, restrict_instances, template_db
+from subnetmine import evaluation, solver
+from subnetmine.data import StateMatrix, assemble_state_matrix
 from subnetmine.errors import (
     ConfigInvalid,
     DegenerateGroundTruth,
@@ -157,6 +158,71 @@ def test_classifier_one_vs_rest_three_classes():
     assert np.array_equal(clf.predict(x), labels)
 
 
+def reference_classifier(embedded, labels, epochs=150, reg=1e-3):
+    """The two-class trainer as it was before it shared the epoch-end
+    margins with the next epoch: (weights, bias) to compare with ==."""
+    labels = np.asarray(labels)
+    neg, pos = np.unique(labels)
+    y = np.where(labels == pos, 1.0, -1.0)
+
+    def objective(w, b):
+        margins = 1.0 - y * (w @ x + b)
+        return 0.5 * reg * float(w @ w) + float(np.mean(np.maximum(margins, 0.0)))
+
+    mean = embedded.mean(axis=1)
+    sd = embedded.std(axis=1)
+    sd = np.where(sd > 0.0, sd, 1.0)
+    x = (embedded - mean[:, np.newaxis]) / sd[:, np.newaxis]
+    w = np.zeros(x.shape[0])
+    b = 0.0
+    w_avg = np.zeros(x.shape[0])
+    b_avg = 0.0
+    radius = 1.0 / np.sqrt(reg)
+    best = (objective(w, b), w.copy(), b)
+    for t in range(epochs):
+        active = (1.0 - y * (w @ x + b)) > 0.0
+        grad_w = reg * w - (x[:, active] * y[active]).sum(axis=1) / y.size
+        grad_b = -y[active].sum() / y.size
+        step = 1.0 / (reg * (t + 2))
+        w = w - step * grad_w
+        b = b - step * grad_b
+        norm = np.linalg.norm(w)
+        if norm > radius:
+            w *= radius / norm
+        w_avg += (w - w_avg) / (t + 1)
+        b_avg += (b - b_avg) / (t + 1)
+        for cand_w, cand_b in ((w, b), (w_avg, b_avg)):
+            obj = objective(cand_w, cand_b)
+            if obj < best[0]:
+                best = (obj, cand_w.copy(), float(cand_b))
+    _, w_std, b_std = best
+    return w_std / sd, b_std - float(w_std @ (mean / sd))
+
+
+def test_classifier_matches_reference_loop_exactly():
+    rng = np.random.default_rng(12)
+    cases = []
+    for dim, m in ((1, 6), (2, 30), (3, 41), (4, 160)):
+        labels = (rng.random(m) < 0.5).astype(int)
+        labels[:2] = [0, 1]
+        cases.append((rng.normal(size=(dim, m)), labels))
+    # ties: small integer values, duplicated columns, a constant feature,
+    # and integer data that at reg = 1 puts points exactly on the margin
+    # (counting them as active changes the returned model)
+    ties = rng.integers(-2, 3, size=(3, 24)).astype(float)
+    ties[:, 12:] = ties[:, :12]
+    ties[1] = 5.0
+    cases.append((ties, np.tile([0, 1], 12)))
+    cases.append((np.array([[-2.0, 2.0, -2.0, 2.0], [-2.0, 0.0, -1.0, 2.0]]), np.tile([0, 1], 2)))
+    for x, labels in cases:
+        for epochs in (1, 3, 150):
+            for reg in (1e-3, 1.0):
+                clf = train_linear_classifier(x, labels, epochs=epochs, reg=reg)
+                weights, bias = reference_classifier(x, labels, epochs=epochs, reg=reg)
+                assert np.array_equal(clf.weights, weights)
+                assert clf.bias == bias
+
+
 def test_classifier_rejects_single_class():
     with pytest.raises(SingleClassFold):
         train_linear_classifier(np.ones((1, 4)), np.zeros(4, dtype=int))
@@ -227,6 +293,86 @@ def test_cv_matches_manual_per_fold_refit():
         predicted = clf.predict(model.u_matrix.T @ v_full[:, test_idx])
         manual = float(np.mean(predicted == labels[test_idx]))
         assert report.fold_accuracies[fold] == manual
+
+
+def test_nested_cv_matches_naive_refit_per_alpha():
+    """Every inner (fold, held-out fold, alpha) fit refitted on its own
+    restricted database: the chosen alphas and the outer accuracies must
+    equal what the shared reductions give."""
+    # a third of the labels flipped, so accuracy varies with alpha and the
+    # folds choose different grid points
+    rng = np.random.default_rng(9)
+    clean = template_db(rng, n=8, m=24)
+    labels = clean.labels()
+    flipped = rng.permutation(24)[:7]
+    labels[flipped] = 1 - labels[flipped]
+    db = build_db(assemble_state_matrix(clean).matrix, labels, clean.instance_edges)
+    grid = (0.1, 1.0, 4.0)
+    folds = 4
+    eval_cfg = EvalConfig(folds=folds, alpha_grid=grid, k=3, seed=11)
+    report = run_cv(db, eval_cfg, SolverConfig(alpha=0.1))
+    assert len(set(report.fold_alphas)) == len(grid)
+
+    v_full = assemble_state_matrix(db).matrix
+    assignment = stratified_folds(labels, folds, seed=11)
+
+    def refit_and_score(train, held_out, alpha):
+        train_idx = np.flatnonzero(train)
+        test_idx = np.flatnonzero(held_out)
+        model = fit_model(restrict_instances(db, train_idx), k=3, alpha=alpha)
+        clf = train_linear_classifier(
+            model.u_matrix.T @ v_full[:, train_idx], labels[train_idx]
+        )
+        predicted = clf.predict(model.u_matrix.T @ v_full[:, test_idx])
+        return float(np.mean(predicted == labels[test_idx]))
+
+    alphas, accuracies = [], []
+    for f in range(folds):
+        test = assignment == f
+        means = [
+            np.mean([
+                refit_and_score(~test & (assignment != g), assignment == g, alpha)
+                for g in range(folds)
+                if g != f
+            ])
+            for alpha in grid
+        ]
+        alphas.append(grid[int(np.argmax(means))])
+        accuracies.append(refit_and_score(~test, test, alphas[-1]))
+    assert report.fold_alphas == tuple(alphas)
+    assert report.fold_accuracies == tuple(accuracies)
+
+
+def test_each_training_set_is_reduced_once(monkeypatch):
+    """F folds and A >= 2 alphas: run_cv reduces F outer and F(F-1)/2 inner
+    training sets and trains one classifier per inner pair and alpha plus
+    one per outer fold; sweep_alpha reduces each outer fold and the full
+    database once."""
+    calls = {"svd": 0, "classifier": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "truncated_svd_basis", counted("svd", solver.truncated_svd_basis))
+    monkeypatch.setattr(
+        evaluation,
+        "train_linear_classifier",
+        counted("classifier", evaluation.train_linear_classifier),
+    )
+    db = class_db(5, n=8, m=24)
+    folds, grid = 4, (0.1, 1.0, 4.0)
+    eval_cfg = EvalConfig(folds=folds, alpha_grid=grid, k=3, seed=8)
+    run_cv(db, eval_cfg, SolverConfig(alpha=0.1))
+    pairs = folds * (folds - 1) // 2
+    assert calls == {"svd": folds + pairs, "classifier": len(grid) * pairs + folds}
+
+    calls.update(svd=0, classifier=0)
+    sweep_alpha(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1, 2])
+    assert calls == {"svd": folds + 1, "classifier": len(grid) * folds}
 
 
 @pytest.mark.parametrize("power", [-3, 3])

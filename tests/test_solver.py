@@ -21,9 +21,9 @@ from subnetmine.metagraph import (
 from subnetmine.solver import (
     SolverConfig,
     assemble_objective_matrix,
-    fit_spectral,
     load_model,
     model_meta_path,
+    reduce_problem,
     save_model,
     solve_spectral,
     transform,
@@ -59,9 +59,7 @@ def test_objective_matches_dense_formula():
 def test_objective_zero_laplacian_gives_minus_c():
     _, v, lap, c = pipeline_pieces(1)
     zero = sparse.csr_array((v.m_cols, v.m_cols))
-    lap_zero = type(lap)(
-        d_plus=np.zeros(v.m_cols), l_plus=zero, l_minus=zero, l_tilde=zero
-    )
+    lap_zero = type(lap)(d_plus=np.zeros(v.m_cols), l_tilde=zero)
     a = assemble_objective_matrix(v, lap_zero, c, 1.0)
     assert np.allclose(a, -c.c.toarray(), atol=1e-15)
 
@@ -303,7 +301,9 @@ def relative_weight(v, lap, c, basis):
 
 
 @pytest.mark.parametrize("edge_prob", [0.4, 0.0])
-def test_fit_spectral_matches_dense_oracle(edge_prob):
+def test_reduced_problem_matches_dense_oracle(edge_prob):
+    """One reduction serves every alpha: each model equals the dense
+    assemble + solve at the matching absolute weight."""
     for seed in range(4):
         # values near zero keep several singular directions (r >= 3)
         _, v, lap, c = pipeline_pieces(
@@ -314,29 +314,35 @@ def test_fit_spectral_matches_dense_oracle(edge_prob):
         d = 2
         ratio = relative_weight(v, lap, c, basis)
         assert (ratio == 1.0) == (edge_prob == 0.0)
-        for alpha in (0.0, 0.5, 2.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problem = reduce_problem(v, lap, c, 0.95)
+        assert problem.m0.shape == problem.m1.shape == (basis.r, basis.r)
+        for alpha in (0.0, 0.5, 2.0, 6.5):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = fit_spectral(v, lap, c, alpha, 0.95, d)
+                got = problem.model(alpha, d)
             a = assemble_objective_matrix(v, lap, c, alpha * ratio)
             ref = solve_spectral(a, basis, d, alpha=alpha)
             assert np.all(np.isfinite(got.u_matrix))
             assert np.all(np.isfinite(got.eigenvalues))
-            assert got.basis.r == basis.r and got.alpha == alpha
+            assert got.basis is problem.basis and got.alpha == alpha
             scale = np.linalg.norm(ref.u_matrix)
             assert np.linalg.norm(got.u_matrix - ref.u_matrix) <= 1e-10 * scale
             top = np.max(np.abs(ref.eigenvalues))
             assert np.max(np.abs(got.eigenvalues - ref.eigenvalues)) <= 1e-10 * top
 
 
-def test_fit_spectral_rank_and_dimension_errors():
+def test_reduce_problem_rank_and_dimension_errors():
     _, v, lap, c = pipeline_pieces(0)
+    problem = reduce_problem(v, lap, c, 0.95)
     r = truncated_svd_basis(v, lap.d_plus, 0.95).r
+    assert problem.basis.r == r
     with pytest.raises(RankDeficient):
-        fit_spectral(v, lap, c, 1.0, 0.95, r + 1)
+        problem.model(1.0, r + 1)
     bad_c = ConstraintMatrix(c=sparse.csr_array((v.n_rows + 2, v.n_rows + 2)))
     with pytest.raises(DimensionMismatch):
-        fit_spectral(v, lap, bad_c, 1.0, 0.95, 1)
+        reduce_problem(v, lap, bad_c, 0.95)
 
 
 def test_model_save_load_round_trip(tmp_path):
