@@ -55,11 +55,9 @@ from .solver import (
     SolverConfig,
     SpectralModel,
     TruncatedBasis,
-    assemble_objective_matrix,
     load_model,
     reduce_problem,
     save_model,
-    solve_spectral,
     transform,
     truncated_svd_basis,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "SubnetworkReport",
     "SynthConfig",
     "TruncatedBasis",
-    "assemble_objective_matrix",
     "assemble_state_matrix",
     "build_affinities",
     "build_constraint_matrix",
@@ -120,7 +117,6 @@ __all__ = [
     "save_model",
     "score_nodes",
     "select_top_nodes",
-    "solve_spectral",
     "stratified_folds",
     "sweep_alpha",
     "train_linear_classifier",

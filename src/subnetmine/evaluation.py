@@ -9,9 +9,12 @@ curve of the scores against a ground-truth node set.
 
 Per distinct training set, ``_reduce`` runs once: kNN affinities, Laplacians,
 subset network, constraint, SVD basis and whitened terms.  Per alpha there is
-one r x r eigensolve and one classifier.  Inner splits (f, g) and (g, f) share
-their training set, so F-fold ``run_cv`` reduces F + F(F-1)/2 sets and
-``sweep_alpha`` F, plus the full database when ground truth is given.
+one r x r eigensolve.  The classifiers of all alphas on one training set come
+from one stacked run of ``train_linear_classifier``, so its epoch loop runs
+once per training set, not once per alpha.  Inner splits (f, g) and (g, f)
+share their training set, so F-fold ``run_cv`` reduces and trains on
+F + F(F-1)/2 sets and ``sweep_alpha`` on F, plus one more reduction of the
+full database when ground truth is given.
 """
 
 from __future__ import annotations
@@ -53,8 +56,10 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be nonnegative, got {self.seed}")
         for alpha in self.alpha_grid:
-            SolverConfig(alpha=alpha)  # rejects a negative or NaN grid point
+            SolverConfig(alpha=alpha)  # rejects a negative, infinite or NaN grid point
 
 
 @dataclass(frozen=True)
@@ -129,75 +134,92 @@ def stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def _hinge_objective(margins, w, reg):
-    return 0.5 * reg * float(w @ w) + float(np.mean(np.maximum(margins, 0.0)))
+def _pegasos(embedded: np.ndarray, y: np.ndarray, epochs: int, reg: float):
+    """Weights (A x d) and biases (A) of the hinge-loss fits of every row of
+    an A x d x m stack against one label vector y of +-1.
+
+    Every reduction is an ``einsum`` or ``sum`` over one row's own entries,
+    never a BLAS product, so each row's result is bit-identical whatever
+    else shares its stack.
+    """
+    mean = embedded.mean(axis=2)
+    sd = embedded.std(axis=2)
+    sd = np.where(sd > 0.0, sd, 1.0)
+    x = (embedded - mean[:, :, np.newaxis]) / sd[:, :, np.newaxis]
+    rows, dim, m = x.shape
+    # y * [x; 1]: an iterate is [w, b], so w.x + b is one sum over its rows,
+    # and multiplying by y = +-1 is exact
+    xy = np.concatenate([x, np.ones((rows, 1, m))], axis=1) * y
+    decay = np.append(np.full(dim, reg), 0.0)  # the bias is not regularized
+    radius = 1.0 / np.sqrt(reg)
+
+    def hinge(iterates):  # margins and objectives of ... x A x (d+1) iterates
+        margins = 1.0 - np.einsum("...ai,aim->...am", iterates, xy)
+        w = iterates[..., :dim]
+        penalty = 0.5 * reg * (w * w).sum(axis=-1)
+        return margins, penalty + np.maximum(margins, 0.0).sum(axis=-1) / m
+
+    # the raw iterate and its running average, evaluated together
+    iterates = np.zeros((2, rows, dim + 1))
+    raw, avg = iterates
+    margins, objectives = hinge(iterates)
+    best_obj, best = objectives[0], raw.copy()
+    for t in range(epochs):
+        active = np.where(margins[0] > 0.0, 1.0, 0.0)
+        grad = decay * raw - np.einsum("aim,am->ai", xy, active) / m
+        raw -= 1.0 / (reg * (t + 2)) * grad
+        w = raw[:, :dim]
+        # rows inside the ball are scaled by exactly 1
+        w *= (radius / np.maximum(np.sqrt((w * w).sum(axis=1)), radius))[:, np.newaxis]
+        avg += (raw - avg) / (t + 1)
+        margins, objectives = hinge(iterates)
+        for obj, candidate in zip(objectives, iterates):  # raw first, then average
+            better = obj < best_obj
+            best_obj = np.where(better, obj, best_obj)
+            best = np.where(better[:, np.newaxis], candidate, best)
+    w, b = best[:, :dim], best[:, dim]
+    return w / sd, b - (w * (mean / sd)).sum(axis=1)
 
 
 def train_linear_classifier(
     embedded: np.ndarray, labels, epochs: int = 150, reg: float = 1e-3
-) -> LinearClassifier:
+):
     """Deterministic full-batch subgradient descent on the regularized hinge
     loss.
 
-    Coordinates are standardized internally (folded back into the returned
-    weights), the step schedule is 1/(reg*(t+2)), iterates are projected
-    onto the ball of radius 1/sqrt(reg), and the returned model is the
-    epoch-end iterate (raw or running average) with the lowest training
-    objective, so longer training never yields a worse loss.
+    ``embedded`` is one d x m embedding, giving one classifier, or an
+    A x d x m stack of embeddings of the same instances, giving a tuple of
+    A classifiers from one shared epoch loop.  Row a of a stack gets exactly
+    the classifier that row alone would.  Coordinates are standardized per
+    row (folded back into the returned weights), the step schedule is
+    1/(reg*(t+2)), iterates are projected onto the ball of radius
+    1/sqrt(reg), and each row returns the epoch-end iterate (raw, then
+    running average) with the lowest training objective, so longer training
+    never yields a worse loss.  More than two classes give one-vs-rest
+    models.
     """
-    embedded = np.atleast_2d(np.asarray(embedded, dtype=np.float64))
+    embedded = np.ascontiguousarray(embedded, dtype=np.float64)
+    single = embedded.ndim < 3
+    if single:
+        embedded = np.atleast_2d(embedded)[np.newaxis]
     labels = np.asarray(labels)
     classes = np.unique(labels)
     if classes.size < 2:
         raise SingleClassFold(f"single class {classes} in training labels")
     if classes.size > 2:
+        fits = [_pegasos(embedded, np.where(labels == c, 1.0, -1.0), epochs, reg) for c in classes]
         models = tuple(
-            train_linear_classifier(embedded, np.where(labels == cls, 1, 0), epochs, reg)
-            for cls in classes
+            OneVsRestClassifier(
+                labels=tuple(int(c) for c in classes),
+                models=tuple(LinearClassifier(w[a], float(b[a]), 0, 1) for w, b in fits),
+            )
+            for a in range(len(embedded))
         )
-        return OneVsRestClassifier(labels=tuple(int(c) for c in classes), models=models)
-    neg, pos = int(classes[0]), int(classes[1])
-    y = np.where(labels == pos, 1.0, -1.0)
-
-    mean = embedded.mean(axis=1)
-    sd = embedded.std(axis=1)
-    sd = np.where(sd > 0.0, sd, 1.0)
-    x = (embedded - mean[:, np.newaxis]) / sd[:, np.newaxis]
-
-    dim = x.shape[0]
-    w = np.zeros(dim)
-    b = 0.0
-    w_avg = np.zeros(dim)
-    b_avg = 0.0
-    radius = 1.0 / np.sqrt(reg)
-    # hinge margins of (w, b), shared by the objective and the next epoch
-    margins = 1.0 - y * (w @ x + b)
-    best = (_hinge_objective(margins, w, reg), w.copy(), b)
-    for t in range(epochs):
-        active = margins > 0.0
-        grad_w = reg * w - (x[:, active] * y[active]).sum(axis=1) / y.size
-        grad_b = -y[active].sum() / y.size
-        step = 1.0 / (reg * (t + 2))
-        w = w - step * grad_w
-        b = b - step * grad_b
-        norm = np.linalg.norm(w)
-        if norm > radius:
-            w *= radius / norm
-        w_avg += (w - w_avg) / (t + 1)
-        b_avg += (b - b_avg) / (t + 1)
-        margins = 1.0 - y * (w @ x + b)
-        for cand_w, cand_b, cand_margins in (
-            (w, b, margins),
-            (w_avg, b_avg, 1.0 - y * (w_avg @ x + b_avg)),
-        ):
-            obj = _hinge_objective(cand_margins, cand_w, reg)
-            if obj < best[0]:
-                best = (obj, cand_w.copy(), float(cand_b))
-
-    _, w_std, b_std = best
-    w_orig = w_std / sd
-    b_orig = b_std - float(w_std @ (mean / sd))
-    return LinearClassifier(weights=w_orig, bias=b_orig, neg_label=neg, pos_label=pos)
+    else:
+        neg, pos = int(classes[0]), int(classes[1])
+        weights, biases = _pegasos(embedded, np.where(labels == pos, 1.0, -1.0), epochs, reg)
+        models = tuple(LinearClassifier(w, float(b), neg, pos) for w, b in zip(weights, biases))
+    return models[0] if single else models
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +285,10 @@ def fit_model(
 
 def _cv_scorer(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig):
     """Fold count, plus ``score(left_out, held_out, alphas)``: reduce once on
-    the instances outside the folds ``left_out``, then per alpha solve, train
-    one classifier and score it on each fold in ``held_out``.  ``score``
-    returns the len(alphas) x len(held_out) accuracies."""
+    the instances outside the folds ``left_out``, solve once per alpha, train
+    the classifiers of all alphas in one stacked run, and score each on every
+    fold in ``held_out``.  ``score`` returns the len(alphas) x len(held_out)
+    accuracies."""
     labels = db.labels()
     v = assemble_state_matrix(db).matrix
     d = _dimension(solver_cfg.d, labels)
@@ -275,13 +298,13 @@ def _cv_scorer(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConf
         train = np.flatnonzero(~np.isin(assignment, left_out))
         held = [np.flatnonzero(assignment == fold) for fold in held_out]
         problem = _reduce(db, v, labels, train, eval_cfg.k, solver_cfg.energy_fraction)
-        table = np.empty((len(alphas), len(held)))
-        for a, alpha in enumerate(alphas):
-            u = problem.model(alpha, d).u_matrix
-            clf = train_linear_classifier(u.T @ v[:, train], labels[train])
-            for h, idx in enumerate(held):
-                table[a, h] = np.mean(clf.predict(u.T @ v[:, idx]) == labels[idx])
-        return table
+        v_train = v[:, train]
+        us = [problem.model(alpha, d).u_matrix for alpha in alphas]
+        clfs = train_linear_classifier(np.stack([u.T @ v_train for u in us]), labels[train])
+        return np.array([
+            [np.mean(clf.predict(u.T @ v[:, idx]) == labels[idx]) for idx in held]
+            for u, clf in zip(us, clfs)
+        ])
 
     return int(assignment.max()) + 1, score
 

@@ -22,8 +22,7 @@ set (SVD basis, M0, M1 and their spectral radii) and returns a
 but scales M1 by 1/s^2, so an absolute alpha would mean something different
 in every unit system.  Alpha is therefore relative to the data term: the
 topology weight actually used is alpha * rho(M0) / rho(M1), rho being the
-largest absolute eigenvalue.  ``assemble_objective_matrix`` and
-``solve_spectral`` keep the absolute weight and form the dense reference.
+largest absolute eigenvalue.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ class SolverConfig:
     d: int | None = None
 
     def __post_init__(self):
-        if not self.alpha >= 0:  # NaN fails too
-            raise ConfigInvalid(f"alpha must be nonnegative, got {self.alpha}")
+        if not 0.0 <= self.alpha < np.inf:  # NaN fails too
+            raise ConfigInvalid(f"alpha must be finite and nonnegative, got {self.alpha}")
         if not 0.0 < self.energy_fraction <= 1.0:
             raise ConfigInvalid(f"energy_fraction must be in (0, 1], got {self.energy_fraction}")
         if self.d is not None and self.d < 1:
@@ -85,9 +84,8 @@ class TruncatedBasis:
 class SpectralModel:
     """Transformation matrix U (n x d), its eigenvalues, and the basis used.
 
-    ``alpha`` is the weight the model was requested with: relative when the
-    model comes from ``ReducedProblem.model``, absolute from
-    ``solve_spectral``.
+    ``alpha`` is the weight the model was requested with; from
+    ``ReducedProblem.model`` that is the relative weight.
     """
 
     u_matrix: np.ndarray
@@ -115,22 +113,6 @@ def _check_dims(v: StateMatrix, lap: LaplacianSet, c: ConstraintMatrix) -> None:
             f"constraint matrix is {c.c.shape[0]}x{c.c.shape[0]}, "
             f"state matrix has {v.n_rows} rows"
         )
-
-
-def assemble_objective_matrix(
-    v: StateMatrix, lap: LaplacianSet, c: ConstraintMatrix, alpha: float
-) -> np.ndarray:
-    """A = V Ltilde V' - alpha C, symmetrized to kill roundoff.
-
-    ``alpha`` is the absolute weight in the units of the node values; this
-    dense n x n form is the reference that ``ReducedProblem`` is checked
-    against.
-    """
-    _check_dims(v, lap, c)
-    mat = v.matrix @ (lap.l_tilde @ v.matrix.T)
-    if alpha != 0.0:
-        mat = mat - alpha * c.c.toarray()
-    return (mat + mat.T) / 2.0
 
 
 def truncated_svd_basis(
@@ -223,21 +205,6 @@ def _top_eigenpairs(
     return SpectralModel(u_matrix=u, eigenvalues=eigvals, basis=basis, alpha=alpha)
 
 
-def solve_spectral(
-    a: np.ndarray, basis: TruncatedBasis, d: int, alpha: float = 0.0
-) -> SpectralModel:
-    """Top-d eigenpairs of the reduced problem, mapped back to node space.
-
-    Eigenvalues come out in descending order; each returned column u
-    satisfies u' (V D+ V') u = 1 on the retained subspace and has its
-    largest-magnitude entry made positive.  ``alpha`` is only recorded on
-    the model; it must match the absolute weight used to assemble ``a``.
-    """
-    q = _whitening(basis)
-    reduced = q.T @ (a @ q)
-    return _top_eigenpairs((reduced + reduced.T) / 2.0, basis, d, alpha)
-
-
 @dataclass(frozen=True)
 class ReducedProblem:
     """The alpha-invariant part of one fit: the truncated basis, the whitened
@@ -260,9 +227,9 @@ class ReducedProblem:
         alpha = 1 gives the topology term the same spectral radius as the
         data term in the whitened space, and multiplying every node value by
         s scales U by 1/s and changes nothing else.  Without edges
-        (rho(M1) = 0) alpha is used as is.  The result equals
-        ``solve_spectral(assemble_objective_matrix(v, lap, c, alpha_eff), ...)``
-        but never forms an n x n matrix.
+        (rho(M1) = 0) alpha is used as is.  The result equals the top
+        eigenpairs of the whitened dense objective V Ltilde V' - alpha_eff C,
+        but no n x n matrix is formed.
         """
         weight = alpha * self.rho0 / self.rho1 if self.rho1 > 0.0 else alpha
         return _top_eigenpairs(self.m0 - weight * self.m1, self.basis, d, alpha)

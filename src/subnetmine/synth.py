@@ -48,6 +48,8 @@ class SynthConfig:
             raise ConfigInvalid(f"n_gt={self.n_gt} exceeds n={self.n}")
         if self.n_gt < 1 or self.n < 2 or self.m < 2:
             raise ConfigInvalid("need n >= 2, m >= 2, n_gt >= 1")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be nonnegative, got {self.seed}")
         if self.edges_per_node < 1 or self.n <= self.edges_per_node:
             raise ConfigInvalid(
                 f"need n > edges_per_node, got n={self.n}, edges_per_node={self.edges_per_node}"

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from subnetmine.data import NetworkDatabase, NetworkInstance, NodeIndex, StateMatrix
-from subnetmine.metagraph import _cosine_matrix, _nearest
+from subnetmine.metagraph import ConstraintMatrix, LaplacianSet, _cosine_matrix, _nearest
+from subnetmine.solver import (
+    SpectralModel,
+    TruncatedBasis,
+    _check_dims,
+    _top_eigenpairs,
+    _whitening,
+)
 
 
 def build_db(values, labels, edge_lists, valid=None, node_ids=None) -> NetworkDatabase:
@@ -117,3 +124,35 @@ def cosine_similarity(a, b) -> float:
 def knn_neighborhoods(v_matrix: StateMatrix, k: int) -> list[frozenset[int]]:
     """The k instances the library's kNN step links to each instance."""
     return [frozenset(row) for row in _nearest(_cosine_matrix(v_matrix), k).tolist()]
+
+
+def assemble_objective_matrix(
+    v: StateMatrix, lap: LaplacianSet, c: ConstraintMatrix, alpha: float
+) -> np.ndarray:
+    """A = V Ltilde V' - alpha C, symmetrized to kill roundoff.
+
+    ``alpha`` is the absolute weight in the units of the node values; this
+    dense n x n form is the reference that ``ReducedProblem`` is checked
+    against.
+    """
+    _check_dims(v, lap, c)
+    mat = v.matrix @ (lap.l_tilde @ v.matrix.T)
+    if alpha != 0.0:
+        mat = mat - alpha * c.c.toarray()
+    return (mat + mat.T) / 2.0
+
+
+def solve_spectral(
+    a: np.ndarray, basis: TruncatedBasis, d: int, alpha: float = 0.0
+) -> SpectralModel:
+    """Top-d eigenpairs of the whitened dense objective ``a``, mapped back
+    to node space: the oracle for ``ReducedProblem.model``.
+
+    Eigenvalues come out in descending order; each returned column u
+    satisfies u' (V D+ V') u = 1 on the retained subspace and has its
+    largest-magnitude entry made positive.  ``alpha`` is only recorded on
+    the model; it must match the absolute weight used to assemble ``a``.
+    """
+    q = _whitening(basis)
+    reduced = q.T @ (a @ q)
+    return _top_eigenpairs((reduced + reduced.T) / 2.0, basis, d, alpha)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import template_db
+from helpers import assemble_objective_matrix, solve_spectral, template_db
 from subnetmine import cli
 from subnetmine.data import (
     GeneralizedNetwork,
@@ -37,12 +37,7 @@ from subnetmine.metagraph import (
     build_constraint_matrix,
     build_laplacian_set,
 )
-from subnetmine.solver import (
-    SolverConfig,
-    assemble_objective_matrix,
-    solve_spectral,
-    truncated_svd_basis,
-)
+from subnetmine.solver import SolverConfig, truncated_svd_basis
 from subnetmine.synth import SynthConfig, generate_backbone, sample_database
 
 SEEDS = (0, 1, 2, 3, 4)

@@ -235,6 +235,11 @@ def model_file(dataset, tmp_path_factory):
     (["evaluate", "{dataset}", "--alpha-grid", "2,-1"], 2),
     (["evaluate", "{dataset}", "--alpha-grid", "2,nan"], 2),
     (["sweep-alpha", "{dataset}", "--alpha-grid", "2,-1"], 2),
+    (["generate", "--nodes", "30", "--instances", "12", "--gt", "5", "--seed", "-1"], 2),
+    (["evaluate", "{dataset}", "--seed", "-1"], 2),
+    (["sweep-alpha", "{dataset}", "--seed", "-2"], 2),
+    (["fit", "{dataset}", "--alpha", "inf"], 2),
+    (["evaluate", "{dataset}", "--alpha-grid", "1,inf"], 2),
 ])
 def test_contract_errors_exit_with_one_line(
     argv, code, dataset, small_dataset, model_file, tmp_path, capsys

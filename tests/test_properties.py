@@ -1,17 +1,18 @@
-"""Property tests: invariants of the fit under reordering, and reuse of the
-per-database edge index."""
+"""Property tests: invariants of the fit under reordering, reuse of the
+per-database edge index, and independence of the rows of a stacked
+classifier fit."""
 
 from __future__ import annotations
 
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import build_db, template_db
 from subnetmine.data import NetworkDatabase, assemble_state_matrix, build_generalized_network
-from subnetmine.evaluation import EvalConfig, fit_model, run_cv
+from subnetmine.evaluation import EvalConfig, fit_model, run_cv, train_linear_classifier
 from subnetmine.selection import score_nodes
 from subnetmine.solver import SolverConfig
 
@@ -89,3 +90,33 @@ def test_repeated_fits_reuse_one_edge_index(seed, alphas):
         run_cv(db, EvalConfig(folds=3, alpha_grid=tuple(alphas), k=K), SolverConfig(alpha=0.0))
         build_generalized_network(db)
     assert len(builds) == 1 and builds[0] is db
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**16),
+    rows=st.integers(2, 6),
+    dim=st.integers(1, 4),
+    m=st.integers(6, 40),
+    classes=st.integers(2, 3),
+    integer=st.booleans(),
+    reg=st.sampled_from([1e-3, 1.0]),
+)
+# integer data at reg = 1 that puts points exactly on the margin during training
+@example(seed=182, rows=4, dim=1, m=6, classes=2, integer=True, reg=1.0)
+@example(seed=22, rows=4, dim=1, m=10, classes=3, integer=True, reg=1.0)
+def test_stacked_classifier_rows_equal_single_fits(seed, rows, dim, m, classes, integer, reg):
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(m) % classes)
+    if integer:
+        stack = rng.integers(-2, 3, size=(rows, dim, m)).astype(float)
+    else:
+        stack = rng.normal(size=(rows, dim, m))
+    fits = train_linear_classifier(stack, labels, reg=reg)
+    assert len(fits) == rows
+    for a, fit in enumerate(fits):
+        alone = train_linear_classifier(stack[a], labels, reg=reg)
+        pairs = zip(fit.models, alone.models) if classes > 2 else [(fit, alone)]
+        for got, expected in pairs:
+            assert np.array_equal(got.weights, expected.weights)
+            assert got.bias == expected.bias

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import random_db
+from helpers import assemble_objective_matrix, random_db, solve_spectral
 from subnetmine.data import StateMatrix, assemble_state_matrix, build_generalized_network
 from subnetmine.errors import DimensionMismatch, ParseError, RankDeficient, ZeroMatrix
 from subnetmine.metagraph import (
@@ -20,12 +20,10 @@ from subnetmine.metagraph import (
 )
 from subnetmine.solver import (
     SolverConfig,
-    assemble_objective_matrix,
     load_model,
     model_meta_path,
     reduce_problem,
     save_model,
-    solve_spectral,
     transform,
     truncated_svd_basis,
 )
@@ -140,6 +138,8 @@ def test_truncation_errors():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(alpha=-0.1)
+    with pytest.raises(ValueError):
+        SolverConfig(alpha=np.inf)
     with pytest.raises(ValueError):
         SolverConfig(alpha=1.0, energy_fraction=0.0)
     with pytest.raises(ValueError):
