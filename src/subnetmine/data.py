@@ -7,7 +7,8 @@ The union of instance edges, weighted by the fraction of instances carrying
 each edge, forms the generalized network used downstream as the topology
 regularizer.
 
-Dataset directory format (UTF-8, tab-separated, header row, LF endings):
+Dataset directory format (UTF-8, tab-separated, header on line 1, lines
+ending in LF, CRLF or CR, blank lines skipped):
 
     nodes.tsv      node_id                         (row order fixes ordinals)
     instances.tsv  instance_id  global_state
@@ -17,10 +18,9 @@ Dataset directory format (UTF-8, tab-separated, header row, LF endings):
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, partial
+from itertools import chain, pairwise, repeat
 from pathlib import Path
 
 import numpy as np
@@ -70,13 +70,21 @@ class NetworkInstance:
 class NetworkDatabase:
     """m network instances over a shared node index of size n.
 
-    ``instance_edges[i]`` is the canonical edge list of instance i:
-    ordinal pairs (p, q) with p < q, deduplicated, both endpoints valid.
+    The instance edges are stored once: ``edges`` is an R x 2 intp array of
+    ordinal pairs (p, q), p < q, both endpoints valid in their instance,
+    sorted by (instance, p, q) with no repeats, and the rows of instance i
+    are ``offsets[i]:offsets[i + 1]``.  ``instance_edges[i]`` is that block
+    as a read-only k_i x 2 view.
     """
 
     nodes: tuple[NodeIndex, ...]
     instances: tuple[NetworkInstance, ...]
-    instance_edges: tuple[tuple[tuple[int, int], ...], ...]
+    edges: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self.edges)
+        _freeze(self.offsets)
 
     @property
     def n(self) -> int:
@@ -99,25 +107,19 @@ class NetworkDatabase:
         return sorted({inst.global_state for inst in self.instances})
 
     @cached_property
+    def instance_edges(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.edges[a:b] for a, b in pairwise(self.offsets.tolist()))
+
+    @cached_property
     def edge_index(self) -> EdgeIndex:
         """The union edges and which instances carry them, built on first use
         and kept: the database and its arrays are immutable."""
-        m, n = self.m, self.n
-        lengths = np.fromiter(map(len, self.instance_edges), dtype=np.int64, count=m)
-        ends = np.fromiter(
-            chain.from_iterable(chain.from_iterable(self.instance_edges)),
-            dtype=np.int64,
-            count=2 * int(lengths.sum()),
-        )
+        n = self.n
         # p * n + q sorts like (p, q) because q < n
-        keys, edge_of = np.unique(ends[0::2] * n + ends[1::2], return_inverse=True)
+        keys, edge_of = np.unique(self.edges[:, 0] * n + self.edges[:, 1], return_inverse=True)
         presence = sparse.csr_array(
-            (
-                np.ones(edge_of.size, dtype=bool),
-                edge_of,
-                np.concatenate(([0], np.cumsum(lengths))),
-            ),
-            shape=(m, keys.size),
+            (np.ones(edge_of.size, dtype=bool), edge_of, self.offsets),
+            shape=(self.m, keys.size),
         )
         pairs = _freeze(np.column_stack(np.divmod(keys, n)))
         return EdgeIndex(n=n, pairs=pairs, presence=presence)
@@ -179,166 +181,223 @@ class StateMatrix:
 # ---------------------------------------------------------------------------
 # dataset loading
 
+_BLOCK_ROWS = 1 << 14
 
-def _read_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield the (line_number, fields) rows of a TSV file, header validated,
-    one at a time: a file is never held in memory as a list of rows."""
-    if not path.is_file():
-        raise MissingFile(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if line == "":
-                continue
-            fields = line.split("\t")
-            if lineno == 1:
-                if fields != expected_header:
-                    raise ParseError(
-                        path, 1, f"expected header {expected_header}, got {fields}"
-                    )
-                continue
-            if len(fields) != len(expected_header):
-                raise ParseError(
-                    path, lineno, f"expected {len(expected_header)} fields, got {len(fields)}"
-                )
-            yield lineno, fields
+
+class TsvFile:
+    """The data rows of a tab-separated file, found in its bytes with numpy.
+
+    ``rows`` holds the 0-based line of each data row: the non-blank lines
+    after the header, up to the first line with a wrong field count or bytes
+    that are not UTF-8.  ``raise_first`` raises for that line only if no row
+    before it breaks a contract, so the first bad line is the one reported.
+    """
+
+    def __init__(self, path: Path, header: list[str]):
+        if not path.is_file():
+            raise MissingFile(path)
+        # CR and CRLF end a line as LF does; the LF added ends the last line
+        raw = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n") + b"\n"
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        fields = np.diff(np.searchsorted(np.flatnonzero(buf == ord("\t")), ends), prepend=0) + 1
+        self.path, self.raw, self.starts, self.ends = path, raw, starts, ends
+        stop, self.fault = len(ends), None
+        try:
+            if not raw.isascii():
+                raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            stop = int(np.searchsorted(ends, exc.start))
+            at = exc.start - starts[stop] + 1
+            self.fault = ParseError(path, stop + 1, f"not valid UTF-8 at byte {at}")
+        lines = np.flatnonzero(starts < ends)
+        if lines.size and lines[0] == 0:  # a blank line 1 leaves the file without a header
+            if stop == 0:
+                raise self.fault
+            if (got := self._fields(0)) != header:
+                raise ParseError(path, 1, f"expected header {header}, got {got}")
+            lines = lines[1:]
+        if (wrong := lines[fields[lines] != len(header)]).size and wrong[0] < stop:
+            stop = int(wrong[0])
+            message = f"expected {len(header)} fields, got {fields[stop]}"
+            self.fault = ParseError(path, stop + 1, message)
+        self.rows = lines[lines < stop]
+
+    def _fields(self, line: int) -> list[str]:
+        return self.raw[self.starts[line] : self.ends[line]].decode("utf-8").split("\t")
+
+    def columns(self, *converters) -> list[np.ndarray]:
+        """Column j of the data rows, as ``converters[j]`` turns a list of
+        str into an array: a block of rows at a time, so that a file is
+        never held as Python strings all at once."""
+        rows, parts = self.rows, [[convert([])] for convert in converters]
+        # a block is a run of consecutive lines, so one split finds its fields
+        cuts = np.flatnonzero(np.diff(rows) != 1) + 1
+        for a, b in pairwise(sorted({*range(0, len(rows), _BLOCK_ROWS), *cuts, len(rows)})):
+            text = self.raw[self.starts[rows[a]] : self.ends[rows[b - 1]]].decode("utf-8")
+            tokens = text.replace("\n", "\t").split("\t")
+            for j, (part, convert) in enumerate(zip(parts, converters)):
+                part.append(convert(tokens[j :: len(converters)]))
+        return [np.concatenate(part) for part in parts]
+
+    def raise_first(self, masks: list[np.ndarray], errors) -> None:
+        """Raise for the first row failing a check, else for the line that
+        ended the rows, if any.  ``masks[c]`` marks the rows failing check
+        c, in the order a line is checked; ``errors(err, *fields)`` gives
+        each check's exception, ``err(message)`` a ParseError at the line."""
+        failed = np.array(masks)
+        if failed.any():
+            row = np.argmax(failed.any(axis=0))
+            line = int(self.rows[row])
+            err = partial(ParseError, self.path, line + 1)
+            raise errors(err, *self._fields(line))[np.argmax(failed[:, row])]
+        if self.fault is not None:
+            raise self.fault
+
+
+def ordinals(ordinal_of: dict[str, int], ids) -> np.ndarray:
+    """Ordinal of each id, -1 for ids not in ``ordinal_of``."""
+    return np.fromiter(map(ordinal_of.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
+
+
+def _first_rows(ids) -> tuple[dict[str, int], np.ndarray]:
+    """The row of each id's first occurrence, and the mask of repeated rows."""
+    first = dict(zip(ids[::-1], range(len(ids) - 1, -1, -1)))
+    return first, ordinals(first, ids) != np.arange(len(ids))
+
+
+def _sorted_repeats(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` in ascending order, and the mask of entries whose key occurs
+    at an earlier entry."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeats = np.zeros(keys.size, dtype=bool)
+    repeats[order[1:]] = ordered[1:] == ordered[:-1]
+    return ordered, repeats
+
+
+def _number(convert, text: str):
+    """``convert(text)``, or None where it rejects the text."""
+    try:
+        return convert(text)
+    except ValueError:
+        return None
 
 
 def load_database(path) -> NetworkDatabase:
     """Load and validate a dataset directory.
 
     Raises MissingFile, ParseError, UnknownNode, EdgeOnNullNode,
-    DuplicateEdge or SingleClassDatabase on contract violations.
+    DuplicateEdge or SingleClassDatabase for the first bad line, in the
+    files read in the order nodes, instances, values, edges, with the first
+    check that line fails.
     """
     root = Path(path)
+    objects = partial(np.array, dtype=object)
+    nodes_tsv = TsvFile(root / "nodes.tsv", ["node_id"])
+    (node_ids,) = nodes_tsv.columns(objects)
+    ordinal_of, repeated = _first_rows(node_ids)
+    nodes_tsv.raise_first([repeated], lambda err, node: (err(f"duplicate node id {node!r}"),))
+    if (n := len(node_ids)) == 0:
+        raise ParseError(nodes_tsv.path, 1, "no nodes defined")
 
-    nodes: list[NodeIndex] = []
-    ordinal_of: dict[str, int] = {}
-    for lineno, (node_id,) in _read_rows(root / "nodes.tsv", ["node_id"]):
-        if node_id in ordinal_of:
-            raise ParseError(root / "nodes.tsv", lineno, f"duplicate node id {node_id!r}")
-        ordinal_of[node_id] = len(nodes)
-        nodes.append(NodeIndex(id=node_id, ordinal=len(nodes)))
-    n = len(nodes)
-    if n == 0:
-        raise ParseError(root / "nodes.tsv", 1, "no nodes defined")
+    instances_tsv = TsvFile(root / "instances.tsv", ["instance_id", "global_state"])
+    inst_ids, labels = instances_tsv.columns(
+        objects, lambda col: objects([_number(int, s) for s in col])
+    )
+    instance_order, repeated = _first_rows(inst_ids)
+    instances_tsv.raise_first(
+        [repeated, np.equal(labels, None)],
+        lambda err, inst, state: (
+            err(f"duplicate instance id {inst!r}"),
+            err(f"global_state not an integer: {state!r}"),
+        ),
+    )
+    m = len(inst_ids)
+    to_instance, to_node = partial(ordinals, instance_order), partial(ordinals, ordinal_of)
 
-    instance_order: dict[str, int] = {}
-    labels: list[int] = []
-    for lineno, (inst_id, state) in _read_rows(
-        root / "instances.tsv", ["instance_id", "global_state"]
-    ):
-        if inst_id in instance_order:
-            raise ParseError(
-                root / "instances.tsv", lineno, f"duplicate instance id {inst_id!r}"
-            )
-        try:
-            labels.append(int(state))
-        except ValueError:
-            raise ParseError(
-                root / "instances.tsv", lineno, f"global_state not an integer: {state!r}"
-            ) from None
-        instance_order[inst_id] = len(instance_order)
-    m = len(instance_order)
-
-    valid = np.zeros((n, m), dtype=bool)
+    values_tsv = TsvFile(root / "values.tsv", ["instance_id", "node_id", "value"])
+    i, p, x = values_tsv.columns(
+        to_instance, to_node, lambda col: np.fromiter(map(_number, repeat(float), col), float)
+    )
+    values_tsv.raise_first(
+        [i < 0, p < 0, _sorted_repeats(i * n + p)[1], ~np.isfinite(x)],
+        lambda err, inst, node, value: (
+            err(f"unknown instance id {inst!r}"),
+            UnknownNode(node),
+            err(f"duplicate value for ({inst!r}, {node!r})"),
+            err(f"{'bad' if _number(float, value) is None else 'non-finite'} value: {value!r}"),
+        ),
+    )
+    # a spare last column, which rows of unknown instances (i = -1) index
+    valid = np.zeros((n, m + 1), dtype=bool)
     values = np.zeros((n, m), dtype=np.float64)
-    values_path = root / "values.tsv"
-    for lineno, (inst_id, node_id, value) in _read_rows(
-        values_path, ["instance_id", "node_id", "value"]
-    ):
-        if inst_id not in instance_order:
-            raise ParseError(values_path, lineno, f"unknown instance id {inst_id!r}")
-        if node_id not in ordinal_of:
-            raise UnknownNode(node_id)
-        i = instance_order[inst_id]
-        p = ordinal_of[node_id]
-        if valid[p, i]:
-            raise ParseError(
-                values_path, lineno, f"duplicate value for ({inst_id!r}, {node_id!r})"
-            )
-        try:
-            x = float(value)
-        except ValueError:
-            raise ParseError(values_path, lineno, f"bad value: {value!r}") from None
-        if not np.isfinite(x):
-            raise ParseError(values_path, lineno, f"non-finite value: {value!r}")
-        valid[p, i] = True
-        values[p, i] = x
+    valid[p, i], values[p, i] = True, x
 
-    edges_path = root / "edges.tsv"
-    edge_lists: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    edge_seen: list[set[tuple[int, int]]] = [set() for _ in range(m)]
-    for lineno, (inst_id, node_u, node_v) in _read_rows(
-        edges_path, ["instance_id", "node_u", "node_v"]
-    ):
-        if inst_id not in instance_order:
-            raise ParseError(edges_path, lineno, f"unknown instance id {inst_id!r}")
-        for node in (node_u, node_v):
-            if node not in ordinal_of:
-                raise UnknownNode(node)
-        i = instance_order[inst_id]
-        p, q = ordinal_of[node_u], ordinal_of[node_v]
-        if p == q:
-            raise ParseError(edges_path, lineno, f"self-loop on node {node_u!r}")
-        if p > q:
-            p, q = q, p
-        if not (valid[p, i] and valid[q, i]):
-            raise EdgeOnNullNode(inst_id, node_u, node_v)
-        if (p, q) in edge_seen[i]:
-            raise DuplicateEdge(inst_id, node_u, node_v)
-        edge_seen[i].add((p, q))
-        edge_lists[i].append((p, q))
+    edges_tsv = TsvFile(root / "edges.tsv", ["instance_id", "node_u", "node_v"])
+    i, u, v = edges_tsv.columns(to_instance, to_node, to_node)
+    p, q = np.minimum(u, v), np.maximum(u, v)
+    # (i, p, q) as one integer, which fits in int64 while the n x m values do in memory
+    keys, repeated = _sorted_repeats((i * n + p) * n + q)
+    edges_tsv.raise_first(
+        [i < 0, u < 0, v < 0, u == v, ~(valid[p, i] & valid[q, i]), repeated],
+        lambda err, inst, node_u, node_v: (
+            err(f"unknown instance id {inst!r}"),
+            UnknownNode(node_u),
+            UnknownNode(node_v),
+            err(f"self-loop on node {node_u!r}"),
+            EdgeOnNullNode(inst, node_u, node_v),
+            DuplicateEdge(inst, node_u, node_v),
+        ),
+    )
 
     if len(set(labels)) < 2:
         raise SingleClassDatabase()
-
-    instances = []
-    for inst_id, i in instance_order.items():
-        instances.append(
-            NetworkInstance(
-                instance_id=inst_id,
-                valid=valid[:, i].copy(),
-                values=values[:, i].copy(),
-                global_state=labels[i],
-            )
-        )
     return NetworkDatabase(
-        nodes=tuple(nodes),
-        instances=tuple(instances),
-        instance_edges=tuple(tuple(sorted(e)) for e in edge_lists),
+        nodes=tuple(map(NodeIndex, node_ids, range(n))),
+        instances=tuple(
+            NetworkInstance(inst, valid[:, i].copy(), values[:, i].copy(), labels[i])
+            for i, inst in enumerate(inst_ids)
+        ),
+        edges=np.column_stack(np.divmod(keys % (n * n), n)),
+        offsets=np.searchsorted(keys, np.arange(m + 1) * (n * n)),
     )
 
 
+def write_tsv(path: Path, header: list[str], rows) -> None:
+    """Write a header and rows of fields as UTF-8 text with LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in chain([header], rows))
+
+
 def write_database(db: NetworkDatabase, path) -> None:
-    """Write a database as a dataset directory (lossless float round-trip)."""
+    """Write a database as a dataset directory; str of a builtin float
+    round-trips exactly."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-
-    with open(root / "nodes.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node_id\n")
-        for node in db.nodes:
-            fh.write(f"{node.id}\n")
-
-    with open(root / "instances.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("instance_id\tglobal_state\n")
-        for inst in db.instances:
-            fh.write(f"{inst.instance_id}\t{inst.global_state}\n")
-
-    with open(root / "values.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("instance_id\tnode_id\tvalue\n")
-        for inst in db.instances:
-            for node in db.nodes:
-                if inst.valid[node.ordinal]:
-                    # repr of a builtin float round-trips exactly
-                    value = float(inst.values[node.ordinal])
-                    fh.write(f"{inst.instance_id}\t{node.id}\t{value!r}\n")
-
-    with open(root / "edges.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("instance_id\tnode_u\tnode_v\n")
-        for inst, edges in zip(db.instances, db.instance_edges):
-            for p, q in edges:
-                fh.write(f"{inst.instance_id}\t{db.nodes[p].id}\t{db.nodes[q].id}\n")
+    ids, inst_ids = db.node_ids, [inst.instance_id for inst in db.instances]
+    write_tsv(root / "nodes.tsv", ["node_id"], ([node_id] for node_id in ids))
+    write_tsv(
+        root / "instances.tsv",
+        ["instance_id", "global_state"],
+        ((inst.instance_id, inst.global_state) for inst in db.instances),
+    )
+    write_tsv(
+        root / "values.tsv",
+        ["instance_id", "node_id", "value"],
+        (
+            (inst.instance_id, ids[p], float(inst.values[p]))
+            for inst in db.instances
+            for p in np.flatnonzero(inst.valid).tolist()
+        ),
+    )
+    owner = np.repeat(np.arange(db.m), np.diff(db.offsets)).tolist()
+    write_tsv(
+        root / "edges.tsv",
+        ["instance_id", "node_u", "node_v"],
+        ((inst_ids[i], ids[p], ids[q]) for i, (p, q) in zip(owner, db.edges.tolist())),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -306,7 +306,10 @@ def load_model(path) -> tuple[list[str], np.ndarray, dict]:
             if len(fields) != width + 1:
                 raise ParseError(path, lineno, f"expected {width + 1} fields")
             node_ids.append(fields[0])
-            rows.append([float(x) for x in fields[1:]])
+            try:
+                rows.append([float(x) for x in fields[1:]])
+            except ValueError as exc:
+                raise ParseError(path, lineno, str(exc)) from None
     meta = {}
     meta_file = model_meta_path(path)
     if meta_file.is_file():

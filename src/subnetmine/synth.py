@@ -10,12 +10,21 @@ a single seed, so identical configs produce byte-identical datasets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .data import NetworkDatabase, NetworkInstance, NodeIndex, write_database
-from .errors import ConfigInvalid, MissingFile, ParseError, UnknownNode
+from .data import (
+    NetworkDatabase,
+    NetworkInstance,
+    NodeIndex,
+    TsvFile,
+    ordinals,
+    write_database,
+    write_tsv,
+)
+from .errors import ConfigInvalid, UnknownNode
 from .seeds import substream
 
 
@@ -154,25 +163,24 @@ def sample_database(gt: GroundTruth, cfg: SynthConfig) -> tuple[NetworkDatabase,
 
     width = max(4, len(str(n - 1)), len(str(m - 1)))
     nodes = tuple(NodeIndex(id=f"n{p:0{width}d}", ordinal=p) for p in range(n))
-    all_valid = np.ones(n, dtype=bool)
-    instances = []
-    instance_edges = []
-    pairs = [(p, q) for p, q, _ in gt.backbone]
-    for i in range(m):
-        instances.append(
-            NetworkInstance(
-                instance_id=f"inst{i:0{width}d}",
-                valid=all_valid.copy(),
-                values=values[:, i].copy(),
-                global_state=int(labels[i]),
-            )
+    instances = tuple(
+        NetworkInstance(
+            instance_id=f"inst{i:0{width}d}",
+            valid=np.ones(n, dtype=bool),
+            values=values[:, i].copy(),
+            global_state=int(labels[i]),
         )
-        instance_edges.append(
-            tuple(pair for pair, kept in zip(pairs, keep[i]) if kept)
-        )
-
+        for i in range(m)
+    )
+    # the backbone is sorted by (p, q), so row-major kept entries are
+    # sorted by (instance, p, q)
+    pairs = np.array([(p, q) for p, q, _ in gt.backbone], dtype=np.intp).reshape(-1, 2)
+    _, kept = np.nonzero(keep)
     db = NetworkDatabase(
-        nodes=nodes, instances=tuple(instances), instance_edges=tuple(instance_edges)
+        nodes=nodes,
+        instances=instances,
+        edges=pairs[kept],
+        offsets=np.concatenate(([0], np.cumsum(keep.sum(axis=1)))),
     )
     return db, gt
 
@@ -181,14 +189,13 @@ def write_synthetic_dataset(db: NetworkDatabase, gt: GroundTruth, path) -> None:
     """Dataset directory plus ground_truth.tsv and backbone.tsv."""
     root = Path(path)
     write_database(db, root)
-    with open(root / "ground_truth.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node_id\n")
-        for p in sorted(gt.gt_nodes):
-            fh.write(f"{db.nodes[p].id}\n")
-    with open(root / "backbone.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node_u\tnode_v\tprobability\n")
-        for p, q, w in gt.backbone:
-            fh.write(f"{db.nodes[p].id}\t{db.nodes[q].id}\t{w!r}\n")
+    ids = db.node_ids
+    write_tsv(root / "ground_truth.tsv", ["node_id"], ([ids[p]] for p in sorted(gt.gt_nodes)))
+    write_tsv(
+        root / "backbone.tsv",
+        ["node_u", "node_v", "probability"],
+        ((ids[p], ids[q], w) for p, q, w in gt.backbone),
+    )
 
 
 def generate_dataset(cfg: SynthConfig, path) -> tuple[NetworkDatabase, GroundTruth]:
@@ -201,20 +208,8 @@ def generate_dataset(cfg: SynthConfig, path) -> tuple[NetworkDatabase, GroundTru
 
 def read_ground_truth(path, node_ids: list[str]) -> set[int]:
     """Ordinals of the ground-truth nodes listed in a ground_truth.tsv."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(path)
     ordinal_of = {node_id: p for p, node_id in enumerate(node_ids)}
-    out: set[int] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "node_id":
-            raise ParseError(path, 1, f"expected header 'node_id', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            node_id = line.rstrip("\n")
-            if node_id == "":
-                continue
-            if node_id not in ordinal_of:
-                raise UnknownNode(node_id)
-            out.add(ordinal_of[node_id])
-    return out
+    tsv = TsvFile(Path(path), ["node_id"])
+    (found,) = tsv.columns(partial(ordinals, ordinal_of))
+    tsv.raise_first([found < 0], lambda err, node_id: (UnknownNode(node_id),))
+    return set(found.tolist())

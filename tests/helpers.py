@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from pathlib import Path
+
 import numpy as np
 
 from subnetmine.data import NetworkDatabase, NetworkInstance, NodeIndex, StateMatrix
+from subnetmine.errors import (
+    DuplicateEdge,
+    EdgeOnNullNode,
+    MissingFile,
+    ParseError,
+    SingleClassDatabase,
+    UnknownNode,
+)
 from subnetmine.metagraph import ConstraintMatrix, LaplacianSet, _cosine_matrix, _nearest
 from subnetmine.solver import (
     SpectralModel,
@@ -41,11 +52,20 @@ def build_db(values, labels, edge_lists, valid=None, node_ids=None) -> NetworkDa
         )
         for i in range(m)
     )
-    edges = tuple(
-        tuple(sorted({(min(p, q), max(p, q)) for p, q in pairs}))
-        for pairs in edge_lists
+    edges = [sorted({(min(p, q), max(p, q)) for p, q in pairs}) for pairs in edge_lists]
+    return with_edges(nodes, instances, edges)
+
+
+def with_edges(nodes, instances, edge_lists) -> NetworkDatabase:
+    """A database whose instance i carries the canonical (p, q) pairs of
+    edge_lists[i], given in (p, q) order."""
+    blocks = [np.array(list(pairs), dtype=np.intp).reshape(-1, 2) for pairs in edge_lists]
+    return NetworkDatabase(
+        nodes=tuple(nodes),
+        instances=tuple(instances),
+        edges=np.concatenate([np.empty((0, 2), dtype=np.intp), *blocks]),
+        offsets=np.cumsum([0] + [len(b) for b in blocks], dtype=np.intp),
     )
-    return NetworkDatabase(nodes=nodes, instances=instances, instance_edges=edges)
 
 
 def template_db(rng, n=8, m=16, edge_prob=0.35) -> NetworkDatabase:
@@ -101,11 +121,137 @@ def restrict_instances(db, indices) -> NetworkDatabase:
     """Database over a subset of instances (same node index, given order):
     the oracle for fits that must see training instances only."""
     indices = [int(i) for i in indices]
-    return NetworkDatabase(
-        nodes=db.nodes,
-        instances=tuple(db.instances[i] for i in indices),
-        instance_edges=tuple(db.instance_edges[i] for i in indices),
+    return with_edges(
+        db.nodes,
+        [db.instances[i] for i in indices],
+        [db.instance_edges[i].tolist() for i in indices],
     )
+
+
+def _read_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield the (line_number, fields) rows of a TSV file, header validated,
+    one line at a time."""
+    if not path.is_file():
+        raise MissingFile(path)
+    # bytes.splitlines ends lines at LF, CR and CRLF, as universal newlines do
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(path, lineno, f"not valid UTF-8 at byte {exc.start + 1}") from None
+        if line == "":
+            continue
+        fields = line.split("\t")
+        if lineno == 1:
+            if fields != expected_header:
+                raise ParseError(path, 1, f"expected header {expected_header}, got {fields}")
+            continue
+        if len(fields) != len(expected_header):
+            raise ParseError(
+                path, lineno, f"expected {len(expected_header)} fields, got {len(fields)}"
+            )
+        yield lineno, fields
+
+
+def load_database_rows(path) -> NetworkDatabase:
+    """Row-by-row dataset loader: the oracle for ``data.load_database``.
+
+    Checks one line at a time, in file order, and raises at the first line
+    that fails a check.
+    """
+    root = Path(path)
+
+    nodes: list[NodeIndex] = []
+    ordinal_of: dict[str, int] = {}
+    for lineno, (node_id,) in _read_rows(root / "nodes.tsv", ["node_id"]):
+        if node_id in ordinal_of:
+            raise ParseError(root / "nodes.tsv", lineno, f"duplicate node id {node_id!r}")
+        ordinal_of[node_id] = len(nodes)
+        nodes.append(NodeIndex(id=node_id, ordinal=len(nodes)))
+    n = len(nodes)
+    if n == 0:
+        raise ParseError(root / "nodes.tsv", 1, "no nodes defined")
+
+    instance_order: dict[str, int] = {}
+    labels: list[int] = []
+    for lineno, (inst_id, state) in _read_rows(
+        root / "instances.tsv", ["instance_id", "global_state"]
+    ):
+        if inst_id in instance_order:
+            raise ParseError(
+                root / "instances.tsv", lineno, f"duplicate instance id {inst_id!r}"
+            )
+        try:
+            labels.append(int(state))
+        except ValueError:
+            raise ParseError(
+                root / "instances.tsv", lineno, f"global_state not an integer: {state!r}"
+            ) from None
+        instance_order[inst_id] = len(instance_order)
+    m = len(instance_order)
+
+    valid = np.zeros((n, m), dtype=bool)
+    values = np.zeros((n, m), dtype=np.float64)
+    values_path = root / "values.tsv"
+    for lineno, (inst_id, node_id, value) in _read_rows(
+        values_path, ["instance_id", "node_id", "value"]
+    ):
+        if inst_id not in instance_order:
+            raise ParseError(values_path, lineno, f"unknown instance id {inst_id!r}")
+        if node_id not in ordinal_of:
+            raise UnknownNode(node_id)
+        i = instance_order[inst_id]
+        p = ordinal_of[node_id]
+        if valid[p, i]:
+            raise ParseError(
+                values_path, lineno, f"duplicate value for ({inst_id!r}, {node_id!r})"
+            )
+        try:
+            x = float(value)
+        except ValueError:
+            raise ParseError(values_path, lineno, f"bad value: {value!r}") from None
+        if not np.isfinite(x):
+            raise ParseError(values_path, lineno, f"non-finite value: {value!r}")
+        valid[p, i] = True
+        values[p, i] = x
+
+    edges_path = root / "edges.tsv"
+    edge_lists: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    edge_seen: list[set[tuple[int, int]]] = [set() for _ in range(m)]
+    for lineno, (inst_id, node_u, node_v) in _read_rows(
+        edges_path, ["instance_id", "node_u", "node_v"]
+    ):
+        if inst_id not in instance_order:
+            raise ParseError(edges_path, lineno, f"unknown instance id {inst_id!r}")
+        for node in (node_u, node_v):
+            if node not in ordinal_of:
+                raise UnknownNode(node)
+        i = instance_order[inst_id]
+        p, q = ordinal_of[node_u], ordinal_of[node_v]
+        if p == q:
+            raise ParseError(edges_path, lineno, f"self-loop on node {node_u!r}")
+        if p > q:
+            p, q = q, p
+        if not (valid[p, i] and valid[q, i]):
+            raise EdgeOnNullNode(inst_id, node_u, node_v)
+        if (p, q) in edge_seen[i]:
+            raise DuplicateEdge(inst_id, node_u, node_v)
+        edge_seen[i].add((p, q))
+        edge_lists[i].append((p, q))
+
+    if len(set(labels)) < 2:
+        raise SingleClassDatabase()
+
+    instances = [
+        NetworkInstance(
+            instance_id=inst_id,
+            valid=valid[:, i].copy(),
+            values=values[:, i].copy(),
+            global_state=labels[i],
+        )
+        for inst_id, i in instance_order.items()
+    ]
+    return with_edges(nodes, instances, [sorted(e) for e in edge_lists])
 
 
 def cosine_similarity(a, b) -> float:

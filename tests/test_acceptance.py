@@ -233,7 +233,7 @@ def shuffle_labels(db: NetworkDatabase, rng) -> NetworkDatabase:
         for i, inst in enumerate(db.instances)
     )
     return NetworkDatabase(
-        nodes=db.nodes, instances=instances, instance_edges=db.instance_edges
+        nodes=db.nodes, instances=instances, edges=db.edges, offsets=db.offsets
     )
 
 

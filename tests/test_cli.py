@@ -225,6 +225,28 @@ def model_file(dataset, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def bad_utf8_dataset(dataset, tmp_path_factory):
+    """The shared dataset with an edge row that is not valid UTF-8."""
+    path = tmp_path_factory.mktemp("utf8") / "ds"
+    path.mkdir()
+    for name in DATASET_FILES:
+        (path / name).write_bytes((dataset / name).read_bytes())
+    with open(path / "edges.tsv", "ab") as fh:
+        fh.write(b"inst0001\tn\xff0001\tn0002\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def bad_model(model_file, tmp_path_factory):
+    """The fitted model with one cell that is not a number."""
+    path = tmp_path_factory.mktemp("bad_model") / "model.tsv"
+    lines = model_file.read_text().splitlines()
+    lines[2] = "\t".join(lines[2].split("\t")[:-1] + ["bogus"])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 @pytest.mark.parametrize("argv, code", [
     (["fit", "{small}"], 1),
     (["fit", "{dataset}", "--alpha", "-1"], 2),
@@ -240,11 +262,19 @@ def model_file(dataset, tmp_path_factory):
     (["sweep-alpha", "{dataset}", "--seed", "-2"], 2),
     (["fit", "{dataset}", "--alpha", "inf"], 2),
     (["evaluate", "{dataset}", "--alpha-grid", "1,inf"], 2),
+    (["fit", "{bad_utf8}"], 1),
+    (["transform", "{dataset}", "--model", "{bad_model}"], 1),
 ])
 def test_contract_errors_exit_with_one_line(
-    argv, code, dataset, small_dataset, model_file, tmp_path, capsys
+    argv, code, dataset, small_dataset, model_file, bad_utf8_dataset, bad_model, tmp_path, capsys
 ):
-    paths = {"dataset": dataset, "small": small_dataset, "model": model_file}
+    paths = {
+        "dataset": dataset,
+        "small": small_dataset,
+        "model": model_file,
+        "bad_utf8": bad_utf8_dataset,
+        "bad_model": bad_model,
+    }
     argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
     capsys.readouterr()
     assert cli.main(argv) == code

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import build_db, random_db, restrict_instances
+from helpers import build_db, random_db, restrict_instances, with_edges
 from subnetmine.data import (
     NetworkInstance,
     assemble_state_matrix,
@@ -60,7 +60,8 @@ def test_round_trip_preserves_everything(tmp_path):
         loaded = load_database(root)
         assert loaded.node_ids == db.node_ids
         assert np.array_equal(loaded.labels(), db.labels())
-        assert loaded.instance_edges == db.instance_edges
+        assert np.array_equal(loaded.edges, db.edges)
+        assert np.array_equal(loaded.offsets, db.offsets)
         for a, b in zip(loaded.instances, db.instances):
             assert a.instance_id == b.instance_id
             assert np.array_equal(a.valid, b.valid)
@@ -103,7 +104,7 @@ def test_generalized_network_random_counts():
         g = build_generalized_network(db)
         expected = {}
         for edges in db.instance_edges:
-            for e in edges:
+            for e in map(tuple, edges.tolist()):
                 expected[e] = expected.get(e, 0) + 1
         assert len(g.edges) == len(expected)
         for p, q, w in g.edges:
@@ -119,7 +120,7 @@ def test_subset_network_matches_counting_loop():
         subset = np.sort(rng.choice(db.m, size=7, replace=False))
         counts = {}
         for i in subset:
-            for e in db.instance_edges[i]:
+            for e in map(tuple, db.instance_edges[i].tolist()):
                 counts[e] = counts.get(e, 0) + 1
         expected = tuple((p, q, c / subset.size) for (p, q), c in sorted(counts.items()))
         got = db.edge_index.network(subset).edges
@@ -135,8 +136,7 @@ def test_state_matrix_masks_invalid_entries():
         values=np.array([2.0, 99.0]),
         global_state=0,
     )
-    db = build_db(np.zeros((2, 1)), [0], [()])
-    db = type(db)(nodes=db.nodes, instances=(inst,), instance_edges=((),))
+    db = with_edges(build_db(np.zeros((2, 1)), [0], [()]).nodes, [inst], [()])
     v = assemble_state_matrix(db)
     assert v.matrix[0, 0] == 2.0
     assert v.matrix[1, 0] == 0.0
@@ -165,11 +165,8 @@ def test_restrict_instances_keeps_order_and_nodes():
     sub = restrict_instances(db, [7, 2, 4])
     assert sub.nodes is db.nodes
     assert [i.instance_id for i in sub.instances] == ["s7", "s2", "s4"]
-    assert sub.instance_edges == (
-        db.instance_edges[7],
-        db.instance_edges[2],
-        db.instance_edges[4],
-    )
+    for got, i in zip(sub.instance_edges, [7, 2, 4], strict=True):
+        assert np.array_equal(got, db.instance_edges[i])
     assert np.array_equal(sub.labels(), db.labels()[[7, 2, 4]])
 
 
@@ -177,7 +174,7 @@ def test_load_canonicalizes_reversed_edges(tmp_path):
     nodes, instances, values, _ = valid_rows()
     write_dataset_files(tmp_path, nodes, instances, values, ["i1\tc\tb"])
     db = load_database(tmp_path)
-    assert db.instance_edges[1] == ((1, 2),)
+    assert np.array_equal(db.instance_edges[1], [[1, 2]])
 
 
 def test_load_missing_file(tmp_path):

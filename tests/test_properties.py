@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_db, template_db
+from helpers import build_db, restrict_instances, template_db
 from subnetmine.data import NetworkDatabase, assemble_state_matrix, build_generalized_network
 from subnetmine.evaluation import EvalConfig, fit_model, run_cv, train_linear_classifier
 from subnetmine.selection import score_nodes
@@ -34,11 +34,7 @@ def relative_error(got: np.ndarray, expected: np.ndarray) -> float:
 def test_instance_order_does_not_change_the_fit(seed, n, m):
     db = sized_db(seed, n, m)
     order = np.random.default_rng(seed + 1).permutation(m)
-    shuffled = NetworkDatabase(
-        nodes=db.nodes,
-        instances=tuple(db.instances[i] for i in order),
-        instance_edges=tuple(db.instance_edges[i] for i in order),
-    )
+    shuffled = restrict_instances(db, order)
     expected = fit_model(db, k=K, alpha=1.0).u_matrix
     got = fit_model(shuffled, k=K, alpha=1.0).u_matrix
     assert relative_error(got, expected) <= 1e-10

@@ -379,3 +379,7 @@ def test_model_load_bad_header(tmp_path):
     path.write_text("node_id\tu_1\na\t0.5\t1.0\n")
     with pytest.raises(ParseError):
         load_model(path)
+    path.write_text("node_id\tu_1\na\t0.5\nb\tbogus\n")
+    with pytest.raises(ParseError, match="bogus") as exc:
+        load_model(path)
+    assert exc.value.line == 3

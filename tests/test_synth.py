@@ -117,7 +117,7 @@ def test_sample_instance_edges_subset_of_backbone():
     db, gt = sample_database(generate_backbone(cfg), cfg)
     pairs = {(p, q) for p, q, _ in gt.backbone}
     for inst_edges in db.instance_edges:
-        assert set(inst_edges) <= pairs
+        assert set(map(tuple, inst_edges.tolist())) <= pairs
     assert all(bool(inst.valid.all()) for inst in db.instances)
 
 
@@ -182,7 +182,8 @@ def test_written_dataset_loads_back(tmp_path):
     assert np.array_equal(loaded.labels(), db.labels())
     for a, b in zip(loaded.instances, db.instances):
         assert np.array_equal(a.values, b.values)
-    assert loaded.instance_edges == db.instance_edges
+    assert np.array_equal(loaded.edges, db.edges)
+    assert np.array_equal(loaded.offsets, db.offsets)
 
     got = read_ground_truth(tmp_path / "ds" / "ground_truth.tsv", loaded.node_ids)
     assert got == set(gt.gt_nodes)
@@ -198,6 +199,16 @@ def test_read_ground_truth_errors(tmp_path):
     bad.write_text("node_id\nmystery\n")
     with pytest.raises(UnknownNode):
         read_ground_truth(bad, ["a"])
+
+
+def test_read_ground_truth_reads_like_the_dataset_files(tmp_path):
+    path = tmp_path / "gt.tsv"
+    path.write_bytes(b"node_id\r\nb\r\n\r\na\r\n")
+    assert read_ground_truth(path, ["a", "b", "c"]) == {0, 1}
+    path.write_bytes(b"node_id\nb\nc\td\n")
+    with pytest.raises(ParseError, match="expected 1 fields, got 2") as exc:
+        read_ground_truth(path, ["a", "b", "c"])
+    assert exc.value.line == 3
 
 
 def test_write_dataset_extra_files(tmp_path):
