@@ -27,6 +27,7 @@ from .evaluation import (
     evaluate_dataset,
     fit_model,
     ranking_auc,
+    reduce_database,
     run_cv,
     stratified_folds,
     sweep_alpha,
@@ -111,6 +112,7 @@ __all__ = [
     "load_model",
     "ranking_auc",
     "read_ground_truth",
+    "reduce_database",
     "reduce_problem",
     "run_cv",
     "sample_database",

@@ -7,8 +7,8 @@ The union of instance edges, weighted by the fraction of instances carrying
 each edge, forms the generalized network used downstream as the topology
 regularizer.
 
-Dataset directory format (UTF-8, tab-separated, header on line 1, lines
-ending in LF, CRLF or CR, blank lines skipped):
+Dataset directory format (UTF-8, tab-separated, header on the first
+non-blank line, lines ending in LF, CRLF or CR, blank lines skipped):
 
     nodes.tsv      node_id                         (row order fixes ordinals)
     instances.tsv  instance_id  global_state
@@ -127,10 +127,12 @@ class NetworkDatabase:
 
 @dataclass(frozen=True)
 class GeneralizedNetwork:
-    """Union graph over all instances; edge weight = presence fraction in (0, 1]."""
+    """Union graph over a set of instances: ``edges`` holds its (p, q) rows,
+    E x 2 intp, p < q, sorted; ``weights`` their presence fractions, float64."""
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    edges: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -147,14 +149,12 @@ class EdgeIndex:
     presence: sparse.csr_array
 
     def network(self, indices) -> GeneralizedNetwork:
-        """Union network of the instances at ``indices``; each edge weighs
-        the share of those instances that carry it."""
+        """Union network of the instances at ``indices``: the ``pairs`` rows
+        they carry, each weighted by the share of them that carry it."""
         indices = np.asarray(indices, dtype=np.intp)
         counts = self.presence[indices].sum(axis=0)
         kept = np.flatnonzero(counts)
-        weights = counts[kept] / indices.size
-        p, q = self.pairs[kept].T.tolist()
-        return GeneralizedNetwork(n=self.n, edges=tuple(zip(p, q, weights.tolist())))
+        return GeneralizedNetwork(self.n, self.pairs[kept], counts[kept] / indices.size)
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,9 @@ class TsvFile:
     """The data rows of a tab-separated file, found in its bytes with numpy.
 
     ``rows`` holds the 0-based line of each data row: the non-blank lines
-    after the header, up to the first line with a wrong field count or bytes
-    that are not UTF-8.  ``raise_first`` raises for that line only if no row
-    before it breaks a contract, so the first bad line is the one reported.
+    after the first (the header), up to the first line with a wrong field
+    count or bytes that are not UTF-8.  ``raise_first`` raises for that line
+    only if no row before it breaks a contract, so the first bad line wins.
     """
 
     def __init__(self, path: Path, header: list[str]):
@@ -212,11 +212,11 @@ class TsvFile:
             at = exc.start - starts[stop] + 1
             self.fault = ParseError(path, stop + 1, f"not valid UTF-8 at byte {at}")
         lines = np.flatnonzero(starts < ends)
-        if lines.size and lines[0] == 0:  # a blank line 1 leaves the file without a header
-            if stop == 0:
+        if lines.size:  # the first non-blank line is the header
+            if stop == (first := int(lines[0])):
                 raise self.fault
-            if (got := self._fields(0)) != header:
-                raise ParseError(path, 1, f"expected header {header}, got {got}")
+            if (got := self._fields(first)) != header:
+                raise ParseError(path, first + 1, f"expected header {header}, got {got}")
             lines = lines[1:]
         if (wrong := lines[fields[lines] != len(header)]).size and wrong[0] < stop:
             stop = int(wrong[0])

@@ -251,11 +251,13 @@ def _reduce(
     return reduce_problem(v_train, lap, c, energy_fraction)
 
 
-def _reduce_all(db: NetworkDatabase, k: int, energy_fraction: float):
-    """The reduced problem over every instance, plus the labels."""
-    labels = db.labels()
+def reduce_database(
+    db: NetworkDatabase, k: int = 10, energy_fraction: float = 0.95
+) -> ReducedProblem:
+    """The alpha-invariant part of a fit on every instance of ``db``: to fit
+    at several alphas, reduce once and call ``model(alpha, d)`` per alpha."""
     v = assemble_state_matrix(db).matrix
-    return _reduce(db, v, labels, np.arange(db.m), k, energy_fraction), labels
+    return _reduce(db, v, db.labels(), np.arange(db.m), k, energy_fraction)
 
 
 def _dimension(d: int | None, labels: np.ndarray) -> int:
@@ -271,7 +273,7 @@ def fit_model(
     d: int | None = None,
 ) -> SpectralModel:
     """Full pipeline on one database: affinities, Laplacians, constraint,
-    truncated basis, eigenvectors.
+    truncated basis, eigenvectors; ``reduce_database(...).model(alpha, d)``.
 
     alpha is the relative topology weight of ``ReducedProblem.model``, so
     the model does not depend on the units of the node values.  k is clamped
@@ -279,8 +281,7 @@ def fit_model(
     distinct global states.  Invalid settings raise ConfigInvalid.
     """
     SolverConfig(alpha=alpha, energy_fraction=energy_fraction, d=d)  # validates
-    problem, labels = _reduce_all(db, k, energy_fraction)
-    return problem.model(alpha, _dimension(d, labels))
+    return reduce_database(db, k, energy_fraction).model(alpha, _dimension(d, db.labels()))
 
 
 def _cv_scorer(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig):
@@ -375,14 +376,11 @@ def ranking_auc(scores, gt_nodes) -> tuple[float, list[tuple[float, float]]]:
     auc = float((ranks[positive].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
     order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    cum_tp = np.cumsum(positive[order])
-    cum_fp = np.cumsum(~positive[order])
-    ends = np.flatnonzero(np.diff(sorted_scores) != 0.0)
-    ends = np.append(ends, n - 1)
-    roc = [(0.0, 0.0)]
-    roc.extend((float(cum_fp[e] / n_neg), float(cum_tp[e] / n_pos)) for e in ends)
-    return auc, roc
+    # one ROC point after the last node of each distinct score
+    ends = np.append(np.flatnonzero(np.diff(scores[order]) != 0.0), n - 1)
+    fpr = np.cumsum(~positive[order])[ends] / n_neg
+    tpr = np.cumsum(positive[order])[ends] / n_pos
+    return auc, [(0.0, 0.0), *zip(fpr.tolist(), tpr.tolist())]
 
 
 def evaluate_dataset(
@@ -396,13 +394,8 @@ def evaluate_dataset(
     report = run_cv(db, eval_cfg, solver_cfg)
     if gt_nodes is None:
         return report
-    model = fit_model(
-        db,
-        k=eval_cfg.k,
-        alpha=report.best_alpha,
-        energy_fraction=solver_cfg.energy_fraction,
-        d=solver_cfg.d,
-    )
+    full = reduce_database(db, eval_cfg.k, solver_cfg.energy_fraction)
+    model = full.model(report.best_alpha, _dimension(solver_cfg.d, db.labels()))
     auc, roc = ranking_auc(score_nodes(model.u_matrix), gt_nodes)
     return replace(report, auc=auc, roc=tuple(roc))
 
@@ -429,8 +422,8 @@ def sweep_alpha(
     accuracies = np.hstack([score((f,), (f,), grid) for f in range(folds)])
     aucs = [None] * len(grid)
     if gt_nodes is not None:
-        full, labels = _reduce_all(db, eval_cfg.k, solver_cfg.energy_fraction)
-        d = _dimension(solver_cfg.d, labels)
+        full = reduce_database(db, eval_cfg.k, solver_cfg.energy_fraction)
+        d = _dimension(solver_cfg.d, db.labels())
         aucs = [
             ranking_auc(score_nodes(full.model(alpha, d).u_matrix), gt_nodes)[0]
             for alpha in grid

@@ -15,7 +15,6 @@ downstream whitening checks for that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -149,11 +148,7 @@ def build_laplacian_set(aff: AffinityPair) -> LaplacianSet:
 def build_constraint_matrix(g: GeneralizedNetwork) -> ConstraintMatrix:
     """Laplacian of the generalized network: diagonal holds weighted degrees,
     off-diagonal entries are minus the shared-edge weights."""
-    flat = chain.from_iterable(g.edges)
-    edges = np.fromiter(flat, dtype=np.float64, count=3 * len(g.edges)).reshape(-1, 3)
-    p = edges[:, 0].astype(np.intp)
-    q = edges[:, 1].astype(np.intp)
-    w = edges[:, 2]
+    (p, q), w = g.edges.T, g.weights
     # per edge: (p, q) and (q, p) at -w, then w onto both degrees
     rows = np.column_stack((p, q, p, q)).ravel()
     cols = np.column_stack((q, p, p, q)).ravel()

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .data import GeneralizedNetwork
 from .errors import ConfigInvalid, CTooLarge
@@ -67,35 +69,24 @@ def extract_subnetworks(
     everything).  Components are ordered by size descending, then by their
     smallest node ordinal; isolated selected nodes come out as singletons.
     """
-    chosen = set(int(p) for p in selected)
-    if any(not 0 <= p < g.n for p in chosen):
+    nodes = np.unique(np.asarray(selected, dtype=np.intp))
+    if nodes.size and not 0 <= nodes[0] <= nodes[-1] < g.n:
         raise ValueError("selected node ordinal out of range")
-    adjacency: dict[int, list[int]] = {p: [] for p in chosen}
-    induced_edges: dict[int, list[tuple[int, int, float]]] = {p: [] for p in chosen}
-    for p, q, w in g.edges:
-        if p in chosen and q in chosen and w >= min_edge_weight:
-            adjacency[p].append(q)
-            adjacency[q].append(p)
-            induced_edges[p].append((p, q, w))
-
-    components = []
-    visited: set[int] = set()
-    for start in sorted(chosen):
-        if start in visited:
-            continue
-        stack = [start]
-        members = []
-        visited.add(start)
-        while stack:
-            node = stack.pop()
-            members.append(node)
-            for other in adjacency[node]:
-                if other not in visited:
-                    visited.add(other)
-                    stack.append(other)
-        members.sort()
-        edges = sorted(e for node in members for e in induced_edges[node])
-        components.append(Component(nodes=tuple(members), edges=tuple(edges)))
+    chosen = np.zeros(g.n, dtype=bool)
+    chosen[nodes] = True
+    p, q = g.edges.T
+    induced = chosen[p] & chosen[q] & (g.weights >= min_edge_weight)
+    p, q, w = p[induced], q[induced], g.weights[induced]
+    # label the components of the induced subgraph over positions in nodes
+    at_p, at_q = np.searchsorted(nodes, p), np.searchsorted(nodes, q)
+    graph = sparse.coo_array((np.ones(p.size), (at_p, at_q)), shape=(nodes.size, nodes.size))
+    count, label = connected_components(graph, directed=False)
+    members = [([], []) for _ in range(count)]  # nodes and edges, both in ascending order
+    for node, comp in zip(nodes.tolist(), label.tolist()):
+        members[comp][0].append(node)
+    for edge, comp in zip(zip(p.tolist(), q.tolist(), w.tolist()), label[at_p].tolist()):
+        members[comp][1].append(edge)
+    components = [Component(nodes=tuple(a), edges=tuple(b)) for a, b in members]
     components.sort(key=lambda comp: (-comp.size, comp.nodes[0]))
     return components
 

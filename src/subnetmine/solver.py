@@ -1,10 +1,10 @@
 """Constrained spectral subspace solver.
 
 Maximizes u' (V Ltilde V' - alpha C) u subject to u' (V D+ V') u = 1.
-The right-hand matrix is rank deficient (rank at most min(n, m)), so it is
-inverted through a truncated SVD of V (D+)^{1/2}: with V (D+)^{1/2} = P S Q',
-the working space is the span of the retained left singular vectors and the
-problem reduces to an ordinary symmetric eigenproblem
+The n x n right-hand matrix has rank at most min(n, m), so it is inverted
+through a truncated SVD V (D+)^{1/2} = P S Q' from one Gram eigensolve (see
+``truncated_svd_basis``): the retained left singular vectors span the
+working space and the problem reduces to an ordinary symmetric eigenproblem
 
     M = S^{-1} P' A P S^{-1},    u = P S^{-1} w,
 
@@ -27,6 +27,7 @@ largest absolute eigenvalue.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,13 +119,22 @@ def _check_dims(v: StateMatrix, lap: LaplacianSet, c: ConstraintMatrix) -> None:
 def truncated_svd_basis(
     v: StateMatrix, d_plus: np.ndarray, energy_fraction: float
 ) -> TruncatedBasis:
-    """SVD of V (D+)^{1/2}, truncated to the smallest rank whose singular
-    values sum to at least ``energy_fraction`` of the total.
+    """Left singular vectors and singular values of X = V (D+)^{1/2},
+    truncated to the smallest rank whose singular values sum to at least
+    ``energy_fraction`` of the total.
 
     Two noise guards tighten the cut further: components whose squared
     singular value falls below the average squared singular value are
     dropped (Kaiser rule; keeps the basis clear of the noise bulk), and so
     are values below 1e-12 of the largest.
+
+    No SVD runs, as nothing needs its right singular vectors: for X n x m,
+    m <= n takes eigh(X'X) = W S^2 W' and P_r = X W_r / sigma_r for the kept
+    columns only, m > n takes eigh(XX'), whose eigenvectors are P.  Then
+    sigma = sqrt(max(lambda, 0)) is within about eps sigma_max^2 / sigma_i^2
+    relative, at most min(n, m) eps where Kaiser keeps (sigma_i^2 >= mean >=
+    sigma_max^2 / min(n, m)).  Null directions read near 1e-8 sigma_max,
+    past the 1e-12 guard; the Kaiser rule drops them.
     """
     d_plus = np.asarray(d_plus, dtype=np.float64)
     if d_plus.shape != (v.m_cols,):
@@ -136,8 +146,11 @@ def truncated_svd_basis(
             "D+ has negative diagonal entries; same-state affinity row sums "
             "must be >= 0 (reduce k or use more training instances)"
         )
-    scaled = v.matrix * np.sqrt(d_plus)[np.newaxis, :]
-    p, sigma, _ = np.linalg.svd(scaled, full_matrices=False)
+    x = v.matrix * np.sqrt(d_plus)[np.newaxis, :]
+    wide = x.shape[1] > x.shape[0]
+    eigvals, eigvecs = np.linalg.eigh(x @ x.T if wide else x.T @ x)
+    sigma = np.sqrt(np.maximum(eigvals[::-1], 0.0))
+    eigvecs = eigvecs[:, ::-1]
     if sigma.size == 0 or sigma[0] <= 0.0:
         raise ZeroMatrix("all singular values vanish; affinity graph is degenerate")
 
@@ -150,7 +163,8 @@ def truncated_svd_basis(
     power = sigma**2
     n_kaiser = int(np.count_nonzero(power >= power.mean() - _SIGMA_RTOL * power[0]))
     r = min(r_energy, n_kaiser, n_above)
-    return TruncatedBasis(p_r=p[:, :r].copy(), sigma_r=sigma[:r].copy(), r=r)
+    p_r = eigvecs[:, :r].copy() if wide else x @ eigvecs[:, :r] / sigma[:r]
+    return TruncatedBasis(p_r=p_r, sigma_r=sigma[:r].copy(), r=r)
 
 
 def _order_ties(eigenvalues: np.ndarray, u_columns: np.ndarray) -> np.ndarray:
@@ -294,9 +308,14 @@ def save_model(model: SpectralModel, node_ids: list[str], path) -> None:
 def load_model(path) -> tuple[list[str], np.ndarray, dict]:
     """Read a saved model; returns (node_ids, U, metadata)."""
     path = Path(path)
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, len(raw[: exc.start + 1].splitlines()), "not valid UTF-8") from None
     node_ids = []
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with io.StringIO(text, newline="") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if not header or header[0] != "node_id":
             raise ParseError(path, 1, "expected model header starting with node_id")

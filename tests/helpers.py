@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
-from subnetmine.data import NetworkDatabase, NetworkInstance, NodeIndex, StateMatrix
+from subnetmine.data import (
+    GeneralizedNetwork,
+    NetworkDatabase,
+    NetworkInstance,
+    NodeIndex,
+    StateMatrix,
+)
 from subnetmine.errors import (
     DuplicateEdge,
     EdgeOnNullNode,
@@ -129,10 +137,11 @@ def restrict_instances(db, indices) -> NetworkDatabase:
 
 
 def _read_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield the (line_number, fields) rows of a TSV file, header validated,
-    one line at a time."""
+    """Yield the (line_number, fields) rows of a TSV file, one line at a
+    time, after the header (its first non-blank line) is validated."""
     if not path.is_file():
         raise MissingFile(path)
+    header_seen = False
     # bytes.splitlines ends lines at LF, CR and CRLF, as universal newlines do
     for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
         try:
@@ -142,9 +151,10 @@ def _read_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, li
         if line == "":
             continue
         fields = line.split("\t")
-        if lineno == 1:
+        if not header_seen:  # the first non-blank line
             if fields != expected_header:
-                raise ParseError(path, 1, f"expected header {expected_header}, got {fields}")
+                raise ParseError(path, lineno, f"expected header {expected_header}, got {fields}")
+            header_seen = True
             continue
         if len(fields) != len(expected_header):
             raise ParseError(
@@ -254,6 +264,48 @@ def load_database_rows(path) -> NetworkDatabase:
     return with_edges(nodes, instances, [sorted(e) for e in edge_lists])
 
 
+def network(n: int, edges) -> GeneralizedNetwork:
+    """A generalized network from (p, q, w) tuples, p < q, sorted."""
+    edges = list(edges)
+    return GeneralizedNetwork(
+        n=n,
+        edges=np.array([(p, q) for p, q, _ in edges], dtype=np.intp).reshape(-1, 2),
+        weights=np.array([w for _, _, w in edges], dtype=np.float64),
+    )
+
+
+def edge_tuples(g: GeneralizedNetwork) -> tuple[tuple[int, int, float], ...]:
+    """The (p, q, w) rows of a generalized network as Python tuples."""
+    p, q = g.edges.T.tolist()
+    return tuple(zip(p, q, g.weights.tolist()))
+
+
+def network_by_counting(db, indices) -> tuple[tuple[int, int, float], ...]:
+    """(p, q, w) per union edge of the instances at ``indices``, sorted,
+    counted one instance edge at a time: the oracle for
+    ``EdgeIndex.network``."""
+    counts: dict[tuple[int, int], int] = {}
+    for i in indices:
+        for p, q in db.instance_edges[i].tolist():
+            counts[p, q] = counts.get((p, q), 0) + 1
+    return tuple((p, q, c / len(indices)) for (p, q), c in sorted(counts.items()))
+
+
+def constraint_from_tuples(n: int, edges) -> sparse.csr_array:
+    """C built from (p, q, w) tuples through one flat float64 buffer: the
+    oracle whose CSR ``build_constraint_matrix`` must match bit for bit."""
+    edges = tuple(edges)
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.float64, count=3 * len(edges))
+    flat = flat.reshape(-1, 3)
+    p = flat[:, 0].astype(np.intp)
+    q = flat[:, 1].astype(np.intp)
+    w = flat[:, 2]
+    rows = np.column_stack((p, q, p, q)).ravel()
+    cols = np.column_stack((q, p, p, q)).ravel()
+    vals = np.column_stack((-w, -w, w, w)).ravel()
+    return sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(n, n)))
+
+
 def cosine_similarity(a, b) -> float:
     """Cosine of the angle between two vectors; 0 if either norm is 0."""
     a = np.asarray(a, dtype=np.float64)
@@ -270,6 +322,20 @@ def cosine_similarity(a, b) -> float:
 def knn_neighborhoods(v_matrix: StateMatrix, k: int) -> list[frozenset[int]]:
     """The k instances the library's kNN step links to each instance."""
     return [frozenset(row) for row in _nearest(_cosine_matrix(v_matrix), k).tolist()]
+
+
+def svd_basis(v: StateMatrix, d_plus: np.ndarray, energy_fraction: float) -> TruncatedBasis:
+    """The truncated basis from ``np.linalg.svd`` of V (D+)^{1/2}, cut by the
+    energy, Kaiser and 1e-12 rules: the oracle for ``truncated_svd_basis``."""
+    p, sigma, _ = np.linalg.svd(v.matrix * np.sqrt(d_plus), full_matrices=False)
+    n_above = int(np.count_nonzero(sigma > 1e-12 * sigma[0]))
+    total = sigma.sum()
+    target = energy_fraction * total
+    r_energy = int(np.argmax(np.cumsum(sigma) >= target - 1e-12 * total)) + 1
+    power = sigma**2
+    n_kaiser = int(np.count_nonzero(power >= power.mean() - 1e-12 * power[0]))
+    r = min(r_energy, n_kaiser, n_above)
+    return TruncatedBasis(p_r=p[:, :r], sigma_r=sigma[:r], r=r)
 
 
 def assemble_objective_matrix(

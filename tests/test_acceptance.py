@@ -14,10 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import assemble_objective_matrix, solve_spectral, template_db
+from helpers import assemble_objective_matrix, network, solve_spectral, template_db
 from subnetmine import cli
 from subnetmine.data import (
-    GeneralizedNetwork,
     NetworkDatabase,
     NetworkInstance,
     assemble_state_matrix,
@@ -118,12 +117,12 @@ def test_criterion_2_constraint_quadratic_identity(capsys):
                 if rng.random() < 0.2:
                     count = int(rng.integers(1, denominator + 1))
                     edges.append((p, q, count / denominator))
-        g = GeneralizedNetwork(n=n, edges=tuple(edges))
+        g = network(n, edges)
         c = build_constraint_matrix(g).c
         u = rng.normal(size=n)
         quad = float(u @ (c @ u))
         # half the ordered-pair sum is one term per stored undirected edge
-        direct = sum(w * (u[p] - u[q]) ** 2 for p, q, w in g.edges)
+        direct = sum(w * (u[p] - u[q]) ** 2 for p, q, w in edges)
         max_diff = max(max_diff, abs(quad - direct))
         min_quad = min(min_quad, quad)
     ok = max_diff <= 1e-10 and min_quad >= -1e-12

@@ -247,6 +247,16 @@ def bad_model(model_file, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def bad_utf8_model(model_file, tmp_path_factory):
+    """The fitted model with a node id holding a byte that is not UTF-8."""
+    path = tmp_path_factory.mktemp("utf8_model") / "model.tsv"
+    lines = model_file.read_bytes().split(b"\n")
+    lines[2] = b"n\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
 @pytest.mark.parametrize("argv, code", [
     (["fit", "{small}"], 1),
     (["fit", "{dataset}", "--alpha", "-1"], 2),
@@ -264,9 +274,20 @@ def bad_model(model_file, tmp_path_factory):
     (["evaluate", "{dataset}", "--alpha-grid", "1,inf"], 2),
     (["fit", "{bad_utf8}"], 1),
     (["transform", "{dataset}", "--model", "{bad_model}"], 1),
+    (["transform", "{dataset}", "--model", "{bad_utf8_model}"], 1),
+    (["select", "{dataset}", "--model", "{bad_utf8_model}"], 1),
 ])
 def test_contract_errors_exit_with_one_line(
-    argv, code, dataset, small_dataset, model_file, bad_utf8_dataset, bad_model, tmp_path, capsys
+    argv,
+    code,
+    dataset,
+    small_dataset,
+    model_file,
+    bad_utf8_dataset,
+    bad_model,
+    bad_utf8_model,
+    tmp_path,
+    capsys,
 ):
     paths = {
         "dataset": dataset,
@@ -274,6 +295,7 @@ def test_contract_errors_exit_with_one_line(
         "model": model_file,
         "bad_utf8": bad_utf8_dataset,
         "bad_model": bad_model,
+        "bad_utf8_model": bad_utf8_model,
     }
     argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
     capsys.readouterr()

@@ -26,6 +26,7 @@ from subnetmine.evaluation import (
     evaluate_dataset,
     fit_model,
     ranking_auc,
+    reduce_database,
     run_cv,
     stratified_folds,
     sweep_alpha,
@@ -382,6 +383,26 @@ def test_each_training_set_is_reduced_once(monkeypatch):
     assert calls == {"svd": folds + 1, "classifier": folds}
 
 
+def test_one_reduction_serves_the_whole_grid(monkeypatch):
+    """reduce_database computes one basis; its model at every grid alpha
+    equals fit_model's exactly."""
+    db = class_db(3, n=10, m=20)
+    calls = []
+    basis = solver.truncated_svd_basis
+
+    def counted(*args):
+        calls.append(args)
+        return basis(*args)
+
+    monkeypatch.setattr(solver, "truncated_svd_basis", counted)
+    problem = reduce_database(db, k=4)
+    models = [problem.model(alpha, 2) for alpha in DEFAULT_ALPHA_GRID]
+    assert len(calls) == 1
+    for alpha, model in zip(DEFAULT_ALPHA_GRID, models):
+        assert np.array_equal(model.u_matrix, fit_model(db, k=4, alpha=alpha).u_matrix)
+    assert len(calls) == 1 + len(DEFAULT_ALPHA_GRID)
+
+
 @pytest.mark.parametrize("power", [-3, 3])
 def test_alpha_is_independent_of_value_units(power):
     """Multiplying every node value by s leaves cosines, affinities and the
@@ -510,6 +531,17 @@ def auc_pairwise_oracle(scores, positive):
     return total / (len(pos) * len(neg))
 
 
+def roc_walk_oracle(scores, positive) -> list[tuple[float, float]]:
+    """ROC points after each distinct score, walked from the highest."""
+    n_pos, n_neg = int(positive.sum()), int((~positive).sum())
+    roc, tp, fp = [(0.0, 0.0)], 0, 0
+    for score in sorted(set(scores.tolist()), reverse=True):
+        tp += int(np.sum(positive & (scores == score)))
+        fp += int(np.sum(~positive & (scores == score)))
+        roc.append((fp / n_neg, tp / n_pos))
+    return roc
+
+
 def test_auc_matches_pairwise_oracle_with_ties():
     rng = np.random.default_rng(0)
     for _ in range(15):
@@ -520,6 +552,8 @@ def test_auc_matches_pairwise_oracle_with_ties():
         positive[rng.choice(n, size=n_pos, replace=False)] = True
         auc, roc = ranking_auc(scores, np.flatnonzero(positive))
         assert auc == pytest.approx(auc_pairwise_oracle(scores, positive), abs=1e-12)
+        assert roc == roc_walk_oracle(scores, positive)
+        assert all(type(x) is float for point in roc for x in point)
         fpr = [p[0] for p in roc]
         tpr = [p[1] for p in roc]
         assert np.trapezoid(tpr, fpr) == pytest.approx(auc, abs=1e-12)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import load_database_rows
+from helpers import edge_tuples, load_database_rows
 from subnetmine import data
 from subnetmine.data import build_generalized_network, load_database, write_database
 from subnetmine.errors import ParseError, SubnetmineError
@@ -72,8 +72,7 @@ def datasets(draw):
 @st.composite
 def layouts(draw):
     """How the lines become bytes: line ending, final newline, blank lines
-    (line 1 included, which leaves a file without a header) and the block
-    size of the columnar reader."""
+    (before the header too) and the block size of the columnar reader."""
     return {
         "newline": draw(st.sampled_from(["\n", "\r\n", "\r"])),
         "final_newline": draw(st.booleans()),
@@ -145,8 +144,7 @@ def same_outcome(files: dict, layout: dict):
 def test_clean_datasets_load_like_the_oracle(dataset, layout):
     files, _ = dataset
     want = same_outcome(files, layout)
-    if 0 not in layout["blanks"]:
-        assert not isinstance(want, tuple), want
+    assert not isinstance(want, tuple), want
 
 
 def pick(draw, seq):
@@ -247,7 +245,6 @@ def test_malformed_line_raises_like_the_oracle(dataset, layout, name, kind, wher
     files, _ = dataset
     if kind == "header":
         files[name][0] = draw.draw(st.sampled_from(["wrong", "node_id\tvalue", "\udcff"]))
-        layout["blanks"] = [at for at in layout["blanks"] if at > 0]  # keep it on line 1
     else:
         make = wrong_field_count if kind == "fields" else bad_utf8
         insert_row(files[name], where, make(draw.draw, name))
@@ -303,7 +300,7 @@ def test_header_only_edges_file(tmp_path):
     assert db.offsets.tolist() == [0, 0, 0]
     assert [e.shape for e in db.instance_edges] == [(0, 2), (0, 2)]
     assert db.edge_index.pairs.shape == (0, 2)
-    assert build_generalized_network(db).edges == ()
+    assert edge_tuples(build_generalized_network(db)) == ()
 
 
 def test_instance_without_edges_and_read_only_views(tmp_path):
@@ -348,6 +345,28 @@ def test_crlf_and_blank_lines_load_like_lf(tmp_path):
         {"newline": "\r\n", "final_newline": False, "blanks": [2, 3, 5]},
     )
     assert_same_database(load_database(tmp_path / "crlf"), load_database(tmp_path / "lf"))
+
+
+@pytest.mark.parametrize("leading", [1, 2])
+def test_blank_lines_before_the_header(tmp_path, leading):
+    """The header is the first non-blank line: leading blank lines load like
+    the clean file, and a bad header after them is reported at its line."""
+    (tmp_path / "clean").mkdir()
+    (tmp_path / "blank").mkdir()
+    write_files(tmp_path / "clean", valid_files(), LF)
+    write_files(tmp_path / "blank", valid_files(), {**LF, "blanks": [0] * leading})
+    got = load_database(tmp_path / "blank")
+    assert_same_database(got, load_database(tmp_path / "clean"))
+    assert got.node_ids == ["a", "b", "c"]
+    assert_same_database(load_database_rows(tmp_path / "blank"), got)
+
+    files = valid_files()
+    files["nodes.tsv"][0] = "node"
+    write_files(tmp_path, files, {**LF, "blanks": [0] * leading})
+    for load in (load_database, load_database_rows):
+        with pytest.raises(ParseError, match="expected header") as exc:
+            load(tmp_path)
+        assert exc.value.path == tmp_path / "nodes.tsv" and exc.value.line == leading + 1
 
 
 def test_errors_count_blank_lines_and_name_bad_utf8(tmp_path):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import cosine_similarity, knn_neighborhoods, random_db
-from subnetmine.data import GeneralizedNetwork, StateMatrix, assemble_state_matrix
+from helpers import cosine_similarity, knn_neighborhoods, network, random_db
+from subnetmine.data import StateMatrix, assemble_state_matrix
 from subnetmine.errors import AsymmetricInput, DimensionMismatch, KTooLarge
 from subnetmine.metagraph import (
     MetaGraphConfig,
@@ -175,7 +175,7 @@ def test_laplacian_set_combination():
 
 
 def test_constraint_matrix_hand_oracle():
-    g = GeneralizedNetwork(n=3, edges=((0, 1, 0.5), (1, 2, 0.25)))
+    g = network(3, ((0, 1, 0.5), (1, 2, 0.25)))
     c = build_constraint_matrix(g).c.toarray()
     want = np.array(
         [
@@ -197,7 +197,7 @@ def test_constraint_matrix_quadratic_form_and_psd():
             for q in range(p + 1, n)
             if rng.random() < 0.5
         )
-        g = GeneralizedNetwork(n=n, edges=edges)
+        g = network(n, edges)
         c = build_constraint_matrix(g).c
         dense = c.toarray()
         assert np.allclose(dense.sum(axis=1), 0.0, atol=1e-12)

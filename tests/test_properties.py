@@ -1,6 +1,6 @@
 """Property tests: invariants of the fit under reordering, reuse of the
-per-database edge index, and independence of the rows of a stacked
-classifier fit."""
+per-database edge index, the array network and constraint against their
+tuple oracles, and independence of the rows of a stacked classifier fit."""
 
 from __future__ import annotations
 
@@ -10,9 +10,18 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_db, restrict_instances, template_db
+from helpers import (
+    build_db,
+    constraint_from_tuples,
+    edge_tuples,
+    network_by_counting,
+    random_db,
+    restrict_instances,
+    template_db,
+)
 from subnetmine.data import NetworkDatabase, assemble_state_matrix, build_generalized_network
 from subnetmine.evaluation import EvalConfig, fit_model, run_cv, train_linear_classifier
+from subnetmine.metagraph import build_constraint_matrix
 from subnetmine.selection import score_nodes
 from subnetmine.solver import SolverConfig
 
@@ -60,9 +69,9 @@ def test_node_order_permutes_rows_scores_and_edges(seed, n, m):
 
     expected_edges = sorted(
         (min(new_of[p], new_of[q]), max(new_of[p], new_of[q]), w)
-        for p, q, w in build_generalized_network(db).edges
+        for p, q, w in edge_tuples(build_generalized_network(db))
     )
-    assert list(build_generalized_network(permuted).edges) == expected_edges
+    assert list(edge_tuples(build_generalized_network(permuted))) == expected_edges
 
 
 @SETTINGS
@@ -86,6 +95,33 @@ def test_repeated_fits_reuse_one_edge_index(seed, alphas):
         run_cv(db, EvalConfig(folds=3, alpha_grid=tuple(alphas), k=K), SolverConfig(alpha=0.0))
         build_generalized_network(db)
     assert len(builds) == 1 and builds[0] is db
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 10),
+    m=st.integers(2, 14),
+    edge_prob=st.sampled_from([0.0, 0.15, 0.6]),
+    picks=st.lists(st.integers(0, 13), min_size=1, max_size=14, unique=True),
+)
+@example(seed=0, n=4, m=3, edge_prob=0.0, picks=[2, 0])  # no edges anywhere
+def test_network_and_constraint_match_the_tuple_oracles(seed, n, m, edge_prob, picks):
+    """EdgeIndex.network equals the counting loop on a random subset (in
+    drawn order) and on every instance, and the constraint built from the
+    arrays has the CSR arrays of the one built from (p, q, w) tuples."""
+    db = random_db(np.random.default_rng(seed), n=n, m=m, edge_prob=edge_prob)
+    subset = list(dict.fromkeys(p % m for p in picks))
+    for indices in (subset, list(range(m))):
+        g = db.edge_index.network(indices)
+        expected = network_by_counting(db, indices)
+        assert edge_tuples(g) == expected
+        assert g.edges.dtype == np.intp and g.edges.shape == (len(expected), 2)
+        assert g.weights.dtype == np.float64
+        got, want = build_constraint_matrix(g).c, constraint_from_tuples(n, expected)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @SETTINGS

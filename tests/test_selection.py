@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from subnetmine.data import GeneralizedNetwork
+from helpers import edge_tuples, network
 from subnetmine.errors import CTooLarge
 from subnetmine.selection import (
     build_report,
@@ -14,10 +14,6 @@ from subnetmine.selection import (
     select_top_nodes,
     write_report,
 )
-
-
-def network(n, edges):
-    return GeneralizedNetwork(n=n, edges=tuple((p, q, float(w)) for p, q, w in edges))
 
 
 def union_find_components(selected, edges, min_w):
@@ -124,13 +120,15 @@ def test_extract_matches_union_find_oracle():
         min_w = float(rng.choice([0.0, 0.3, 0.6]))
         comps = extract_subnetworks(selected, g, min_edge_weight=min_w)
         expected_groups, kept = union_find_components(
-            {int(p) for p in selected}, g.edges, min_w
+            {int(p) for p in selected}, edge_tuples(g), min_w
         )
         assert [list(c.nodes) for c in comps] == expected_groups
         # each component lists its edges sorted without repeats,
         # and together they cover exactly the kept edges
         for comp in comps:
             assert list(comp.edges) == sorted(set(comp.edges))
+            assert all(type(x) is int for x in comp.nodes)
+            assert all([type(x) for x in e] == [int, int, float] for e in comp.edges)
         flat = [e for c in comps for e in c.edges]
         assert sorted(flat) == sorted(kept)
 

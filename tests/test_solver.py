@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import assemble_objective_matrix, random_db, solve_spectral
+from helpers import assemble_objective_matrix, random_db, solve_spectral, svd_basis
 from subnetmine.data import StateMatrix, assemble_state_matrix, build_generalized_network
 from subnetmine.errors import DimensionMismatch, ParseError, RankDeficient, ZeroMatrix
 from subnetmine.metagraph import (
@@ -123,6 +123,35 @@ def test_truncation_orthonormal_columns():
         assert np.max(np.abs(eye - np.eye(basis.r))) <= 1e-10
         assert np.all(basis.sigma_r > 0)
         assert np.all(np.diff(basis.sigma_r) <= 0)
+
+
+@pytest.mark.parametrize("shape", [(40, 25), (25, 25), (25, 40), (12, 7), (7, 12)])
+@pytest.mark.parametrize("kind", ["full", "zero_degrees", "duplicated"])
+def test_gram_basis_matches_svd(shape, kind):
+    """Both sides of the m <= n switch against np.linalg.svd: the same r,
+    singular values within 1e-12 and whitening columns P_r / sigma_r within
+    1e-10 relative after aligning signs.  Duplicated columns make V rank
+    deficient; there the Gram's null singular values are rounding noise near
+    1e-8 sigma_max, and the Kaiser rule must still cut at the SVD's r."""
+    n, m = shape
+    rng = np.random.default_rng(n * m)
+    values = rng.normal(size=(n, m)) + 1.5 * rng.normal(size=(n, 1))
+    d_plus = rng.random(m) + 0.1
+    if kind == "zero_degrees":
+        d_plus[::3] = 0.0
+    if kind == "duplicated":
+        values[:, m // 2 :] = values[:, : m - m // 2]
+        assert np.linalg.matrix_rank(values * np.sqrt(d_plus)) < min(n, m)
+    v = StateMatrix(values)
+    for energy in (0.5, 0.95, 1.0):
+        want = svd_basis(v, d_plus, energy)
+        got = truncated_svd_basis(v, d_plus, energy)
+        assert got.r == want.r
+        assert np.all(np.abs(got.sigma_r - want.sigma_r) <= 1e-12 * want.sigma_r)
+        q_got = got.p_r / got.sigma_r
+        q_want = want.p_r / want.sigma_r
+        q_got *= np.sign(np.sum(q_got * q_want, axis=0))
+        assert np.max(np.abs(q_got - q_want)) <= 1e-10 * np.max(np.abs(q_want))
 
 
 def test_truncation_errors():
@@ -381,5 +410,9 @@ def test_model_load_bad_header(tmp_path):
         load_model(path)
     path.write_text("node_id\tu_1\na\t0.5\nb\tbogus\n")
     with pytest.raises(ParseError, match="bogus") as exc:
+        load_model(path)
+    assert exc.value.line == 3
+    path.write_bytes(b"node_id\tu_1\na\t0.5\nb\xff\t1.0\nc\t2.0\n")
+    with pytest.raises(ParseError, match="not valid UTF-8") as exc:
         load_model(path)
     assert exc.value.line == 3

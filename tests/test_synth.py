@@ -8,6 +8,7 @@ import filecmp
 import numpy as np
 import pytest
 
+from helpers import edge_tuples
 from subnetmine.data import build_generalized_network, load_database
 from subnetmine.errors import ConfigInvalid, MissingFile, ParseError, UnknownNode
 from subnetmine.synth import (
@@ -128,7 +129,7 @@ def test_sample_edge_frequency_tracks_probability():
     db, _ = sample_database(gt, cfg)
     g = build_generalized_network(db)
     assert len(g.edges) == 1
-    p, q, w = g.edges[0]
+    p, q, w = edge_tuples(g)[0]
     assert (p, q) == (0, 1)
     assert 0.88 <= w <= 0.92
 
