@@ -11,10 +11,7 @@ subnetworks they induce.
 from .data import (
     GeneralizedNetwork,
     NetworkDatabase,
-    NetworkInstance,
-    NodeIndex,
     StateMatrix,
-    assemble_state_matrix,
     build_generalized_network,
     load_database,
     write_database,
@@ -37,8 +34,6 @@ from .metagraph import (
     AffinityPair,
     ConstraintMatrix,
     LaplacianSet,
-    MetaGraphConfig,
-    build_affinities,
     build_constraint_matrix,
     build_laplacian_set,
     laplacian,
@@ -59,7 +54,6 @@ from .solver import (
     load_model,
     reduce_problem,
     save_model,
-    transform,
     truncated_svd_basis,
 )
 from .synth import (
@@ -84,10 +78,7 @@ __all__ = [
     "GroundTruth",
     "LaplacianSet",
     "LinearClassifier",
-    "MetaGraphConfig",
     "NetworkDatabase",
-    "NetworkInstance",
-    "NodeIndex",
     "ReducedProblem",
     "SolverConfig",
     "SpectralModel",
@@ -96,8 +87,6 @@ __all__ = [
     "SubnetworkReport",
     "SynthConfig",
     "TruncatedBasis",
-    "assemble_state_matrix",
-    "build_affinities",
     "build_constraint_matrix",
     "build_generalized_network",
     "build_laplacian_set",
@@ -122,7 +111,6 @@ __all__ = [
     "stratified_folds",
     "sweep_alpha",
     "train_linear_classifier",
-    "transform",
     "truncated_svd_basis",
     "write_database",
     "write_synthetic_dataset",

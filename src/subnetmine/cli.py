@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import evaluation, selection, solver, synth
-from .data import assemble_state_matrix, build_generalized_network, load_database
+from .data import build_generalized_network, load_database
 from .errors import ConfigInvalid, SubnetmineError, UnknownNode
 
 
@@ -120,6 +120,14 @@ def _gt_ordinals(args, db):
     return synth.read_ground_truth(path, db.node_ids)
 
 
+def _model_u(path, db):
+    """U of the saved model, which must list the dataset's nodes in order."""
+    node_ids, u_matrix, _ = solver.load_model(path)
+    if tuple(node_ids) != db.node_ids:
+        raise UnknownNode("model nodes do not match the dataset")
+    return u_matrix
+
+
 def _cmd_generate(args) -> int:
     cfg = synth.SynthConfig(
         n=args.nodes,
@@ -151,32 +159,24 @@ def _cmd_fit(args) -> int:
 
 def _cmd_transform(args) -> int:
     db = load_database(args.dataset)
-    node_ids, u_matrix, _ = solver.load_model(args.model)
-    if node_ids != db.node_ids:
-        raise UnknownNode("model nodes do not match the dataset")
-    # transform reads U only; the saved model has no basis
-    model = solver.SpectralModel(u_matrix=u_matrix, eigenvalues=None, basis=None, alpha=None)
-    embedded = solver.transform(model, assemble_state_matrix(db))
+    embedded = _model_u(args.model, db).T @ db.values  # U'V, d x m
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     d = embedded.shape[0]
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("instance_id\t" + "\t".join(f"x_{i + 1}" for i in range(d)) + "\n")
-        for j, inst in enumerate(db.instances):
+        for j, inst_id in enumerate(db.instance_ids):
             cells = "\t".join("%.17g" % embedded[i, j] for i in range(d))
-            fh.write(f"{inst.instance_id}\t{cells}\n")
+            fh.write(f"{inst_id}\t{cells}\n")
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_select(args) -> int:
     db = load_database(args.dataset)
-    node_ids, u_matrix, _ = solver.load_model(args.model)
-    if node_ids != db.node_ids:
-        raise UnknownNode("model nodes do not match the dataset")
-    g = build_generalized_network(db)
     report = selection.build_report(
-        u_matrix, g, args.top_c, min_edge_weight=args.min_edge_weight
+        _model_u(args.model, db), build_generalized_network(db), args.top_c,
+        min_edge_weight=args.min_edge_weight,
     )
     selection.write_report(report, db.node_ids, args.out)
     sizes = [comp.size for comp in report.components]

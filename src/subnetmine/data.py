@@ -1,8 +1,10 @@
 """Network-instance database model and dataset directory I/O.
 
-A database holds m network instances over one shared node index of size n.
-Each instance carries a valid-node mask, a local state value per valid node,
-an undirected edge list over valid nodes, and one integer global state.
+A database holds m network instances over one shared set of n nodes.  The
+instances differ only in which nodes are null, their local node values,
+their edges and their integer global state, so the database is a handful
+of read-only columns: the n x m state matrix V (0 at null nodes), its valid
+mask, the m global states, and every instance edge in one sorted array.
 The union of instance edges, weighted by the fraction of instances carrying
 each edge, forms the generalized network used downstream as the topology
 regularizer.
@@ -11,7 +13,7 @@ Dataset directory format (UTF-8, tab-separated, header on the first
 non-blank line, lines ending in LF, CRLF or CR, blank lines skipped):
 
     nodes.tsv      node_id                         (row order fixes ordinals)
-    instances.tsv  instance_id  global_state
+    instances.tsv  instance_id  global_state       (a 64-bit integer)
     values.tsv     instance_id  node_id  value     (missing row = null node)
     edges.tsv      instance_id  node_u   node_v
 """
@@ -42,33 +44,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NodeIndex:
-    """One node of the shared index: string id plus its row ordinal."""
-
-    id: str
-    ordinal: int
-
-
-@dataclass(frozen=True)
-class NetworkInstance:
-    """A single network snapshot: per-node validity, values and a label.
-
-    ``values`` entries are 0.0 and ignored wherever ``valid`` is False.
-    """
-
-    instance_id: str
-    valid: np.ndarray
-    values: np.ndarray
-    global_state: int
-
-    def __post_init__(self):
-        _freeze(self.valid)
-        _freeze(self.values)
-
-
-@dataclass(frozen=True)
 class NetworkDatabase:
-    """m network instances over a shared node index of size n.
+    """m network instances over n shared nodes, held as read-only columns.
+
+    ``node_ids`` and ``instance_ids`` fix the node and instance ordinals.
+    ``labels`` holds the m global states (int), ``valid`` the n x m mask
+    of non-null nodes, and ``values`` the n x m state matrix V: column i
+    holds the local states of instance i and is exactly 0.0 wherever
+    ``valid`` is False, whatever was passed there.
 
     The instance edges are stored once: ``edges`` is an R x 2 intp array of
     ordinal pairs (p, q), p < q, both endpoints valid in their instance,
@@ -77,34 +60,39 @@ class NetworkDatabase:
     as a read-only k_i x 2 view.
     """
 
-    nodes: tuple[NodeIndex, ...]
-    instances: tuple[NetworkInstance, ...]
+    node_ids: tuple[str, ...]
+    instance_ids: tuple[str, ...]
+    labels: np.ndarray
+    valid: np.ndarray
+    values: np.ndarray
     edges: np.ndarray
     offsets: np.ndarray
 
     def __post_init__(self):
-        _freeze(self.edges)
-        _freeze(self.offsets)
+        n, m = len(self.node_ids), len(self.instance_ids)
+        columns = {
+            "labels": (int, (m,)),
+            "valid": (bool, (n, m)),
+            "values": (np.float64, (n, m)),
+            "edges": (np.intp, (len(self.edges), 2)),
+            "offsets": (np.intp, (m + 1,)),
+        }
+        for name, (dtype, shape) in columns.items():
+            column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            if column.shape != shape:
+                raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "values", np.where(self.valid, self.values, 0.0))
+        for name in columns:
+            _freeze(getattr(self, name))
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.node_ids)
 
     @property
     def m(self) -> int:
-        return len(self.instances)
-
-    @property
-    def node_ids(self) -> list[str]:
-        return [node.id for node in self.nodes]
-
-    def labels(self) -> np.ndarray:
-        """Global states as an int vector of length m."""
-        return np.array([inst.global_state for inst in self.instances], dtype=int)
-
-    def states(self) -> list[int]:
-        """Distinct global states in ascending order."""
-        return sorted({inst.global_state for inst in self.instances})
+        return len(self.instance_ids)
 
     @cached_property
     def instance_edges(self) -> tuple[np.ndarray, ...]:
@@ -152,7 +140,8 @@ class EdgeIndex:
         """Union network of the instances at ``indices``: the ``pairs`` rows
         they carry, each weighted by the share of them that carry it."""
         indices = np.asarray(indices, dtype=np.intp)
-        counts = self.presence[indices].sum(axis=0)
+        # an instance's multiplicity in indices times its presence row
+        counts = np.bincount(indices, minlength=self.presence.shape[0]) @ self.presence
         kept = np.flatnonzero(counts)
         return GeneralizedNetwork(self.n, self.pairs[kept], counts[kept] / indices.size)
 
@@ -285,6 +274,13 @@ def _number(convert, text: str):
         return None
 
 
+def _state(text: str) -> int:
+    """Python's int of the text, where it fits a 64-bit label column."""
+    if not -(2**63) <= (state := int(text)) < 2**63:
+        raise ValueError(text)
+    return state
+
+
 def load_database(path) -> NetworkDatabase:
     """Load and validate a dataset directory.
 
@@ -304,14 +300,14 @@ def load_database(path) -> NetworkDatabase:
 
     instances_tsv = TsvFile(root / "instances.tsv", ["instance_id", "global_state"])
     inst_ids, labels = instances_tsv.columns(
-        objects, lambda col: objects([_number(int, s) for s in col])
+        objects, lambda col: objects([_number(_state, s) for s in col])
     )
     instance_order, repeated = _first_rows(inst_ids)
     instances_tsv.raise_first(
         [repeated, np.equal(labels, None)],
         lambda err, inst, state: (
             err(f"duplicate instance id {inst!r}"),
-            err(f"global_state not an integer: {state!r}"),
+            err(f"global_state not a 64-bit integer: {state!r}"),
         ),
     )
     m = len(inst_ids)
@@ -355,11 +351,11 @@ def load_database(path) -> NetworkDatabase:
     if len(set(labels)) < 2:
         raise SingleClassDatabase()
     return NetworkDatabase(
-        nodes=tuple(map(NodeIndex, node_ids, range(n))),
-        instances=tuple(
-            NetworkInstance(inst, valid[:, i].copy(), values[:, i].copy(), labels[i])
-            for i, inst in enumerate(inst_ids)
-        ),
+        node_ids=tuple(node_ids),
+        instance_ids=tuple(inst_ids),
+        labels=labels,
+        valid=valid[:, :m],
+        values=values,
         edges=np.column_stack(np.divmod(keys % (n * n), n)),
         offsets=np.searchsorted(keys, np.arange(m + 1) * (n * n)),
     )
@@ -376,21 +372,17 @@ def write_database(db: NetworkDatabase, path) -> None:
     round-trips exactly."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    ids, inst_ids = db.node_ids, [inst.instance_id for inst in db.instances]
+    ids, inst_ids = db.node_ids, db.instance_ids
     write_tsv(root / "nodes.tsv", ["node_id"], ([node_id] for node_id in ids))
     write_tsv(
-        root / "instances.tsv",
-        ["instance_id", "global_state"],
-        ((inst.instance_id, inst.global_state) for inst in db.instances),
+        root / "instances.tsv", ["instance_id", "global_state"], zip(inst_ids, db.labels.tolist())
     )
+    i, p = np.nonzero(db.valid.T)  # instance by instance, each in node order
+    cells = zip(i.tolist(), p.tolist(), db.values[p, i].tolist())
     write_tsv(
         root / "values.tsv",
         ["instance_id", "node_id", "value"],
-        (
-            (inst.instance_id, ids[p], float(inst.values[p]))
-            for inst in db.instances
-            for p in np.flatnonzero(inst.valid).tolist()
-        ),
+        ((inst_ids[i], ids[p], x) for i, p, x in cells),
     )
     owner = np.repeat(np.arange(db.m), np.diff(db.offsets)).tolist()
     write_tsv(
@@ -407,11 +399,3 @@ def write_database(db: NetworkDatabase, path) -> None:
 def build_generalized_network(db: NetworkDatabase) -> GeneralizedNetwork:
     """Union of instance edges weighted by presence fraction count/m."""
     return db.edge_index.network(np.arange(db.m))
-
-
-def assemble_state_matrix(db: NetworkDatabase) -> StateMatrix:
-    """Stack instance values column-wise; null nodes contribute 0."""
-    mat = np.zeros((db.n, db.m), dtype=np.float64)
-    for i, inst in enumerate(db.instances):
-        mat[inst.valid, i] = inst.values[inst.valid]
-    return StateMatrix(matrix=mat)

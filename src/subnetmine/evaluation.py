@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import NetworkDatabase, StateMatrix, assemble_state_matrix
+from .data import NetworkDatabase, StateMatrix
 from .errors import (
     ConfigInvalid,
     DegenerateGroundTruth,
@@ -227,25 +227,16 @@ def train_linear_classifier(
 
 
 def _reduce(
-    db: NetworkDatabase,
-    v: np.ndarray,
-    labels: np.ndarray,
-    idx: np.ndarray,
-    k: int,
-    energy_fraction: float,
+    db: NetworkDatabase, idx: np.ndarray, k: int, energy_fraction: float
 ) -> ReducedProblem:
     """The alpha-invariant part of every fit: meta-graphs, Laplacians,
     generalized network and reduced problem over the instances at ``idx``
-    only.
-
-    ``v`` and ``labels`` cover the whole database; k is clamped to
-    |idx| - 1.
-    """
+    only; k is clamped to |idx| - 1."""
     k = min(k, idx.size - 1)
     if k < 1:
         raise KTooLarge(f"k={k} outside 1..{idx.size - 1}")
-    v_train = StateMatrix(v[:, idx].copy())
-    aff = _affinity_pair(_cosine_matrix(v_train), labels[idx], k)
+    v_train = StateMatrix(db.values[:, idx].copy())  # C order; the index alone gives F
+    aff = _affinity_pair(_cosine_matrix(v_train), db.labels[idx], k)
     lap = build_laplacian_set(aff)
     c = build_constraint_matrix(db.edge_index.network(idx))
     return reduce_problem(v_train, lap, c, energy_fraction)
@@ -256,8 +247,7 @@ def reduce_database(
 ) -> ReducedProblem:
     """The alpha-invariant part of a fit on every instance of ``db``: to fit
     at several alphas, reduce once and call ``model(alpha, d)`` per alpha."""
-    v = assemble_state_matrix(db).matrix
-    return _reduce(db, v, db.labels(), np.arange(db.m), k, energy_fraction)
+    return _reduce(db, np.arange(db.m), k, energy_fraction)
 
 
 def _dimension(d: int | None, labels: np.ndarray) -> int:
@@ -281,7 +271,7 @@ def fit_model(
     distinct global states.  Invalid settings raise ConfigInvalid.
     """
     SolverConfig(alpha=alpha, energy_fraction=energy_fraction, d=d)  # validates
-    return reduce_database(db, k, energy_fraction).model(alpha, _dimension(d, db.labels()))
+    return reduce_database(db, k, energy_fraction).model(alpha, _dimension(d, db.labels))
 
 
 def _cv_scorer(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig):
@@ -290,15 +280,14 @@ def _cv_scorer(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConf
     the classifiers of all alphas in one stacked run, and score each on every
     fold in ``held_out``.  ``score`` returns the len(alphas) x len(held_out)
     accuracies."""
-    labels = db.labels()
-    v = assemble_state_matrix(db).matrix
+    labels, v = db.labels, db.values
     d = _dimension(solver_cfg.d, labels)
     assignment = stratified_folds(labels, eval_cfg.folds, eval_cfg.seed)
 
     def score(left_out, held_out, alphas) -> np.ndarray:
         train = np.flatnonzero(~np.isin(assignment, left_out))
         held = [np.flatnonzero(assignment == fold) for fold in held_out]
-        problem = _reduce(db, v, labels, train, eval_cfg.k, solver_cfg.energy_fraction)
+        problem = _reduce(db, train, eval_cfg.k, solver_cfg.energy_fraction)
         v_train = v[:, train]
         us = [problem.model(alpha, d).u_matrix for alpha in alphas]
         clfs = train_linear_classifier(np.stack([u.T @ v_train for u in us]), labels[train])
@@ -395,7 +384,7 @@ def evaluate_dataset(
     if gt_nodes is None:
         return report
     full = reduce_database(db, eval_cfg.k, solver_cfg.energy_fraction)
-    model = full.model(report.best_alpha, _dimension(solver_cfg.d, db.labels()))
+    model = full.model(report.best_alpha, _dimension(solver_cfg.d, db.labels))
     auc, roc = ranking_auc(score_nodes(model.u_matrix), gt_nodes)
     return replace(report, auc=auc, roc=tuple(roc))
 
@@ -423,7 +412,7 @@ def sweep_alpha(
     aucs = [None] * len(grid)
     if gt_nodes is not None:
         full = reduce_database(db, eval_cfg.k, solver_cfg.energy_fraction)
-        d = _dimension(solver_cfg.d, db.labels())
+        d = _dimension(solver_cfg.d, db.labels)
         aucs = [
             ranking_auc(score_nodes(full.model(alpha, d).u_matrix), gt_nodes)[0]
             for alpha in grid

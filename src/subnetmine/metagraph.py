@@ -19,15 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data import GeneralizedNetwork, NetworkDatabase, StateMatrix
-from .errors import AsymmetricInput, DimensionMismatch, KTooLarge
-
-
-@dataclass(frozen=True)
-class MetaGraphConfig:
-    """Neighborhood size; similarity is always cosine."""
-
-    k: int = 10
+from .data import GeneralizedNetwork, StateMatrix
+from .errors import AsymmetricInput
 
 
 @dataclass(frozen=True)
@@ -82,6 +75,14 @@ def _nearest(sims: np.ndarray, k: int) -> np.ndarray:
 
 
 def _affinity_pair(sims: np.ndarray, labels, k: int) -> AffinityPair:
+    """Split the symmetric kNN relation of the cosine matrix ``sims`` by
+    label agreement.
+
+    Entry (i, j) carries the raw cosine similarity when j is in kNN(i) or
+    i is in kNN(j); it lands in A+ when the global states agree and in A-
+    otherwise.  Entries are stored explicitly even when the cosine happens
+    to be exactly 0, so the sparsity pattern equals the kNN relation.
+    """
     m = sims.shape[0]
     member = np.zeros((m, m), dtype=bool)
     member[np.arange(m)[:, np.newaxis], _nearest(sims, k)] = True
@@ -104,26 +105,6 @@ def _affinity_pair(sims: np.ndarray, labels, k: int) -> AffinityPair:
         )
 
     return AffinityPair(a_plus=as_csr(linked & same), a_minus=as_csr(linked & ~same))
-
-
-def build_affinities(
-    db: NetworkDatabase, v_matrix: StateMatrix, cfg: MetaGraphConfig
-) -> AffinityPair:
-    """Split the symmetric kNN relation by label agreement.
-
-    Entry (i, j) carries the raw cosine similarity when j is in kNN(i) or
-    i is in kNN(j); it lands in A+ when the global states agree and in A-
-    otherwise.  Entries are stored explicitly even when the cosine happens
-    to be exactly 0, so the sparsity pattern equals the kNN relation.
-    """
-    m = db.m
-    if v_matrix.m_cols != m:
-        raise DimensionMismatch(
-            f"state matrix has {v_matrix.m_cols} columns, database has {m} instances"
-        )
-    if not 1 <= cfg.k <= m - 1:
-        raise KTooLarge(f"k={cfg.k} outside 1..{m - 1}")
-    return _affinity_pair(_cosine_matrix(v_matrix), db.labels(), cfg.k)
 
 
 def laplacian(a: sparse.csr_array) -> tuple[np.ndarray, sparse.csr_array]:

@@ -105,7 +105,7 @@ def build_report(
     )
 
 
-def write_report(report: SubnetworkReport, node_ids: list[str], out_dir) -> None:
+def write_report(report: SubnetworkReport, node_ids: tuple[str, ...], out_dir) -> None:
     """Per-node ranking TSV plus a component summary TSV."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

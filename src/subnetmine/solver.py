@@ -266,15 +266,6 @@ def reduce_problem(
     return ReducedProblem(basis=basis, m0=m0, m1=m1, rho0=rho0, rho1=rho1)
 
 
-def transform(model: SpectralModel, v: StateMatrix) -> np.ndarray:
-    """Project instance columns into the learned subspace: U' V, d x m."""
-    if model.n != v.n_rows:
-        raise DimensionMismatch(
-            f"model has {model.n} nodes, state matrix has {v.n_rows} rows"
-        )
-    return model.u_matrix.T @ v.matrix
-
-
 # ---------------------------------------------------------------------------
 # model serialization
 
@@ -284,7 +275,7 @@ def model_meta_path(path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def save_model(model: SpectralModel, node_ids: list[str], path) -> None:
+def save_model(model: SpectralModel, node_ids: tuple[str, ...], path) -> None:
     """TSV of per-node transformation coefficients plus a JSON sidecar."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

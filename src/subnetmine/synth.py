@@ -15,15 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    NetworkDatabase,
-    NetworkInstance,
-    NodeIndex,
-    TsvFile,
-    ordinals,
-    write_database,
-    write_tsv,
-)
+from .data import NetworkDatabase, TsvFile, ordinals, write_database, write_tsv
 from .errors import ConfigInvalid, UnknownNode
 from .seeds import substream
 
@@ -162,23 +154,16 @@ def sample_database(gt: GroundTruth, cfg: SynthConfig) -> tuple[NetworkDatabase,
         values[gt_idx, :] = block
 
     width = max(4, len(str(n - 1)), len(str(m - 1)))
-    nodes = tuple(NodeIndex(id=f"n{p:0{width}d}", ordinal=p) for p in range(n))
-    instances = tuple(
-        NetworkInstance(
-            instance_id=f"inst{i:0{width}d}",
-            valid=np.ones(n, dtype=bool),
-            values=values[:, i].copy(),
-            global_state=int(labels[i]),
-        )
-        for i in range(m)
-    )
     # the backbone is sorted by (p, q), so row-major kept entries are
     # sorted by (instance, p, q)
     pairs = np.array([(p, q) for p, q, _ in gt.backbone], dtype=np.intp).reshape(-1, 2)
     _, kept = np.nonzero(keep)
     db = NetworkDatabase(
-        nodes=nodes,
-        instances=instances,
+        node_ids=tuple(f"n{p:0{width}d}" for p in range(n)),
+        instance_ids=tuple(f"inst{i:0{width}d}" for i in range(m)),
+        labels=labels,
+        valid=np.ones((n, m), dtype=bool),
+        values=values,
         edges=pairs[kept],
         offsets=np.concatenate(([0], np.cumsum(keep.sum(axis=1)))),
     )
@@ -206,7 +191,7 @@ def generate_dataset(cfg: SynthConfig, path) -> tuple[NetworkDatabase, GroundTru
     return db, gt
 
 
-def read_ground_truth(path, node_ids: list[str]) -> set[int]:
+def read_ground_truth(path, node_ids: tuple[str, ...]) -> set[int]:
     """Ordinals of the ground-truth nodes listed in a ground_truth.tsv."""
     ordinal_of = {node_id: p for p, node_id in enumerate(node_ids)}
     tsv = TsvFile(Path(path), ["node_id"])

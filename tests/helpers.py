@@ -9,13 +9,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from subnetmine.data import (
-    GeneralizedNetwork,
-    NetworkDatabase,
-    NetworkInstance,
-    NodeIndex,
-    StateMatrix,
-)
+from subnetmine.data import GeneralizedNetwork, NetworkDatabase, StateMatrix
 from subnetmine.errors import (
     DuplicateEdge,
     EdgeOnNullNode,
@@ -24,7 +18,14 @@ from subnetmine.errors import (
     SingleClassDatabase,
     UnknownNode,
 )
-from subnetmine.metagraph import ConstraintMatrix, LaplacianSet, _cosine_matrix, _nearest
+from subnetmine.metagraph import (
+    AffinityPair,
+    ConstraintMatrix,
+    LaplacianSet,
+    _affinity_pair,
+    _cosine_matrix,
+    _nearest,
+)
 from subnetmine.solver import (
     SpectralModel,
     TruncatedBasis,
@@ -42,35 +43,26 @@ def build_db(values, labels, edge_lists, valid=None, node_ids=None) -> NetworkDa
     canonicalized (p < q, deduplicated, sorted) the same way the loader
     does it.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.array(values, dtype=np.float64)
     n, m = values.shape
-    if valid is None:
-        valid = np.ones((n, m), dtype=bool)
-    else:
-        valid = np.asarray(valid, dtype=bool)
+    valid = np.ones((n, m), dtype=bool) if valid is None else np.array(valid, dtype=bool)
     if node_ids is None:
         node_ids = [f"g{p}" for p in range(n)]
-    nodes = tuple(NodeIndex(id=node_ids[p], ordinal=p) for p in range(n))
-    instances = tuple(
-        NetworkInstance(
-            instance_id=f"s{i}",
-            valid=valid[:, i].copy(),
-            values=np.where(valid[:, i], values[:, i], 0.0),
-            global_state=int(labels[i]),
-        )
-        for i in range(m)
-    )
     edges = [sorted({(min(p, q), max(p, q)) for p, q in pairs}) for pairs in edge_lists]
-    return with_edges(nodes, instances, edges)
+    instance_ids = [f"s{i}" for i in range(m)]
+    return with_edges(node_ids, instance_ids, np.array(labels, dtype=int), valid, values, edges)
 
 
-def with_edges(nodes, instances, edge_lists) -> NetworkDatabase:
-    """A database whose instance i carries the canonical (p, q) pairs of
-    edge_lists[i], given in (p, q) order."""
+def with_edges(node_ids, instance_ids, labels, valid, values, edge_lists) -> NetworkDatabase:
+    """A database of the given columns whose instance i carries the
+    canonical (p, q) pairs of edge_lists[i], given in (p, q) order."""
     blocks = [np.array(list(pairs), dtype=np.intp).reshape(-1, 2) for pairs in edge_lists]
     return NetworkDatabase(
-        nodes=tuple(nodes),
-        instances=tuple(instances),
+        node_ids=tuple(node_ids),
+        instance_ids=tuple(instance_ids),
+        labels=labels,
+        valid=valid,
+        values=values,
         edges=np.concatenate([np.empty((0, 2), dtype=np.intp), *blocks]),
         offsets=np.cumsum([0] + [len(b) for b in blocks], dtype=np.intp),
     )
@@ -130,8 +122,11 @@ def restrict_instances(db, indices) -> NetworkDatabase:
     the oracle for fits that must see training instances only."""
     indices = [int(i) for i in indices]
     return with_edges(
-        db.nodes,
-        [db.instances[i] for i in indices],
+        db.node_ids,
+        [db.instance_ids[i] for i in indices],
+        db.labels[indices],
+        db.valid[:, indices],
+        db.values[:, indices],
         [db.instance_edges[i].tolist() for i in indices],
     )
 
@@ -171,14 +166,12 @@ def load_database_rows(path) -> NetworkDatabase:
     """
     root = Path(path)
 
-    nodes: list[NodeIndex] = []
     ordinal_of: dict[str, int] = {}
     for lineno, (node_id,) in _read_rows(root / "nodes.tsv", ["node_id"]):
         if node_id in ordinal_of:
             raise ParseError(root / "nodes.tsv", lineno, f"duplicate node id {node_id!r}")
-        ordinal_of[node_id] = len(nodes)
-        nodes.append(NodeIndex(id=node_id, ordinal=len(nodes)))
-    n = len(nodes)
+        ordinal_of[node_id] = len(ordinal_of)
+    n = len(ordinal_of)
     if n == 0:
         raise ParseError(root / "nodes.tsv", 1, "no nodes defined")
 
@@ -193,9 +186,10 @@ def load_database_rows(path) -> NetworkDatabase:
             )
         try:
             labels.append(int(state))
-        except ValueError:
+            np.int64(labels[-1])  # OverflowError outside int64
+        except (ValueError, OverflowError):
             raise ParseError(
-                root / "instances.tsv", lineno, f"global_state not an integer: {state!r}"
+                root / "instances.tsv", lineno, f"global_state not a 64-bit integer: {state!r}"
             ) from None
         instance_order[inst_id] = len(instance_order)
     m = len(instance_order)
@@ -252,16 +246,10 @@ def load_database_rows(path) -> NetworkDatabase:
     if len(set(labels)) < 2:
         raise SingleClassDatabase()
 
-    instances = [
-        NetworkInstance(
-            instance_id=inst_id,
-            valid=valid[:, i].copy(),
-            values=values[:, i].copy(),
-            global_state=labels[i],
-        )
-        for inst_id, i in instance_order.items()
-    ]
-    return with_edges(nodes, instances, [sorted(e) for e in edge_lists])
+    return with_edges(
+        ordinal_of, instance_order, np.array(labels, dtype=int), valid, values,
+        [sorted(e) for e in edge_lists],
+    )
 
 
 def network(n: int, edges) -> GeneralizedNetwork:
@@ -317,6 +305,12 @@ def cosine_similarity(a, b) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
+
+
+def affinities(db: NetworkDatabase, k: int) -> AffinityPair:
+    """The kNN affinity pair over every instance of ``db``, built as a
+    reduction builds it."""
+    return _affinity_pair(_cosine_matrix(StateMatrix(db.values)), db.labels, k)
 
 
 def knn_neighborhoods(v_matrix: StateMatrix, k: int) -> list[frozenset[int]]:

@@ -8,20 +8,15 @@ The desk-scale checks share five synthetic benchmark runs (n=300, m=200,
 from __future__ import annotations
 
 import filecmp
-import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import assemble_objective_matrix, network, solve_spectral, template_db
+from helpers import affinities, assemble_objective_matrix, network, solve_spectral, template_db
 from subnetmine import cli
-from subnetmine.data import (
-    NetworkDatabase,
-    NetworkInstance,
-    assemble_state_matrix,
-    build_generalized_network,
-)
+from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_network
 from subnetmine.evaluation import (
     DEFAULT_ALPHA_GRID,
     EvalConfig,
@@ -30,12 +25,7 @@ from subnetmine.evaluation import (
     run_cv,
     sweep_alpha,
 )
-from subnetmine.metagraph import (
-    MetaGraphConfig,
-    build_affinities,
-    build_constraint_matrix,
-    build_laplacian_set,
-)
+from subnetmine.metagraph import build_constraint_matrix, build_laplacian_set
 from subnetmine.solver import SolverConfig, truncated_svd_basis
 from subnetmine.synth import SynthConfig, generate_backbone, sample_database
 
@@ -67,9 +57,8 @@ def desk_runs():
 
 def pipeline_fixture(rng, n, m, alpha):
     db = template_db(rng, n=n, m=m)
-    v = assemble_state_matrix(db)
-    aff = build_affinities(db, v, MetaGraphConfig(k=3))
-    lap = build_laplacian_set(aff)
+    v = StateMatrix(db.values)
+    lap = build_laplacian_set(affinities(db, 3))
     c = build_constraint_matrix(build_generalized_network(db))
     a = assemble_objective_matrix(v, lap, c, alpha)
     basis = truncated_svd_basis(v, lap.d_plus, 0.95)
@@ -220,20 +209,7 @@ def test_criterion_6_alpha_curve_shape(capsys, desk_runs):
 
 
 def shuffle_labels(db: NetworkDatabase, rng) -> NetworkDatabase:
-    labels = db.labels()
-    permuted = labels[rng.permutation(db.m)]
-    instances = tuple(
-        NetworkInstance(
-            instance_id=inst.instance_id,
-            valid=inst.valid.copy(),
-            values=inst.values.copy(),
-            global_state=int(permuted[i]),
-        )
-        for i, inst in enumerate(db.instances)
-    )
-    return NetworkDatabase(
-        nodes=db.nodes, instances=instances, edges=db.edges, offsets=db.offsets
-    )
+    return replace(db, labels=db.labels[rng.permutation(db.m)])
 
 
 def test_criterion_7_permutation_baseline(capsys):

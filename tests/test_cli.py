@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from subnetmine import cli
+from subnetmine.data import load_database
 from subnetmine.solver import load_model
 
 DATASET_FILES = [
@@ -84,10 +85,15 @@ def test_transform_writes_embedding(dataset, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "instance_id\tx_1\tx_2"
     assert len(lines) == 1 + 40
-    for ln in lines[1:]:
-        cells = ln.split("\t")
-        assert len(cells) == 3
-        assert np.isfinite(float(cells[1])) and np.isfinite(float(cells[2]))
+    rows = [ln.split("\t") for ln in lines[1:]]
+    assert all(len(cells) == 3 for cells in rows)
+    # row i holds instance i's coordinates in U'V, written to round-trip exactly
+    db = load_database(dataset)
+    _, u_matrix, _ = load_model(model)
+    assert tuple(cells[0] for cells in rows) == db.instance_ids
+    written = np.array([[float(x) for x in cells[1:]] for cells in rows])
+    assert np.isfinite(written).all()
+    assert np.array_equal(written.T, u_matrix.T @ db.values)
 
 
 def test_transform_rejects_mismatched_dataset(dataset, tmp_path, capsys):
@@ -238,6 +244,19 @@ def bad_utf8_dataset(dataset, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def big_state_dataset(dataset, tmp_path_factory):
+    """The shared dataset with a global state that does not fit in 64 bits."""
+    path = tmp_path_factory.mktemp("big_state") / "ds"
+    path.mkdir()
+    for name in DATASET_FILES:
+        (path / name).write_bytes((dataset / name).read_bytes())
+    lines = (path / "instances.tsv").read_text().splitlines()
+    lines[1] = lines[1].split("\t")[0] + "\t" + str(2**64)
+    (path / "instances.tsv").write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.fixture(scope="module")
 def bad_model(model_file, tmp_path_factory):
     """The fitted model with one cell that is not a number."""
     path = tmp_path_factory.mktemp("bad_model") / "model.tsv"
@@ -276,6 +295,7 @@ def bad_utf8_model(model_file, tmp_path_factory):
     (["transform", "{dataset}", "--model", "{bad_model}"], 1),
     (["transform", "{dataset}", "--model", "{bad_utf8_model}"], 1),
     (["select", "{dataset}", "--model", "{bad_utf8_model}"], 1),
+    (["transform", "{big_state}", "--model", "{model}"], 1),
 ])
 def test_contract_errors_exit_with_one_line(
     argv,
@@ -284,6 +304,7 @@ def test_contract_errors_exit_with_one_line(
     small_dataset,
     model_file,
     bad_utf8_dataset,
+    big_state_dataset,
     bad_model,
     bad_utf8_model,
     tmp_path,
@@ -294,6 +315,7 @@ def test_contract_errors_exit_with_one_line(
         "small": small_dataset,
         "model": model_file,
         "bad_utf8": bad_utf8_dataset,
+        "big_state": big_state_dataset,
         "bad_model": bad_model,
         "bad_utf8_model": bad_utf8_model,
     }

@@ -7,9 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import build_db, restrict_instances, template_db
+from helpers import affinities, build_db, restrict_instances, template_db
 from subnetmine import evaluation, solver
-from subnetmine.data import StateMatrix, assemble_state_matrix
 from subnetmine.errors import (
     ConfigInvalid,
     DegenerateGroundTruth,
@@ -249,13 +248,11 @@ def test_fit_model_shapes_and_normalization():
     model = fit_model(db, k=3, alpha=0.5)
     assert model.n == db.n
     assert model.d == 2  # two observed global states
-    v = assemble_state_matrix(db)
-    # recompute B = V D+ V^T through the public pieces
-    from subnetmine.metagraph import MetaGraphConfig, build_affinities, build_laplacian_set
+    # recompute B = V D+ V^T through the library's pieces
+    from subnetmine.metagraph import build_laplacian_set
 
-    aff = build_affinities(db, v, MetaGraphConfig(k=3))
-    lap = build_laplacian_set(aff)
-    b = v.matrix @ np.diag(lap.d_plus) @ v.matrix.T
+    lap = build_laplacian_set(affinities(db, 3))
+    b = db.values @ np.diag(lap.d_plus) @ db.values.T
     for j in range(model.d):
         u = model.u_matrix[:, j]
         assert abs(u @ b @ u - 1.0) <= 1e-8
@@ -287,8 +284,7 @@ def test_cv_matches_manual_per_fold_refit():
     solver_cfg = SolverConfig(alpha=0.7)
     report = run_cv(db, eval_cfg, solver_cfg)
 
-    labels = db.labels()
-    v_full = assemble_state_matrix(db).matrix
+    labels, v_full = db.labels, db.values
     assignment = stratified_folds(labels, 4, seed=11)
     for fold in range(4):
         test_idx = np.flatnonzero(assignment == fold)
@@ -311,17 +307,17 @@ def test_nested_cv_matches_naive_refit_per_alpha():
     # folds choose different grid points
     rng = np.random.default_rng(9)
     clean = template_db(rng, n=8, m=24)
-    labels = clean.labels()
+    labels = clean.labels.copy()
     flipped = rng.permutation(24)[:7]
     labels[flipped] = 1 - labels[flipped]
-    db = build_db(assemble_state_matrix(clean).matrix, labels, clean.instance_edges)
+    db = build_db(clean.values, labels, clean.instance_edges)
     grid = (0.1, 1.0, 4.0)
     folds = 4
     eval_cfg = EvalConfig(folds=folds, alpha_grid=grid, k=3, seed=11)
     report = run_cv(db, eval_cfg, SolverConfig(alpha=0.1))
     assert len(set(report.fold_alphas)) == len(grid)
 
-    v_full = assemble_state_matrix(db).matrix
+    v_full = db.values
     assignment = stratified_folds(labels, folds, seed=11)
 
     def refit_and_score(train, held_out, alpha):
@@ -410,9 +406,7 @@ def test_alpha_is_independent_of_value_units(power):
     folds and a transformation scaled by exactly 1/s."""
     db = class_db(2, n=8, m=24)
     factor = 2.0**power
-    scaled = build_db(
-        assemble_state_matrix(db).matrix * factor, db.labels(), db.instance_edges
-    )
+    scaled = build_db(db.values * factor, db.labels, db.instance_edges)
     eval_cfg = EvalConfig(folds=4, alpha_grid=(2.0,), k=3, seed=11)
     solver_cfg = SolverConfig(alpha=2.0)
     base_cv = run_cv(db, eval_cfg, solver_cfg)

@@ -32,9 +32,10 @@ HEADERS = {
 }
 NODE_POOL = ["a", "b", "c", "node_id_longer_than_8", "ñandú", "日本語", "x y"]
 INSTANCE_POOL = ["i0", "i1", "instance_id_longer_than_8", "é"]
-# texts that Python's int() and float() accept, though a numpy cast would not
+# texts that Python's int() and float() accept, though a numpy cast would not;
+# a state must also fit in 64 bits
 ZERO_STATES = ["0", "+0", " 0", "-0"]
-ONE_STATES = ["1", " 1 ", "+1", "٣", "1_0"]
+ONE_STATES = ["1", " 1 ", "+1", "٣", "1_0", "9223372036854775807", "-9223372036854775808"]
 VALUE_TEXTS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from([" 1.5 ", "1_000", "-0.0", "+2e-3", "١٢", ".5", "7"]),
@@ -110,16 +111,15 @@ def outcome(load, root):
 
 
 def assert_same_database(got, want) -> None:
-    assert got.node_ids == want.node_ids
-    assert [n.ordinal for n in got.nodes] == list(range(want.n))
-    assert [i.instance_id for i in got.instances] == [i.instance_id for i in want.instances]
-    for a, b in zip(got.instances, want.instances, strict=True):
-        assert type(a.global_state) is int and a.global_state == b.global_state
-        assert a.valid.tobytes() == b.valid.tobytes()
-        assert a.values.tobytes() == b.values.tobytes()
-    assert got.edges.dtype == np.intp and got.edges.shape == want.edges.shape
-    assert np.array_equal(got.edges, want.edges)
-    assert got.offsets.tolist() == want.offsets.tolist()
+    for ids in ("node_ids", "instance_ids"):
+        assert type(getattr(got, ids)) is tuple and getattr(got, ids) == getattr(want, ids)
+        assert all(type(x) is str for x in getattr(got, ids))
+    assert got.labels.dtype == int and got.edges.dtype == np.intp
+    for name in ("labels", "valid", "values", "edges", "offsets"):
+        a, b = getattr(got, name), getattr(want, name)
+        # bitwise, so -0.0 and 0.0 differ
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable and not b.flags.writeable
 
 
 def same_outcome(files: dict, layout: dict):
@@ -180,6 +180,10 @@ SEMANTIC_FAULTS = {
     "duplicate node id": ("nodes.tsv", lambda d, ds: pick(d, ds["nodes"])),
     "duplicate instance id": ("instances.tsv", lambda d, ds: f"{pick(d, ds['instances'])}\t1"),
     "non-integer state": ("instances.tsv", lambda d, ds: "i9\tx"),
+    "state outside int64": (
+        "instances.tsv",
+        lambda d, ds: "i9\t" + pick(d, ["9223372036854775808", "-9223372036854775809", "1" * 30]),
+    ),
     "value of unknown instance": ("values.tsv", lambda d, ds: f"i9\t{pick(d, ds['nodes'])}\t1.0"),
     "value of unknown node": ("values.tsv", lambda d, ds: f"{pick(d, ds['instances'])}\tzz\t1.0"),
     "bad value": (
@@ -327,8 +331,8 @@ def test_long_and_non_ascii_ids_round_trip(tmp_path):
     (tmp_path / "one").mkdir()
     write_files(tmp_path / "one", files, LF)
     db = load_database(tmp_path / "one")
-    assert db.node_ids == ["node_id_longer_than_8", "ñandú", "日本語"]
-    assert [i.instance_id for i in db.instances] == ["i0", "é"]
+    assert db.node_ids == ("node_id_longer_than_8", "ñandú", "日本語")
+    assert db.instance_ids == ("i0", "é")
     assert db.instance_edges[1].tolist() == [[1, 2]]
     write_database(db, tmp_path / "two")
     for name in HEADERS:
@@ -357,7 +361,7 @@ def test_blank_lines_before_the_header(tmp_path, leading):
     write_files(tmp_path / "blank", valid_files(), {**LF, "blanks": [0] * leading})
     got = load_database(tmp_path / "blank")
     assert_same_database(got, load_database(tmp_path / "clean"))
-    assert got.node_ids == ["a", "b", "c"]
+    assert got.node_ids == ("a", "b", "c")
     assert_same_database(load_database_rows(tmp_path / "blank"), got)
 
     files = valid_files()

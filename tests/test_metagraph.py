@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import cosine_similarity, knn_neighborhoods, network, random_db
-from subnetmine.data import StateMatrix, assemble_state_matrix
-from subnetmine.errors import AsymmetricInput, DimensionMismatch, KTooLarge
-from subnetmine.metagraph import (
-    MetaGraphConfig,
-    build_affinities,
-    build_constraint_matrix,
-    build_laplacian_set,
-    laplacian,
-)
+from helpers import affinities, cosine_similarity, knn_neighborhoods, network, random_db
+from subnetmine.data import StateMatrix
+from subnetmine.errors import AsymmetricInput, KTooLarge
+from subnetmine.evaluation import reduce_database
+from subnetmine.metagraph import build_constraint_matrix, build_laplacian_set, laplacian
 
 
 def brute_force_knn(sims, k):
@@ -30,13 +25,12 @@ def brute_force_knn(sims, k):
 
 
 def cosine_matrix_of(db):
-    v = assemble_state_matrix(db)
-    m = v.m_cols
+    m = db.m
     sims = np.zeros((m, m))
     for i in range(m):
         for j in range(m):
             if i != j:
-                sims[i, j] = cosine_similarity(v.matrix[:, i], v.matrix[:, j])
+                sims[i, j] = cosine_similarity(db.values[:, i], db.values[:, j])
     return sims
 
 
@@ -53,7 +47,7 @@ def test_knn_matches_exhaustive_search():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         db = random_db(rng, n=5, m=9)
-        v = assemble_state_matrix(db)
+        v = StateMatrix(db.values)
         sims = cosine_matrix_of(db)
         for k in (1, 3, 8):
             assert knn_neighborhoods(v, k) == brute_force_knn(sims, k)
@@ -72,21 +66,18 @@ def test_knn_tie_break_prefers_lower_index():
 
 def test_knn_k_bounds():
     db = random_db(np.random.default_rng(0), n=4, m=4)
-    v = assemble_state_matrix(db)
     with pytest.raises(KTooLarge):
-        build_affinities(db, v, MetaGraphConfig(k=0))
-    with pytest.raises(KTooLarge):
-        build_affinities(db, v, MetaGraphConfig(k=4))
+        reduce_database(db, k=0)
 
 
 def test_affinities_match_brute_force():
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
         db = random_db(rng, n=5, m=10)
-        labels = db.labels()
+        labels = db.labels
         sims = cosine_matrix_of(db)
         nbrs = brute_force_knn(sims, 3)
-        aff = build_affinities(db, assemble_state_matrix(db), MetaGraphConfig(k=3))
+        aff = affinities(db, 3)
         a_plus = aff.a_plus.toarray()
         a_minus = aff.a_minus.toarray()
         for i in range(db.m):
@@ -103,7 +94,7 @@ def test_affinity_pattern_is_knn_relation():
     relation split by label agreement."""
     rng = np.random.default_rng(42)
     db = random_db(rng, n=6, m=12)
-    labels = db.labels()
+    labels = db.labels
     nbrs = brute_force_knn(cosine_matrix_of(db), 4)
     linked = {
         (i, j)
@@ -111,7 +102,7 @@ def test_affinity_pattern_is_knn_relation():
         for j in range(db.m)
         if i != j and (j in nbrs[i] or i in nbrs[j])
     }
-    aff = build_affinities(db, assemble_state_matrix(db), MetaGraphConfig(k=4))
+    aff = affinities(db, 4)
     for mat, keep_same in ((aff.a_plus, True), (aff.a_minus, False)):
         coo = mat.tocoo()
         stored = set(zip(coo.coords[0].tolist(), coo.coords[1].tolist()))
@@ -124,18 +115,11 @@ def test_affinity_pattern_is_knn_relation():
 def test_affinities_symmetric_zero_diagonal():
     rng = np.random.default_rng(7)
     db = random_db(rng, n=5, m=8)
-    aff = build_affinities(db, assemble_state_matrix(db), MetaGraphConfig(k=2))
+    aff = affinities(db, 2)
     for mat in (aff.a_plus, aff.a_minus):
         dense = mat.toarray()
         assert np.array_equal(dense, dense.T)
         assert np.all(dense.diagonal() == 0.0)
-
-
-def test_affinities_dimension_mismatch():
-    rng = np.random.default_rng(1)
-    db = random_db(rng, n=4, m=6)
-    with pytest.raises(DimensionMismatch):
-        build_affinities(db, StateMatrix(np.zeros((4, 5))), MetaGraphConfig(k=2))
 
 
 def test_laplacian_quadratic_form_identity():
@@ -166,7 +150,7 @@ def test_laplacian_rejects_bad_input():
 def test_laplacian_set_combination():
     rng = np.random.default_rng(13)
     db = random_db(rng, n=5, m=9)
-    aff = build_affinities(db, assemble_state_matrix(db), MetaGraphConfig(k=3))
+    aff = affinities(db, 3)
     lap = build_laplacian_set(aff)
     _, l_plus = laplacian(aff.a_plus)
     _, l_minus = laplacian(aff.a_minus)

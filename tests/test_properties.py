@@ -19,7 +19,7 @@ from helpers import (
     restrict_instances,
     template_db,
 )
-from subnetmine.data import NetworkDatabase, assemble_state_matrix, build_generalized_network
+from subnetmine.data import NetworkDatabase, build_generalized_network
 from subnetmine.evaluation import EvalConfig, fit_model, run_cv, train_linear_classifier
 from subnetmine.metagraph import build_constraint_matrix
 from subnetmine.selection import score_nodes
@@ -55,11 +55,11 @@ def test_node_order_permutes_rows_scores_and_edges(seed, n, m):
     db = sized_db(seed, n, m)
     order = np.random.default_rng(seed + 1).permutation(n)  # new node j is old order[j]
     new_of = np.argsort(order)
-    values = assemble_state_matrix(db).matrix[order]
+    values = db.values[order]
     edge_lists = [
         [(int(new_of[p]), int(new_of[q])) for p, q in edges] for edges in db.instance_edges
     ]
-    permuted = build_db(values, db.labels(), edge_lists)
+    permuted = build_db(values, db.labels, edge_lists)
 
     base = fit_model(db, k=K, alpha=1.0).u_matrix
     moved = fit_model(permuted, k=K, alpha=1.0).u_matrix

@@ -8,23 +8,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import assemble_objective_matrix, random_db, solve_spectral, svd_basis
-from subnetmine.data import StateMatrix, assemble_state_matrix, build_generalized_network
+from helpers import affinities, assemble_objective_matrix, random_db, solve_spectral, svd_basis
+from subnetmine.data import StateMatrix, build_generalized_network
 from subnetmine.errors import DimensionMismatch, ParseError, RankDeficient, ZeroMatrix
-from subnetmine.metagraph import (
-    ConstraintMatrix,
-    MetaGraphConfig,
-    build_affinities,
-    build_constraint_matrix,
-    build_laplacian_set,
-)
+from subnetmine.metagraph import ConstraintMatrix, build_constraint_matrix, build_laplacian_set
 from subnetmine.solver import (
     SolverConfig,
     load_model,
     model_meta_path,
     reduce_problem,
     save_model,
-    transform,
     truncated_svd_basis,
 )
 
@@ -37,9 +30,8 @@ def pipeline_pieces(seed, n=6, m=10, k=3, edge_prob=0.4, value_loc=4.0):
     """
     rng = np.random.default_rng(seed)
     db = random_db(rng, n=n, m=m, edge_prob=edge_prob, value_loc=value_loc)
-    v = assemble_state_matrix(db)
-    aff = build_affinities(db, v, MetaGraphConfig(k=k))
-    lap = build_laplacian_set(aff)
+    v = StateMatrix(db.values)
+    lap = build_laplacian_set(affinities(db, k))
     c = build_constraint_matrix(build_generalized_network(db))
     return db, v, lap, c
 
@@ -290,32 +282,6 @@ def test_solve_rank_errors():
         solve_spectral(np.eye(3), basis, 4)
     with pytest.raises(ValueError):
         solve_spectral(np.eye(3), basis, 0)
-
-
-def test_transform_standard_basis():
-    rng = np.random.default_rng(8)
-    v = StateMatrix(rng.normal(size=(5, 6)))
-    basis = truncated_svd_basis(v, np.ones(6), 1.0)
-    model = solve_spectral(b_matrix(v, np.ones(6)), basis, 2)
-    fake = type(model)(
-        u_matrix=np.eye(5)[:, :2], eigenvalues=model.eigenvalues,
-        basis=basis, alpha=0.0,
-    )
-    assert np.array_equal(transform(fake, v), v.matrix[:2, :])
-    with pytest.raises(DimensionMismatch):
-        transform(fake, StateMatrix(np.zeros((4, 6))))
-
-
-def test_transform_duplicate_instances_map_identically():
-    rng = np.random.default_rng(2)
-    mat = rng.normal(size=(4, 3))
-    mat[:, 2] = mat[:, 0]
-    _, v, lap, c = pipeline_pieces(0, n=4, m=8)
-    a = assemble_objective_matrix(v, lap, c, 0.2)
-    basis = truncated_svd_basis(v, lap.d_plus, 0.95)
-    model = solve_spectral(a, basis, 1, alpha=0.2)
-    out = transform(model, StateMatrix(mat))
-    assert np.array_equal(out[:, 0], out[:, 2])
 
 
 def relative_weight(v, lap, c, basis):

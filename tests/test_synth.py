@@ -108,7 +108,7 @@ def test_sample_labels_balanced_without_flip_noise():
     for m in (20, 21):
         cfg = small_cfg(m=m, global_noise=0.0)
         db, _ = sample_database(generate_backbone(cfg), cfg)
-        labels = db.labels()
+        labels = db.labels
         assert int(np.sum(labels == 0)) == m // 2
         assert int(np.sum(labels == 1)) == m - m // 2
 
@@ -119,7 +119,7 @@ def test_sample_instance_edges_subset_of_backbone():
     pairs = {(p, q) for p, q, _ in gt.backbone}
     for inst_edges in db.instance_edges:
         assert set(map(tuple, inst_edges.tolist())) <= pairs
-    assert all(bool(inst.valid.all()) for inst in db.instances)
+    assert db.valid.all()
 
 
 def test_sample_edge_frequency_tracks_probability():
@@ -139,8 +139,8 @@ def test_sample_class_shift_recovered_from_clean_data():
                       class_mean_shift=1.5, global_noise=0.0,
                       local_noise=0.0, seed=11)
     db, gt = sample_database(generate_backbone(cfg), cfg)
-    labels = db.labels()
-    values = np.column_stack([inst.values for inst in db.instances])
+    labels = db.labels
+    values = db.values
     gt_idx = sorted(gt.gt_nodes)
     bg_idx = sorted(set(range(cfg.n)) - gt.gt_nodes)
     gap_gt = values[np.ix_(gt_idx, labels == 1)].mean() - values[
@@ -158,8 +158,8 @@ def test_sample_full_local_noise_erases_class_signal():
                       class_mean_shift=1.5, global_noise=0.0,
                       local_noise=1.0, seed=11)
     db, gt = sample_database(generate_backbone(cfg), cfg)
-    labels = db.labels()
-    values = np.column_stack([inst.values for inst in db.instances])
+    labels = db.labels
+    values = db.values
     gt_idx = sorted(gt.gt_nodes)
     gap = values[np.ix_(gt_idx, labels == 1)].mean() - values[
         np.ix_(gt_idx, labels == 0)
@@ -172,7 +172,7 @@ def test_sample_full_global_noise_flips_every_label():
     clean, _ = sample_database(generate_backbone(cfg), cfg)
     flipped_cfg = small_cfg(global_noise=1.0)
     flipped, _ = sample_database(generate_backbone(flipped_cfg), flipped_cfg)
-    assert np.array_equal(flipped.labels(), 1 - clean.labels())
+    assert np.array_equal(flipped.labels, 1 - clean.labels)
 
 
 def test_written_dataset_loads_back(tmp_path):
@@ -180,9 +180,9 @@ def test_written_dataset_loads_back(tmp_path):
     db, gt = generate_dataset(cfg, tmp_path / "ds")
     loaded = load_database(tmp_path / "ds")
     assert loaded.node_ids == db.node_ids
-    assert np.array_equal(loaded.labels(), db.labels())
-    for a, b in zip(loaded.instances, db.instances):
-        assert np.array_equal(a.values, b.values)
+    assert loaded.instance_ids == db.instance_ids
+    assert np.array_equal(loaded.labels, db.labels)
+    assert loaded.values.tobytes() == db.values.tobytes()
     assert np.array_equal(loaded.edges, db.edges)
     assert np.array_equal(loaded.offsets, db.offsets)
 
