@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import affinities, assemble_objective_matrix, random_db, solve_spectral, svd_basis
-from subnetmine.data import StateMatrix, build_generalized_network
+from helpers import (
+    affinities,
+    assemble_objective_matrix,
+    build_db,
+    random_db,
+    solve_spectral,
+    svd_basis,
+)
+from subnetmine import cli
+from subnetmine.data import StateMatrix, build_generalized_network, write_database
 from subnetmine.errors import DimensionMismatch, ParseError, RankDeficient, ZeroMatrix
 from subnetmine.metagraph import ConstraintMatrix, build_constraint_matrix, build_laplacian_set
 from subnetmine.solver import (
@@ -282,6 +290,56 @@ def test_solve_rank_errors():
         solve_spectral(np.eye(3), basis, 4)
     with pytest.raises(ValueError):
         solve_spectral(np.eye(3), basis, 0)
+
+
+def cli_transform(model, model_node_ids, db, tmp_path):
+    """Run `subnetmine transform` on db with model saved under
+    model_node_ids; returns (exit code, written d x m coordinates or None)."""
+    save_model(model, model_node_ids, tmp_path / "model.tsv")
+    write_database(db, tmp_path / "ds")
+    out = tmp_path / "embedded.tsv"
+    rc = cli.main([
+        "transform", str(tmp_path / "ds"), "--model", str(tmp_path / "model.tsv"),
+        "--out", str(out),
+    ])
+    if rc != 0:
+        return rc, None
+    rows = [ln.split("\t") for ln in out.read_text().splitlines()[1:]]
+    return rc, np.array([[float(x) for x in cells[1:]] for cells in rows]).T
+
+
+def test_transform_standard_basis(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    v = StateMatrix(rng.normal(size=(5, 6)))
+    basis = truncated_svd_basis(v, np.ones(6), 1.0)
+    model = solve_spectral(b_matrix(v, np.ones(6)), basis, 2)
+    fake = type(model)(
+        u_matrix=np.eye(5)[:, :2], eigenvalues=model.eigenvalues,
+        basis=basis, alpha=0.0,
+    )
+    db = build_db(v.matrix, [0, 1] * 3, [[]] * 6)
+    rc, out = cli_transform(fake, db.node_ids, db, tmp_path / "a")
+    assert rc == 0
+    assert np.array_equal(out, v.matrix[:2, :])
+    # a model over a different node count is refused before any projection
+    small = build_db(np.zeros((4, 6)), [0, 1] * 3, [[]] * 6)
+    rc, out = cli_transform(fake, db.node_ids, small, tmp_path / "b")
+    assert rc == 1 and out is None
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_transform_duplicate_instances_map_identically(tmp_path):
+    rng = np.random.default_rng(2)
+    mat = rng.normal(size=(4, 3))
+    mat[:, 2] = mat[:, 0]
+    db0, v, lap, c = pipeline_pieces(0, n=4, m=8)
+    a = assemble_objective_matrix(v, lap, c, 0.2)
+    basis = truncated_svd_basis(v, lap.d_plus, 0.95)
+    model = solve_spectral(a, basis, 1, alpha=0.2)
+    db = build_db(mat, [0, 1, 0], [[]] * 3, node_ids=db0.node_ids)
+    rc, out = cli_transform(model, db0.node_ids, db, tmp_path)
+    assert rc == 0
+    assert np.array_equal(out[:, 0], out[:, 2])
 
 
 def relative_weight(v, lap, c, basis):
