@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import evaluation, selection, solver, synth
-from .data import build_generalized_network, load_database
+from .data import build_generalized_network, load_database, write_tsv
 from .errors import ConfigInvalid, SubnetmineError, UnknownNode
 
 
@@ -122,7 +122,7 @@ def _gt_ordinals(args, db):
 
 def _model_u(path, db):
     """U of the saved model, which must list the dataset's nodes in order."""
-    node_ids, u_matrix, _ = solver.load_model(path)
+    node_ids, u_matrix = solver.load_model(path)
     if tuple(node_ids) != db.node_ids:
         raise UnknownNode("model nodes do not match the dataset")
     return u_matrix
@@ -160,15 +160,13 @@ def _cmd_fit(args) -> int:
 def _cmd_transform(args) -> int:
     db = load_database(args.dataset)
     embedded = _model_u(args.model, db).T @ db.values  # U'V, d x m
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    d = embedded.shape[0]
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("instance_id\t" + "\t".join(f"x_{i + 1}" for i in range(d)) + "\n")
-        for j, inst_id in enumerate(db.instance_ids):
-            cells = "\t".join("%.17g" % embedded[i, j] for i in range(d))
-            fh.write(f"{inst_id}\t{cells}\n")
-    print(f"wrote {out}")
+    rows = zip(db.instance_ids, embedded.T.tolist())
+    write_tsv(
+        args.out,
+        ["instance_id", *(f"x_{i + 1}" for i in range(embedded.shape[0]))],
+        ((inst_id, *(f"{x:.17g}" for x in coords)) for inst_id, coords in rows),
+    )
+    print(f"wrote {Path(args.out)}")
     return 0
 
 
@@ -184,7 +182,7 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _eval_configs(args, db):
+def _eval_configs(args):
     if args.alpha is not None and args.alpha_grid is not None:
         raise ConfigInvalid("--alpha conflicts with --alpha-grid")
     if args.alpha is not None:
@@ -204,7 +202,7 @@ def _eval_configs(args, db):
 
 def _cmd_evaluate(args) -> int:
     db = load_database(args.dataset)
-    eval_cfg, solver_cfg = _eval_configs(args, db)
+    eval_cfg, solver_cfg = _eval_configs(args)
     gt = _gt_ordinals(args, db)
     report = evaluation.evaluate_dataset(db, eval_cfg, solver_cfg, gt_nodes=gt)
     evaluation.write_eval_report(report, args.out)
@@ -221,7 +219,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep_alpha(args) -> int:
     db = load_database(args.dataset)
     args.alpha = None  # sweep has no fixed-alpha flag
-    eval_cfg, solver_cfg = _eval_configs(args, db)
+    eval_cfg, solver_cfg = _eval_configs(args)
     gt = _gt_ordinals(args, db)
     rows = evaluation.sweep_alpha(db, eval_cfg, solver_cfg, gt_nodes=gt)
     evaluation.write_sweep(rows, args.out)

@@ -1,4 +1,4 @@
-"""Network-instance database model and dataset directory I/O.
+"""Network-instance database model and the package's file I/O.
 
 A database holds m network instances over one shared set of n nodes.  The
 instances differ only in which nodes are null, their local node values,
@@ -16,10 +16,15 @@ non-blank line, lines ending in LF, CRLF or CR, blank lines skipped):
     instances.tsv  instance_id  global_state       (a 64-bit integer)
     values.tsv     instance_id  node_id  value     (missing row = null node)
     edges.tsv      instance_id  node_u   node_v
+
+No other module opens a file: ``TsvFile`` reads every TSV under these rules
+(the model file of ``solver.load_model`` too), and ``write_tsv`` and
+``write_json`` write every output.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, pairwise, repeat
@@ -43,7 +48,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkDatabase:
     """m network instances over n shared nodes, held as read-only columns.
 
@@ -113,7 +118,7 @@ class NetworkDatabase:
         return EdgeIndex(n=n, pairs=pairs, presence=presence)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralizedNetwork:
     """Union graph over a set of instances: ``edges`` holds its (p, q) rows,
     E x 2 intp, p < q, sorted; ``weights`` their presence fractions, float64."""
@@ -123,7 +128,7 @@ class GeneralizedNetwork:
     weights: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeIndex:
     """Distinct instance edges of a database and which instances carry them.
 
@@ -146,7 +151,7 @@ class EdgeIndex:
         return GeneralizedNetwork(self.n, self.pairs[kept], counts[kept] / indices.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateMatrix:
     """n x m matrix whose column i holds the local states of instance i.
 
@@ -176,13 +181,15 @@ _BLOCK_ROWS = 1 << 14
 class TsvFile:
     """The data rows of a tab-separated file, found in its bytes with numpy.
 
+    ``header`` lists the expected field names, or is a function of the header
+    line's field count (0 if none) that returns them; ``self.header`` is the list.
     ``rows`` holds the 0-based line of each data row: the non-blank lines
     after the first (the header), up to the first line with a wrong field
     count or bytes that are not UTF-8.  ``raise_first`` raises for that line
     only if no row before it breaks a contract, so the first bad line wins.
     """
 
-    def __init__(self, path: Path, header: list[str]):
+    def __init__(self, path: Path, header):
         if not path.is_file():
             raise MissingFile(path)
         # CR and CRLF end a line as LF does; the LF added ends the last line
@@ -200,13 +207,14 @@ class TsvFile:
             stop = int(np.searchsorted(ends, exc.start))
             at = exc.start - starts[stop] + 1
             self.fault = ParseError(path, stop + 1, f"not valid UTF-8 at byte {at}")
-        lines = np.flatnonzero(starts < ends)
+        lines, got = np.flatnonzero(starts < ends), []
         if lines.size:  # the first non-blank line is the header
             if stop == (first := int(lines[0])):
                 raise self.fault
-            if (got := self._fields(first)) != header:
-                raise ParseError(path, first + 1, f"expected header {header}, got {got}")
-            lines = lines[1:]
+            got, lines = self._fields(first), lines[1:]
+        self.header = header = header(len(got)) if callable(header) else header
+        if got and got != header:
+            raise ParseError(path, first + 1, f"expected header {header}, got {got}")
         if (wrong := lines[fields[lines] != len(header)]).size and wrong[0] < stop:
             stop = int(wrong[0])
             message = f"expected {len(header)} fields, got {fields[stop]}"
@@ -274,6 +282,17 @@ def _number(convert, text: str):
         return None
 
 
+def floats(col) -> np.ndarray:
+    """Column converter: the float of each text, NaN where float rejects it,
+    so ``~np.isfinite`` marks every cell that ``value_error`` reports."""
+    return np.fromiter(map(_number, repeat(float), col), float)
+
+
+def value_error(err, text: str) -> ParseError:
+    """The error for a cell that ``floats`` made NaN or that is not finite."""
+    return err(f"{'bad' if _number(float, text) is None else 'non-finite'} value: {text!r}")
+
+
 def _state(text: str) -> int:
     """Python's int of the text, where it fits a 64-bit label column."""
     if not -(2**63) <= (state := int(text)) < 2**63:
@@ -314,16 +333,14 @@ def load_database(path) -> NetworkDatabase:
     to_instance, to_node = partial(ordinals, instance_order), partial(ordinals, ordinal_of)
 
     values_tsv = TsvFile(root / "values.tsv", ["instance_id", "node_id", "value"])
-    i, p, x = values_tsv.columns(
-        to_instance, to_node, lambda col: np.fromiter(map(_number, repeat(float), col), float)
-    )
+    i, p, x = values_tsv.columns(to_instance, to_node, floats)
     values_tsv.raise_first(
         [i < 0, p < 0, _sorted_repeats(i * n + p)[1], ~np.isfinite(x)],
         lambda err, inst, node, value: (
             err(f"unknown instance id {inst!r}"),
             UnknownNode(node),
             err(f"duplicate value for ({inst!r}, {node!r})"),
-            err(f"{'bad' if _number(float, value) is None else 'non-finite'} value: {value!r}"),
+            value_error(err, value),
         ),
     )
     # a spare last column, which rows of unknown instances (i = -1) index
@@ -361,17 +378,29 @@ def load_database(path) -> NetworkDatabase:
     )
 
 
-def write_tsv(path: Path, header: list[str], rows) -> None:
-    """Write a header and rows of fields as UTF-8 text with LF line ends."""
+def write_tsv(path, header: list[str], rows) -> None:
+    """Write a header and rows of fields as UTF-8 text with LF line ends,
+    creating the parent directory.  A field is written as its ``str``, which
+    round-trips a float exactly; pass a formatted string for any other
+    rendering."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines("\t".join(map(str, row)) + "\n" for row in chain([header], rows))
+
+
+def write_json(path: Path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final LF,
+    creating the parent directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def write_database(db: NetworkDatabase, path) -> None:
     """Write a database as a dataset directory; str of a builtin float
     round-trips exactly."""
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
     ids, inst_ids = db.node_ids, db.instance_ids
     write_tsv(root / "nodes.tsv", ["node_id"], ([node_id] for node_id in ids))
     write_tsv(

@@ -19,7 +19,6 @@ full database when ground truth is given.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import NetworkDatabase, StateMatrix
+from .data import NetworkDatabase, StateMatrix, write_json, write_tsv
 from .errors import (
     ConfigInvalid,
     DegenerateGroundTruth,
@@ -62,7 +61,7 @@ class EvalConfig:
             SolverConfig(alpha=alpha)  # rejects a negative, infinite or NaN grid point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearClassifier:
     """Linear decision rule sign(w.x + b) over embedded coordinates,
     mapped back to the two original labels."""
@@ -80,7 +79,7 @@ class LinearClassifier:
         return np.where(side, self.pos_label, self.neg_label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneVsRestClassifier:
     """Minimal multi-class extension: one binary model per label."""
 
@@ -428,7 +427,6 @@ def sweep_alpha(
 
 def write_eval_report(report: EvalReport, out_dir) -> None:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "fold_accuracies": list(report.fold_accuracies),
         "mean_accuracy": report.mean_accuracy,
@@ -437,27 +435,15 @@ def write_eval_report(report: EvalReport, out_dir) -> None:
         "best_alpha": report.best_alpha,
         "auc": report.auc,
     }
-    with open(out_dir / "report.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out_dir / "fold_accuracies.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("fold\taccuracy\tselected_alpha\n")
-        for fold, (acc, alpha) in enumerate(
-            zip(report.fold_accuracies, report.fold_alphas)
-        ):
-            fh.write(f"{fold}\t{acc!r}\t{alpha!r}\n")
+    write_json(out_dir / "report.json", payload)
+    folds = zip(range(len(report.fold_accuracies)), report.fold_accuracies, report.fold_alphas)
+    write_tsv(out_dir / "fold_accuracies.tsv", ["fold", "accuracy", "selected_alpha"], folds)
     if report.roc is not None:
-        with open(out_dir / "roc.tsv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("fpr\ttpr\n")
-            for fpr, tpr in report.roc:
-                fh.write(f"{fpr!r}\t{tpr!r}\n")
+        write_tsv(out_dir / "roc.tsv", ["fpr", "tpr"], report.roc)
 
 
 def write_sweep(rows: list[SweepRow], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha\tmean_accuracy\tsd_accuracy\tauc\n")
-        for row in rows:
-            auc = "" if row.auc is None else repr(row.auc)
-            fh.write(f"{row.alpha!r}\t{row.mean_accuracy!r}\t{row.sd_accuracy!r}\t{auc}\n")
+    cells = (
+        (r.alpha, r.mean_accuracy, r.sd_accuracy, "" if r.auc is None else r.auc) for r in rows
+    )
+    write_tsv(path, ["alpha", "mean_accuracy", "sd_accuracy", "auc"], cells)

@@ -23,7 +23,7 @@ from .data import GeneralizedNetwork, StateMatrix
 from .errors import AsymmetricInput
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinityPair:
     """Symmetric zero-diagonal affinities: same-state and cross-state."""
 
@@ -31,7 +31,7 @@ class AffinityPair:
     a_minus: sparse.csr_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaplacianSet:
     """What the solver needs of the affinity pair's Laplacians.
 
@@ -43,7 +43,7 @@ class LaplacianSet:
     l_tilde: sparse.csr_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintMatrix:
     """Laplacian of the generalized network (n x n, PSD)."""
 

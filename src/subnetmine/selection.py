@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .data import GeneralizedNetwork
+from .data import GeneralizedNetwork, write_tsv
 from .errors import ConfigInvalid, CTooLarge
 
 
@@ -31,7 +31,7 @@ class Component:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubnetworkReport:
     scores: np.ndarray
     selected: tuple[int, ...]
@@ -108,20 +108,11 @@ def build_report(
 def write_report(report: SubnetworkReport, node_ids: tuple[str, ...], out_dir) -> None:
     """Per-node ranking TSV plus a component summary TSV."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    component_of = {}
-    for comp_id, comp in enumerate(report.components):
-        for node in comp.nodes:
-            component_of[node] = comp_id
-
-    with open(out_dir / "report.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rank\tnode_id\tscore\tcomponent_id\n")
-        for rank, node in enumerate(report.selected, start=1):
-            fh.write(
-                f"{rank}\t{node_ids[node]}\t{report.scores[node]:.17g}\t{component_of[node]}\n"
-            )
-
-    with open(out_dir / "components.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("component_id\tsize\tedge_count\n")
-        for comp_id, comp in enumerate(report.components):
-            fh.write(f"{comp_id}\t{comp.size}\t{len(comp.edges)}\n")
+    component_of = {node: c for c, comp in enumerate(report.components) for node in comp.nodes}
+    ranked = (
+        (rank, node_ids[node], f"{report.scores[node]:.17g}", component_of[node])
+        for rank, node in enumerate(report.selected, start=1)
+    )
+    write_tsv(out_dir / "report.tsv", ["rank", "node_id", "score", "component_id"], ranked)
+    sizes = ((c, comp.size, len(comp.edges)) for c, comp in enumerate(report.components))
+    write_tsv(out_dir / "components.tsv", ["component_id", "size", "edge_count"], sizes)

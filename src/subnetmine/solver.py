@@ -27,19 +27,17 @@ largest absolute eigenvalue.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .data import StateMatrix
+from .data import StateMatrix, TsvFile, floats, value_error, write_json, write_tsv
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
     NegativeDegree,
-    ParseError,
     RankDeficient,
     ZeroMatrix,
 )
@@ -72,7 +70,7 @@ class SolverConfig:
             raise ConfigInvalid(f"d must be positive, got {self.d}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedBasis:
     """Retained left singular vectors and singular values of V (D+)^{1/2}."""
 
@@ -81,7 +79,7 @@ class TruncatedBasis:
     r: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralModel:
     """Transformation matrix U (n x d), its eigenvalues, and the basis used.
 
@@ -219,7 +217,7 @@ def _top_eigenpairs(
     return SpectralModel(u_matrix=u, eigenvalues=eigvals, basis=basis, alpha=alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedProblem:
     """The alpha-invariant part of one fit: the truncated basis, the whitened
     data term M0 and topology term M1 (both r x r), and their spectral radii.
@@ -275,54 +273,38 @@ def model_meta_path(path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
+def _model_header(d: int) -> list[str]:
+    return ["node_id", *(f"u_{j + 1}" for j in range(d))]
+
+
 def save_model(model: SpectralModel, node_ids: tuple[str, ...], path) -> None:
-    """TSV of per-node transformation coefficients plus a JSON sidecar."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = "node_id\t" + "\t".join(f"u_{j + 1}" for j in range(model.d))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for node_id, row in zip(node_ids, model.u_matrix):
-            cells = "\t".join(f"{x:.17g}" for x in row)
-            fh.write(f"{node_id}\t{cells}\n")
+    """TSV of per-node transformation coefficients plus a JSON sidecar of
+    provenance (alpha, d, r, eigenvalues) that ``load_model`` does not read."""
+    rows = zip(node_ids, model.u_matrix.tolist())
+    cells = ((node_id, *(f"{x:.17g}" for x in u)) for node_id, u in rows)
+    write_tsv(path, _model_header(model.d), cells)
     meta = {
         "alpha": float(model.alpha),
         "d": model.d,
         "r": model.basis.r,
         "eigenvalues": [float(x) for x in model.eigenvalues],
     }
-    with open(model_meta_path(path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(model_meta_path(path), meta)
 
 
-def load_model(path) -> tuple[list[str], np.ndarray, dict]:
-    """Read a saved model; returns (node_ids, U, metadata)."""
-    path = Path(path)
-    raw = path.read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(path, len(raw[: exc.start + 1].splitlines()), "not valid UTF-8") from None
-    node_ids = []
-    rows = []
-    with io.StringIO(text, newline="") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if not header or header[0] != "node_id":
-            raise ParseError(path, 1, "expected model header starting with node_id")
-        width = len(header) - 1
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != width + 1:
-                raise ParseError(path, lineno, f"expected {width + 1} fields")
-            node_ids.append(fields[0])
-            try:
-                rows.append([float(x) for x in fields[1:]])
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from None
-    meta = {}
-    meta_file = model_meta_path(path)
-    if meta_file.is_file():
-        with open(meta_file, encoding="utf-8") as fh:
-            meta = json.load(fh)
-    return node_ids, np.array(rows, dtype=np.float64), meta
+def load_model(path) -> tuple[list[str], np.ndarray]:
+    """Read a model TSV; returns (node_ids, U).
+
+    The file follows the dataset file rules of ``data.TsvFile``; its header
+    is node_id, u_1 .. u_d with d >= 1 and every cell is a finite float.
+    Raises MissingFile or ParseError for the first bad line.
+    """
+    tsv = TsvFile(Path(path), lambda width: _model_header(max(width - 1, 1)))
+    node_ids, *columns = tsv.columns(
+        partial(np.array, dtype=object), *[floats] * (len(tsv.header) - 1)
+    )
+    tsv.raise_first(
+        [~np.isfinite(column) for column in columns],
+        lambda err, node_id, *cells: tuple(value_error(err, cell) for cell in cells),
+    )
+    return node_ids.tolist(), np.column_stack(columns)

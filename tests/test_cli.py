@@ -10,7 +10,7 @@ import pytest
 
 from subnetmine import cli
 from subnetmine.data import load_database
-from subnetmine.solver import load_model
+from subnetmine.solver import load_model, model_meta_path
 
 DATASET_FILES = [
     "nodes.tsv", "instances.tsv", "values.tsv", "edges.tsv",
@@ -69,9 +69,10 @@ def test_fit_writes_model(dataset, tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith("model: d=2 r=")
     assert line.endswith("alpha=1.0")
-    node_ids, u_matrix, meta = load_model(out)
+    node_ids, u_matrix = load_model(out)
     assert len(node_ids) == 60
     assert u_matrix.shape == (60, 2)
+    meta = json.loads(model_meta_path(out).read_text())
     assert meta["alpha"] == 1.0 and meta["d"] == 2
 
 
@@ -89,7 +90,7 @@ def test_transform_writes_embedding(dataset, tmp_path, capsys):
     assert all(len(cells) == 3 for cells in rows)
     # row i holds instance i's coordinates in U'V, written to round-trip exactly
     db = load_database(dataset)
-    _, u_matrix, _ = load_model(model)
+    _, u_matrix = load_model(model)
     assert tuple(cells[0] for cells in rows) == db.instance_ids
     written = np.array([[float(x) for x in cells[1:]] for cells in rows])
     assert np.isfinite(written).all()
@@ -276,6 +277,35 @@ def bad_utf8_model(model_file, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def header_only_model(model_file, tmp_path_factory):
+    """The fitted model cut down to its node_id column: a header of d = 0."""
+    path = tmp_path_factory.mktemp("header_only_model") / "model.tsv"
+    lines = model_file.read_text().splitlines()
+    path.write_text("".join(line.split("\t")[0] + "\n" for line in lines))
+    return path
+
+
+@pytest.fixture(scope="module")
+def nan_model(model_file, tmp_path_factory):
+    """The fitted model with one cell that is nan."""
+    path = tmp_path_factory.mktemp("nan_model") / "model.tsv"
+    lines = model_file.read_text().splitlines()
+    lines[2] = "\t".join(lines[2].split("\t")[:-1] + ["nan"])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def truncated_meta_model(model_file, tmp_path_factory):
+    """The fitted model with its .meta.json sidecar cut in half."""
+    path = tmp_path_factory.mktemp("truncated_meta_model") / "model.tsv"
+    path.write_bytes(model_file.read_bytes())
+    meta = model_meta_path(model_file).read_bytes()
+    model_meta_path(path).write_bytes(meta[: len(meta) // 2])
+    return path
+
+
 @pytest.mark.parametrize("argv, code", [
     (["fit", "{small}"], 1),
     (["fit", "{dataset}", "--alpha", "-1"], 2),
@@ -296,6 +326,13 @@ def bad_utf8_model(model_file, tmp_path_factory):
     (["transform", "{dataset}", "--model", "{bad_utf8_model}"], 1),
     (["select", "{dataset}", "--model", "{bad_utf8_model}"], 1),
     (["transform", "{big_state}", "--model", "{model}"], 1),
+    (["select", "{dataset}", "--model", "{header_only_model}"], 1),
+    (["transform", "{dataset}", "--model", "{header_only_model}"], 1),
+    (["select", "{dataset}", "--model", "{nan_model}"], 1),
+    (["transform", "{dataset}", "--model", "{nan_model}"], 1),
+    # the sidecar is provenance only: a broken one stops neither command
+    (["transform", "{dataset}", "--model", "{truncated_meta_model}"], 0),
+    (["select", "{dataset}", "--model", "{truncated_meta_model}"], 0),
 ])
 def test_contract_errors_exit_with_one_line(
     argv,
@@ -307,6 +344,9 @@ def test_contract_errors_exit_with_one_line(
     big_state_dataset,
     bad_model,
     bad_utf8_model,
+    header_only_model,
+    nan_model,
+    truncated_meta_model,
     tmp_path,
     capsys,
 ):
@@ -318,10 +358,16 @@ def test_contract_errors_exit_with_one_line(
         "big_state": big_state_dataset,
         "bad_model": bad_model,
         "bad_utf8_model": bad_utf8_model,
+        "header_only_model": header_only_model,
+        "nan_model": nan_model,
+        "truncated_meta_model": truncated_meta_model,
     }
     argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
     capsys.readouterr()
     assert cli.main(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err

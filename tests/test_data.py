@@ -213,6 +213,15 @@ def test_restrict_instances_keeps_order_and_nodes():
     assert sub.valid.tobytes() == db.valid[:, [7, 2, 4]].tobytes()
 
 
+def test_database_compares_by_identity(tmp_path):
+    """Two loads of one dataset are two databases: == is identity and hash
+    works, where a field-wise == over the arrays raised ValueError."""
+    write_dataset_files(tmp_path, *valid_rows())
+    a, b = load_database(tmp_path), load_database(tmp_path)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_load_canonicalizes_reversed_edges(tmp_path):
     nodes, instances, values, _ = valid_rows()
     write_dataset_files(tmp_path, nodes, instances, values, ["i1\tc\tb"])

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import affinities, build_db, restrict_instances, template_db
 from subnetmine import evaluation, solver
+from subnetmine.data import StateMatrix, build_generalized_network
 from subnetmine.errors import (
     ConfigInvalid,
     DegenerateGroundTruth,
@@ -33,6 +34,8 @@ from subnetmine.evaluation import (
     write_eval_report,
     write_sweep,
 )
+from subnetmine.metagraph import build_constraint_matrix, build_laplacian_set
+from subnetmine.selection import build_report
 from subnetmine.solver import SolverConfig
 
 
@@ -243,14 +246,34 @@ def class_db(seed, n=8, m=16, edge_prob=0.35):
     return template_db(np.random.default_rng(seed), n=n, m=m, edge_prob=edge_prob)
 
 
+def test_fitted_objects_compare_by_identity():
+    """Every frozen dataclass holding arrays compares and hashes by identity:
+    a field-wise == over arrays raised ValueError, and hash TypeError."""
+
+    def pieces(db):
+        aff = affinities(db, 3)
+        g = build_generalized_network(db)
+        problem = reduce_database(db, 3)
+        model = problem.model(0.5, 2)
+        embedded = model.u_matrix.T @ db.values
+        return [
+            StateMatrix(db.values.copy()), aff, build_laplacian_set(aff), g, db.edge_index,
+            build_constraint_matrix(g), problem, model.basis, model,
+            build_report(model.u_matrix, g, 3), train_linear_classifier(embedded, db.labels),
+            train_linear_classifier(embedded, np.arange(db.m) % 3),
+        ]
+
+    for a, b in zip(pieces(class_db(0)), pieces(class_db(0))):
+        assert a == a and a != b, type(a).__name__
+        assert len({a, b, a}) == 2, type(a).__name__
+
+
 def test_fit_model_shapes_and_normalization():
     db = class_db(0)
     model = fit_model(db, k=3, alpha=0.5)
     assert model.n == db.n
     assert model.d == 2  # two observed global states
     # recompute B = V D+ V^T through the library's pieces
-    from subnetmine.metagraph import build_laplacian_set
-
     lap = build_laplacian_set(affinities(db, 3))
     b = db.values @ np.diag(lap.d_plus) @ db.values.T
     for j in range(model.d):
@@ -624,6 +647,19 @@ def test_write_eval_report_without_roc(tmp_path):
     assert not (tmp_path / "out" / "roc.tsv").exists()
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
     assert payload["auc"] is None
+
+
+def test_numpy_alpha_grid_writes_plain_floats(tmp_path):
+    """Grid points that are numpy floats are written as 2.0, not as
+    np.float64(2.0)."""
+    db = class_db(3, n=6, m=12)
+    eval_cfg = EvalConfig(folds=3, alpha_grid=tuple(np.array([0.5, 2.0])), k=3, seed=2)
+    write_eval_report(run_cv(db, eval_cfg, SolverConfig(alpha=0.5)), tmp_path / "out")
+    write_sweep(sweep_alpha(db, eval_cfg, SolverConfig(alpha=0.5)), tmp_path / "sweep.tsv")
+    folds = (tmp_path / "out" / "fold_accuracies.tsv").read_text().splitlines()[1:]
+    assert {line.split("\t")[2] for line in folds} <= {"0.5", "2.0"}
+    sweep = (tmp_path / "sweep.tsv").read_text().splitlines()[1:]
+    assert [line.split("\t")[0] for line in sweep] == ["0.5", "2.0"]
 
 
 def test_write_sweep_format(tmp_path):

@@ -1,4 +1,5 @@
-"""Every module in src/ and tests/ uses each name it imports."""
+"""Every module in src/ and tests/ uses each name it imports, and only
+subnetmine.data opens, reads or writes files."""
 
 from __future__ import annotations
 
@@ -41,3 +42,43 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+FILE_CALLS = {"open", "read_bytes", "read_text", "write_bytes", "write_text"}
+
+
+def file_access(source: str) -> list[str]:
+    """The calls that open, read or write a file: ``open``, the ``Path``
+    methods that read or write, and ``json.dump`` / ``json.load``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Name) and func.id == "open":
+            found.append((node.lineno, "open"))
+        elif isinstance(func, ast.Attribute):
+            owner = func.value.id if isinstance(func.value, ast.Name) else None
+            if func.attr in FILE_CALLS:
+                found.append((node.lineno, func.attr))
+            elif owner == "json" and func.attr in ("dump", "load"):
+                found.append((node.lineno, f"json.{func.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_check_finds_file_access():
+    source = "import json\nwith open(p) as fh:\n    json.dump(x, fh)\n"
+    source += "p.read_text()\nq.write_bytes(b'')\njson.load(fh)\njson.dumps(x)\nf.opener()\n"
+    assert file_access(source) == [
+        "line 2: open", "line 3: json.dump", "line 4: read_text", "line 5: write_bytes",
+        "line 6: json.load",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.parts[-3:-1] == ("src", "subnetmine") and p.name != "data.py"],
+    ids=lambda p: p.relative_to(ROOT).as_posix(),
+)
+def test_only_data_touches_files(path):
+    """The file formats live in data.py: no other package module opens,
+    reads or writes a file."""
+    assert file_access(path.read_text(encoding="utf-8")) == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -405,9 +406,10 @@ def test_model_save_load_round_trip(tmp_path):
     ids = [f"g{p}" for p in range(model.n)]
     path = tmp_path / "sub" / "model.tsv"
     save_model(model, ids, path)
-    got_ids, got_u, meta = load_model(path)
+    got_ids, got_u = load_model(path)
     assert got_ids == ids
     assert np.array_equal(got_u, model.u_matrix)  # 17 digits round-trip
+    meta = json.loads(model_meta_path(path).read_text())  # provenance, not read back
     assert meta["alpha"] == 1.5
     assert meta["d"] == 2
     assert meta["r"] == basis.r
@@ -418,17 +420,31 @@ def test_model_save_load_round_trip(tmp_path):
 def test_model_load_without_meta(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("node_id\tu_1\na\t0.5\nb\t-1.5\n")
-    ids, u, meta = load_model(path)
+    ids, u = load_model(path)
     assert ids == ["a", "b"]
     assert np.array_equal(u, [[0.5], [-1.5]])
-    assert meta == {}
+
+
+def test_model_load_follows_dataset_line_rules(tmp_path):
+    clean = tmp_path / "clean.tsv"
+    clean.write_bytes(b"node_id\tu_1\tu_2\na\t0.5\t-1\nb\t2.5\t3e-3\n")
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes(b"node_id\tu_1\tu_2\r\na\t0.5\t-1\r\n\r\nb\t2.5\t3e-3\r\n\r\n")
+    (clean_ids, clean_u), (ids, u) = load_model(clean), load_model(crlf)
+    assert ids == clean_ids == ["a", "b"]
+    assert np.array_equal(u, clean_u)
 
 
 def test_model_load_bad_header(tmp_path):
     path = tmp_path / "m.tsv"
-    path.write_text("who\tu_1\na\t0.5\n")
-    with pytest.raises(ParseError):
+    for header in ("who\tu_1", "node_id", "node_id\tu_2", "node_id\tu_1\tu_3"):
+        path.write_text(header + "\na\t0.5\n")
+        with pytest.raises(ParseError, match="expected header"):
+            load_model(path)
+    path.write_text("node_id\tu_1\na\tnan\nb\t0.5\t1.0\n")  # the first bad line wins
+    with pytest.raises(ParseError, match="non-finite value: 'nan'") as exc:
         load_model(path)
+    assert exc.value.line == 2
     path.write_text("node_id\tu_1\na\t0.5\t1.0\n")
     with pytest.raises(ParseError):
         load_model(path)
