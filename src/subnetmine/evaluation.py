@@ -5,13 +5,15 @@ spectral model from its training instances only, so no test information
 leaks into the learned subspace.  Alpha is chosen per outer fold by an
 inner cross validation over the remaining training folds (ties go to the
 smaller alpha); node-ranking quality is scored as the area under the ROC
-curve of the scores against a ground-truth node set.
+curve of the scores against a ground-truth node set.  Accuracy is that of
+a linear discriminant analysis (LDA) classifier in the d-dimensional
+embedding.
 
 Per distinct training set, ``_reduce`` runs once: kNN affinities, Laplacians,
 subset network, constraint, SVD basis and whitened terms.  Per alpha there is
 one r x r eigensolve.  The classifiers of all alphas on one training set come
-from one stacked run of ``train_linear_classifier``, so its epoch loop runs
-once per training set, not once per alpha.  Inner splits (f, g) and (g, f)
+from one call of ``train_linear_classifier``, one batched d x d solve over
+the stacked embeddings.  Inner splits (f, g) and (g, f)
 share their training set, so F-fold ``run_cv`` reduces and trains on
 F + F(F-1)/2 sets and ``sweep_alpha`` on F, plus one more reduction of the
 full database when ground truth is given.
@@ -19,6 +21,7 @@ full database when ground truth is given.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
@@ -63,32 +66,17 @@ class EvalConfig:
 
 @dataclass(frozen=True, eq=False)
 class LinearClassifier:
-    """Linear decision rule sign(w.x + b) over embedded coordinates,
-    mapped back to the two original labels."""
+    """Linear discriminants over embedded coordinates: an instance x gets
+    the label whose score weights[c] . x + biases[c] is largest, ties to the
+    first label."""
 
-    weights: np.ndarray
-    bias: float
-    neg_label: int
-    pos_label: int
-
-    def decision(self, embedded: np.ndarray) -> np.ndarray:
-        return self.weights @ embedded + self.bias
+    weights: np.ndarray  # C x d
+    biases: np.ndarray  # C
+    labels: np.ndarray  # C, ascending
 
     def predict(self, embedded: np.ndarray) -> np.ndarray:
-        side = self.decision(embedded) >= 0.0
-        return np.where(side, self.pos_label, self.neg_label)
-
-
-@dataclass(frozen=True, eq=False)
-class OneVsRestClassifier:
-    """Minimal multi-class extension: one binary model per label."""
-
-    labels: tuple[int, ...]
-    models: tuple[LinearClassifier, ...]
-
-    def predict(self, embedded: np.ndarray) -> np.ndarray:
-        scores = np.vstack([m.decision(embedded) for m in self.models])
-        return np.asarray(self.labels)[np.argmax(scores, axis=0)]
+        scores = self.weights @ embedded + self.biases[:, np.newaxis]
+        return self.labels[np.argmax(scores, axis=0)]
 
 
 @dataclass(frozen=True)
@@ -133,91 +121,44 @@ def stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def _pegasos(embedded: np.ndarray, y: np.ndarray, epochs: int, reg: float):
-    """Weights (A x d) and biases (A) of the hinge-loss fits of every row of
-    an A x d x m stack against one label vector y of +-1.
-
-    Every reduction is an ``einsum`` or ``sum`` over one row's own entries,
-    never a BLAS product, so each row's result is bit-identical whatever
-    else shares its stack.
-    """
-    mean = embedded.mean(axis=2)
-    sd = embedded.std(axis=2)
-    sd = np.where(sd > 0.0, sd, 1.0)
-    x = (embedded - mean[:, :, np.newaxis]) / sd[:, :, np.newaxis]
-    rows, dim, m = x.shape
-    # y * [x; 1]: an iterate is [w, b], so w.x + b is one sum over its rows,
-    # and multiplying by y = +-1 is exact
-    xy = np.concatenate([x, np.ones((rows, 1, m))], axis=1) * y
-    decay = np.append(np.full(dim, reg), 0.0)  # the bias is not regularized
-    radius = 1.0 / np.sqrt(reg)
-
-    def hinge(iterates):  # margins and objectives of ... x A x (d+1) iterates
-        margins = 1.0 - np.einsum("...ai,aim->...am", iterates, xy)
-        w = iterates[..., :dim]
-        penalty = 0.5 * reg * (w * w).sum(axis=-1)
-        return margins, penalty + np.maximum(margins, 0.0).sum(axis=-1) / m
-
-    # the raw iterate and its running average, evaluated together
-    iterates = np.zeros((2, rows, dim + 1))
-    raw, avg = iterates
-    margins, objectives = hinge(iterates)
-    best_obj, best = objectives[0], raw.copy()
-    for t in range(epochs):
-        active = np.where(margins[0] > 0.0, 1.0, 0.0)
-        grad = decay * raw - np.einsum("aim,am->ai", xy, active) / m
-        raw -= 1.0 / (reg * (t + 2)) * grad
-        w = raw[:, :dim]
-        # rows inside the ball are scaled by exactly 1
-        w *= (radius / np.maximum(np.sqrt((w * w).sum(axis=1)), radius))[:, np.newaxis]
-        avg += (raw - avg) / (t + 1)
-        margins, objectives = hinge(iterates)
-        for obj, candidate in zip(objectives, iterates):  # raw first, then average
-            better = obj < best_obj
-            best_obj = np.where(better, obj, best_obj)
-            best = np.where(better[:, np.newaxis], candidate, best)
-    w, b = best[:, :dim], best[:, dim]
-    return w / sd, b - (w * (mean / sd)).sum(axis=1)
-
-
-def train_linear_classifier(
-    embedded: np.ndarray, labels, epochs: int = 150, reg: float = 1e-3
-):
-    """Deterministic full-batch subgradient descent on the regularized hinge
-    loss.
+def train_linear_classifier(embedded: np.ndarray, labels):
+    """Closed-form linear discriminant analysis (LDA): class c scores
+    x' S^-1 mu_c - mu_c' S^-1 mu_c / 2 + log pi_c, with class mean mu_c,
+    prior pi_c and pooled within-class covariance S (scatter over m - C)
+    plus a ridge of 1e-9 of its mean diagonal, or of 1 when the scatter is
+    all zero, so constant features predict the majority class.
 
     ``embedded`` is one d x m embedding, giving one classifier, or an
     A x d x m stack of embeddings of the same instances, giving a tuple of
-    A classifiers from one shared epoch loop.  Row a of a stack gets exactly
-    the classifier that row alone would.  Coordinates are standardized per
-    row (folded back into the returned weights), the step schedule is
-    1/(reg*(t+2)), iterates are projected onto the ball of radius
-    1/sqrt(reg), and each row returns the epoch-end iterate (raw, then
-    running average) with the lowest training objective, so longer training
-    never yields a worse loss.  More than two classes give one-vs-rest
-    models.
+    A classifiers from one batched solve.  Every sum runs along one row's
+    last axis, never through BLAS, and the solve is per matrix, so row a of
+    a stack gets exactly the classifier that row alone would.
     """
     embedded = np.ascontiguousarray(embedded, dtype=np.float64)
     single = embedded.ndim < 3
     if single:
         embedded = np.atleast_2d(embedded)[np.newaxis]
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
+    classes, member, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if classes.size < 2:
         raise SingleClassFold(f"single class {classes} in training labels")
-    if classes.size > 2:
-        fits = [_pegasos(embedded, np.where(labels == c, 1.0, -1.0), epochs, reg) for c in classes]
-        models = tuple(
-            OneVsRestClassifier(
-                labels=tuple(int(c) for c in classes),
-                models=tuple(LinearClassifier(w[a], float(b[a]), 0, 1) for w, b in fits),
-            )
-            for a in range(len(embedded))
-        )
-    else:
-        neg, pos = int(classes[0]), int(classes[1])
-        weights, biases = _pegasos(embedded, np.where(labels == pos, 1.0, -1.0), epochs, reg)
-        models = tuple(LinearClassifier(w, float(b), neg, pos) for w, b in zip(weights, biases))
+    dim, m = embedded.shape[1:]
+    # means[a, c]: class c's mean in row a, taken about its first member, so a
+    # feature constant within the class adds exactly zero scatter.  np.take
+    # keeps C order (an index array on the last axis would not).
+    groups = [np.flatnonzero(member == c) for c in range(classes.size)]
+    means = np.stack([
+        embedded[:, :, g[0]] + (np.take(embedded, g, axis=2) - embedded[:, :, g[:1]]).mean(axis=2)
+        for g in groups
+    ], axis=1)
+    centered = embedded - np.take(means.transpose(0, 2, 1), member, axis=2)
+    scatter = (centered[:, :, np.newaxis] * centered[:, np.newaxis]).sum(axis=3)
+    cov = scatter / max(m - classes.size, 1)
+    diagonal = cov.diagonal(axis1=1, axis2=2).mean(axis=1)
+    ridge = np.where(diagonal > 0.0, 1e-9 * diagonal, 1.0)
+    regularized = cov + ridge[:, np.newaxis, np.newaxis] * np.eye(dim)
+    weights = np.linalg.solve(regularized, means.transpose(0, 2, 1)).transpose(0, 2, 1)
+    biases = np.log(counts / m) - 0.5 * (weights * means).sum(axis=2)
+    models = tuple(LinearClassifier(w, b, classes) for w, b in zip(weights, biases))
     return models[0] if single else models
 
 
@@ -317,6 +258,11 @@ def run_cv(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig) 
     folds, score = _cv_scorer(db, eval_cfg, solver_cfg)
     alphas = [grid[0] if grid else solver_cfg.alpha] * folds
     if len(grid) > 1:
+        if folds < 3:  # an inner pair would leave out both folds and train on nothing
+            raise ConfigInvalid(
+                f"nested alpha selection needs 3 or more folds, got {folds}; "
+                "use more folds or a fixed --alpha"
+            )
         # inner[a, f, g]: accuracy at grid[a] on fold g, trained without f and g
         inner = np.empty((len(grid), folds, folds))
         for f, g in combinations(range(folds), 2):
@@ -326,9 +272,7 @@ def run_cv(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig) 
             alphas[f] = grid[int(np.argmax(means))]  # argmax keeps the smaller alpha on ties
     accuracies = [float(score((f,), (f,), (alphas[f],))[0, 0]) for f in range(folds)]
 
-    counts: dict[float, int] = {}
-    for alpha in alphas:
-        counts[alpha] = counts.get(alpha, 0) + 1
+    counts = Counter(alphas)
     best_alpha = min(counts, key=lambda a: (-counts[a], a))
     mean, sd = _mean_sd(accuracies)
     return EvalReport(

@@ -66,9 +66,12 @@ def extract_subnetworks(
     selected nodes.
 
     Edges with weight below ``min_edge_weight`` are ignored (default keeps
-    everything).  Components are ordered by size descending, then by their
-    smallest node ordinal; isolated selected nodes come out as singletons.
+    everything); a non-finite threshold raises ConfigInvalid.  Components are
+    ordered by size descending, then by their smallest node ordinal; isolated
+    selected nodes come out as singletons.
     """
+    if not np.isfinite(min_edge_weight):
+        raise ConfigInvalid(f"min edge weight must be finite, got {min_edge_weight}")
     nodes = np.unique(np.asarray(selected, dtype=np.intp))
     if nodes.size and not 0 <= nodes[0] <= nodes[-1] < g.n:
         raise ValueError("selected node ordinal out of range")

@@ -333,6 +333,13 @@ def truncated_meta_model(model_file, tmp_path_factory):
     # the sidecar is provenance only: a broken one stops neither command
     (["transform", "{dataset}", "--model", "{truncated_meta_model}"], 0),
     (["select", "{dataset}", "--model", "{truncated_meta_model}"], 0),
+    # an inner pair of 2 folds leaves no training instance
+    (["evaluate", "{dataset}", "--folds", "2"], 2),
+    (["evaluate", "{dataset}", "--folds", "2", "--alpha-grid", "1,2"], 2),
+    (["evaluate", "{dataset}", "--folds", "2", "--alpha", "1"], 0),
+    (["sweep-alpha", "{dataset}", "--folds", "2", "--alpha-grid", "1,2"], 0),
+    (["select", "{dataset}", "--model", "{model}", "--min-edge-weight", "nan"], 2),
+    (["select", "{dataset}", "--model", "{model}", "--min-edge-weight", "inf"], 2),
 ])
 def test_contract_errors_exit_with_one_line(
     argv,

@@ -1,6 +1,7 @@
 """Property tests: invariants of the fit under reordering, reuse of the
 per-database edge index, the array network and constraint against their
-tuple oracles, and independence of the rows of a stacked classifier fit."""
+tuple oracles, independence of the rows of a stacked classifier fit, and
+the classifier's invariance under invertible maps of the embedding."""
 
 from __future__ import annotations
 
@@ -132,23 +133,48 @@ def test_network_and_constraint_match_the_tuple_oracles(seed, n, m, edge_prob, p
     m=st.integers(6, 40),
     classes=st.integers(2, 3),
     integer=st.booleans(),
-    reg=st.sampled_from([1e-3, 1.0]),
 )
-# integer data at reg = 1 that puts points exactly on the margin during training
-@example(seed=182, rows=4, dim=1, m=6, classes=2, integer=True, reg=1.0)
-@example(seed=22, rows=4, dim=1, m=10, classes=3, integer=True, reg=1.0)
-def test_stacked_classifier_rows_equal_single_fits(seed, rows, dim, m, classes, integer, reg):
+# one feature and classes of 15: an index array on the last axis would lay a
+# stack out with that axis outermost but a lone row contiguously, and their
+# class sums would round differently
+@example(seed=1, rows=2, dim=1, m=30, classes=2, integer=False)
+# integer data with tied values
+@example(seed=182, rows=4, dim=1, m=6, classes=2, integer=True)
+@example(seed=22, rows=4, dim=1, m=10, classes=3, integer=True)
+def test_stacked_classifier_rows_equal_single_fits(seed, rows, dim, m, classes, integer):
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.arange(m) % classes)
     if integer:
         stack = rng.integers(-2, 3, size=(rows, dim, m)).astype(float)
     else:
         stack = rng.normal(size=(rows, dim, m))
-    fits = train_linear_classifier(stack, labels, reg=reg)
+    fits = train_linear_classifier(stack, labels)
     assert len(fits) == rows
     for a, fit in enumerate(fits):
-        alone = train_linear_classifier(stack[a], labels, reg=reg)
-        pairs = zip(fit.models, alone.models) if classes > 2 else [(fit, alone)]
-        for got, expected in pairs:
-            assert np.array_equal(got.weights, expected.weights)
-            assert got.bias == expected.bias
+        alone = train_linear_classifier(stack[a], labels)
+        assert np.array_equal(fit.weights, alone.weights)
+        assert np.array_equal(fit.biases, alone.biases)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**16),
+    dim=st.integers(1, 4),
+    m=st.integers(12, 40),
+    classes=st.integers(2, 3),
+)
+def test_classifier_invariant_under_invertible_maps(seed, dim, m, classes):
+    """The discriminant rule depends on the embedding only up to an
+    invertible linear map, so where the retained rank r equals d every
+    alpha's embedding classifies alike."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(m) % classes)
+    x = rng.normal(size=(dim, m)) + labels  # class means apart on every axis
+    # a rotation times scales in [0.5, 2]: condition number at most 4
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    mix = q * rng.uniform(0.5, 2.0, size=dim)
+    test = rng.normal(size=(dim, 50)) + rng.integers(0, classes, size=50)
+    before = train_linear_classifier(x, labels)
+    after = train_linear_classifier(mix @ x, labels)
+    assert np.array_equal(before.predict(x), after.predict(mix @ x))
+    assert np.array_equal(before.predict(test), after.predict(mix @ test))
