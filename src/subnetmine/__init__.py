@@ -30,14 +30,7 @@ from .evaluation import (
     sweep_alpha,
     train_linear_classifier,
 )
-from .metagraph import (
-    AffinityPair,
-    ConstraintMatrix,
-    LaplacianSet,
-    build_constraint_matrix,
-    build_laplacian_set,
-    laplacian,
-)
+from .metagraph import ConstraintMatrix, LaplacianSet, build_constraint_matrix
 from .selection import (
     Component,
     SubnetworkReport,
@@ -69,7 +62,6 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityPair",
     "Component",
     "ConstraintMatrix",
     "EvalConfig",
@@ -89,14 +81,12 @@ __all__ = [
     "TruncatedBasis",
     "build_constraint_matrix",
     "build_generalized_network",
-    "build_laplacian_set",
     "build_report",
     "evaluate_dataset",
     "extract_subnetworks",
     "fit_model",
     "generate_backbone",
     "generate_dataset",
-    "laplacian",
     "load_database",
     "load_model",
     "ranking_auc",

@@ -350,11 +350,13 @@ def load_database(path) -> NetworkDatabase:
 
     edges_tsv = TsvFile(root / "edges.tsv", ["instance_id", "node_u", "node_v"])
     i, u, v = edges_tsv.columns(to_instance, to_node, to_node)
+    unknown_u, unknown_v, loop = u < 0, v < 0, u == v
     p, q = np.minimum(u, v), np.maximum(u, v)
+    del u, v  # only their masks are needed from here on
     # (i, p, q) as one integer, which fits in int64 while the n x m values do in memory
     keys, repeated = _sorted_repeats((i * n + p) * n + q)
     edges_tsv.raise_first(
-        [i < 0, u < 0, v < 0, u == v, ~(valid[p, i] & valid[q, i]), repeated],
+        [i < 0, unknown_u, unknown_v, loop, ~(valid[p, i] & valid[q, i]), repeated],
         lambda err, inst, node_u, node_v: (
             err(f"unknown instance id {inst!r}"),
             UnknownNode(node_u),

@@ -56,10 +56,6 @@ class KTooLarge(SubnetmineError):
     pass
 
 
-class AsymmetricInput(SubnetmineError):
-    pass
-
-
 class DimensionMismatch(SubnetmineError):
     pass
 

@@ -37,12 +37,7 @@ from .errors import (
     SingleClassFold,
     TooFewPerClass,
 )
-from .metagraph import (
-    _affinity_pair,
-    _cosine_matrix,
-    build_constraint_matrix,
-    build_laplacian_set,
-)
+from .metagraph import _cosine_matrix, build_constraint_matrix, build_laplacian_set
 from .seeds import substream
 from .selection import score_nodes
 from .solver import ReducedProblem, SolverConfig, SpectralModel, reduce_problem
@@ -176,8 +171,7 @@ def _reduce(
     if k < 1:
         raise KTooLarge(f"k={k} outside 1..{idx.size - 1}")
     v_train = StateMatrix(db.values[:, idx].copy())  # C order; the index alone gives F
-    aff = _affinity_pair(_cosine_matrix(v_train), db.labels[idx], k)
-    lap = build_laplacian_set(aff)
+    lap = build_laplacian_set(_cosine_matrix(v_train), db.labels[idx], k)
     c = build_constraint_matrix(db.edge_index.network(idx))
     return reduce_problem(v_train, lap, c, energy_fraction)
 

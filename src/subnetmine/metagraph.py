@@ -1,11 +1,14 @@
 """Instance-level neighborhood graphs and node-level topology constraint.
 
-Two m x m affinity matrices are built over the instances: one linking
-cosine k-nearest-neighbor pairs that share a global state, one linking
-neighbor pairs whose states differ.  Their Laplacians drive the spectral
-objective.  The n x n constraint matrix is the Laplacian of the generalized
-network and penalizes projection vectors that vary across strongly shared
-edges.
+Two m x m affinities over the instances come from one cosine kNN relation:
+A+ links neighbor pairs that share a global state, A- pairs whose states
+differ.  A pair is linked when either instance is among the other's k
+nearest, by descending cosine with ties to the lower instance index; one
+partition per row finds them, with no sort.  The solver needs only D+ (the
+row sums of A+) and L~ = L- - L+, so both are built straight from the
+linked pairs; neither affinity is formed.  The n x n constraint matrix is
+the Laplacian of the generalized network and penalizes projection vectors
+that vary across strongly shared edges.
 
 Cosine values are kept raw (negative entries are not clamped), so row sums
 of the affinities are not guaranteed nonnegative in pathological inputs;
@@ -20,23 +23,15 @@ import numpy as np
 from scipy import sparse
 
 from .data import GeneralizedNetwork, StateMatrix
-from .errors import AsymmetricInput
-
-
-@dataclass(frozen=True, eq=False)
-class AffinityPair:
-    """Symmetric zero-diagonal affinities: same-state and cross-state."""
-
-    a_plus: sparse.csr_array
-    a_minus: sparse.csr_array
 
 
 @dataclass(frozen=True, eq=False)
 class LaplacianSet:
-    """What the solver needs of the affinity pair's Laplacians.
+    """What the solver needs of the two meta-graphs' Laplacians.
 
     ``d_plus`` stores the diagonal entries of D+ (row sums of A+);
-    ``l_tilde`` is L- minus L+.
+    ``l_tilde`` is L- minus L+, with an entry stored for every linked pair
+    (explicit zeros included) and for every diagonal position.
     """
 
     d_plus: np.ndarray
@@ -66,64 +61,59 @@ def _cosine_matrix(v_matrix: StateMatrix) -> np.ndarray:
     return sims
 
 
-def _nearest(sims: np.ndarray, k: int) -> np.ndarray:
-    """m x k: row i holds the k instances most similar to i, by descending
-    similarity with ties broken by the lower instance index."""
-    key = -sims
-    np.fill_diagonal(key, np.inf)
-    return np.argsort(key, axis=1, kind="stable")[:, :k]
+def _row_sums(rows: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
+    """Per-row sums of entries given in CSR order, added as scipy's
+    ``csr.sum(axis=1)`` adds them, so the result is bit-equal to it."""
+    counts = np.bincount(rows, minlength=m)
+    sums = np.zeros(m)
+    nonempty = counts > 0
+    sums[nonempty] = np.add.reduceat(vals, (np.cumsum(counts) - counts)[nonempty])
+    return sums
 
 
-def _affinity_pair(sims: np.ndarray, labels, k: int) -> AffinityPair:
-    """Split the symmetric kNN relation of the cosine matrix ``sims`` by
-    label agreement.
+def build_laplacian_set(sims: np.ndarray, labels, k: int) -> LaplacianSet:
+    """D+ and L~ of the kNN relation of the m x m similarity ``sims``,
+    split by agreement of ``labels``; 1 <= k < m.
 
-    Entry (i, j) carries the raw cosine similarity when j is in kNN(i) or
-    i is in kNN(j); it lands in A+ when the global states agree and in A-
-    otherwise.  Entries are stored explicitly even when the cosine happens
-    to be exactly 0, so the sparsity pattern equals the kNN relation.
+    Row i's k nearest are found without a sort: a partition gives the k-th
+    largest similarity, every larger one is taken, and of the entries equal
+    to it only the lowest-index ones up to k.  Pair (i, j), i < j, carries
+    sims[i, j] in both directions, so L~ is symmetric by construction.
     """
     m = sims.shape[0]
-    member = np.zeros((m, m), dtype=bool)
-    member[np.arange(m)[:, np.newaxis], _nearest(sims, k)] = True
-    linked = member | member.T
+    key = np.negative(sims)
+    np.fill_diagonal(key, np.inf)
+    key.partition(k - 1, axis=1)
+    bound = -key[:, k - 1, np.newaxis]  # each row's k-th largest similarity
+    del key
+    member = sims >= bound
+    np.fill_diagonal(member, False)
+    over = np.flatnonzero(np.count_nonzero(member, axis=1) > k)
+    if over.size:  # ties at the bound: keep the lowest indices up to k
+        block = member[over]
+        ties = block & (sims[over] == bound[over])
+        short = k - (np.count_nonzero(block, axis=1) - np.count_nonzero(ties, axis=1))
+        block &= ~ties | (np.cumsum(ties, axis=1) <= short[:, np.newaxis])
+        member[over] = block
+    rows, cols = np.nonzero(member | member.T)  # CSR order
+    del member
+    vals = sims[np.minimum(rows, cols), np.maximum(rows, cols)]
     labels = np.asarray(labels)
-    same = labels[:, np.newaxis] == labels[np.newaxis, :]
-
-    def as_csr(pair_mask):
-        rows, cols = np.nonzero(np.triu(pair_mask, 1))
-        vals = sims[rows, cols]
-        # mirrored entries; explicit zeros survive the coo -> csr conversion
-        return sparse.csr_array(
-            sparse.coo_array(
-                (
-                    np.concatenate([vals, vals]),
-                    (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
-                ),
-                shape=(m, m),
-            )
+    same = labels[rows] == labels[cols]
+    d_plus = _row_sums(rows[same], vals[same], m)
+    d_minus = _row_sums(rows[~same], vals[~same], m)
+    # L~ = (D- - D+) - A- + A+; the coo -> csr conversion keeps explicit zeros
+    diag = np.arange(m)
+    l_tilde = sparse.csr_array(
+        sparse.coo_array(
+            (
+                np.concatenate([np.where(same, vals, -vals), d_minus - d_plus]),
+                (np.concatenate([rows, diag]), np.concatenate([cols, diag])),
+            ),
+            shape=(m, m),
         )
-
-    return AffinityPair(a_plus=as_csr(linked & same), a_minus=as_csr(linked & ~same))
-
-
-def laplacian(a: sparse.csr_array) -> tuple[np.ndarray, sparse.csr_array]:
-    """Degree diagonal and Laplacian L = D - A of a symmetric affinity."""
-    a = sparse.csr_array(a)
-    diff = (a - a.T).tocoo()
-    if diff.nnz and np.max(np.abs(diff.data)) != 0.0:
-        raise AsymmetricInput("affinity matrix is not symmetric")
-    if np.any(a.diagonal() != 0.0):
-        raise ValueError("affinity matrix must have a zero diagonal")
-    degrees = np.asarray(a.sum(axis=1)).ravel()
-    lap = sparse.csr_array(sparse.diags_array(degrees) - a)
-    return degrees, lap
-
-
-def build_laplacian_set(aff: AffinityPair) -> LaplacianSet:
-    d_plus, l_plus = laplacian(aff.a_plus)
-    _, l_minus = laplacian(aff.a_minus)
-    return LaplacianSet(d_plus=d_plus, l_tilde=sparse.csr_array(l_minus - l_plus))
+    )
+    return LaplacianSet(d_plus=d_plus, l_tilde=l_tilde)
 
 
 def build_constraint_matrix(g: GeneralizedNetwork) -> ConstraintMatrix:

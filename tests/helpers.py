@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterator
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -19,12 +20,10 @@ from subnetmine.errors import (
     UnknownNode,
 )
 from subnetmine.metagraph import (
-    AffinityPair,
     ConstraintMatrix,
     LaplacianSet,
-    _affinity_pair,
     _cosine_matrix,
-    _nearest,
+    build_laplacian_set,
 )
 from subnetmine.solver import (
     SpectralModel,
@@ -307,15 +306,127 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def affinities(db: NetworkDatabase, k: int) -> AffinityPair:
-    """The kNN affinity pair over every instance of ``db``, built as a
+@dataclass(frozen=True, eq=False)
+class AffinityPair:
+    """Symmetric zero-diagonal affinities: same-state and cross-state."""
+
+    a_plus: sparse.csr_array
+    a_minus: sparse.csr_array
+
+
+def nearest_by_argsort(sims: np.ndarray, k: int) -> np.ndarray:
+    """m x k: row i holds the k instances most similar to i, by descending
+    similarity with ties broken by the lower instance index, from one
+    stable argsort per row: the oracle for the library's kNN selection."""
+    key = -sims
+    np.fill_diagonal(key, np.inf)
+    return np.argsort(key, axis=1, kind="stable")[:, :k]
+
+
+def affinity_pair_by_masks(sims: np.ndarray, labels, k: int) -> AffinityPair:
+    """The kNN relation of ``sims`` split by label agreement through dense
+    m x m masks, each pair carrying its upper-triangle similarity, and with
+    explicit zeros stored: the oracle behind ``laplacian_set_oracle``."""
+    m = sims.shape[0]
+    member = np.zeros((m, m), dtype=bool)
+    member[np.arange(m)[:, np.newaxis], nearest_by_argsort(sims, k)] = True
+    linked = member | member.T
+    labels = np.asarray(labels)
+    same = labels[:, np.newaxis] == labels[np.newaxis, :]
+
+    def as_csr(pair_mask):
+        rows, cols = np.nonzero(np.triu(pair_mask, 1))
+        vals = sims[rows, cols]
+        return sparse.csr_array(
+            sparse.coo_array(
+                (
+                    np.concatenate([vals, vals]),
+                    (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
+                ),
+                shape=(m, m),
+            )
+        )
+
+    return AffinityPair(a_plus=as_csr(linked & same), a_minus=as_csr(linked & ~same))
+
+
+def laplacian(a: sparse.csr_array) -> tuple[np.ndarray, sparse.csr_array]:
+    """Degree diagonal and Laplacian L = D - A of a symmetric zero-diagonal
+    affinity, by sparse algebra."""
+    a = sparse.csr_array(a)
+    diff = (a - a.T).tocoo()
+    if diff.nnz and np.max(np.abs(diff.data)) != 0.0:
+        raise ValueError("affinity matrix is not symmetric")
+    if np.any(a.diagonal() != 0.0):
+        raise ValueError("affinity matrix must have a zero diagonal")
+    degrees = np.asarray(a.sum(axis=1)).ravel()
+    return degrees, sparse.csr_array(sparse.diags_array(degrees) - a)
+
+
+def laplacian_set_oracle(sims: np.ndarray, labels, k: int) -> LaplacianSet:
+    """D+ and L- - L+ from the argsort kNN, the dense-mask affinities and
+    two checked Laplacians: the oracle for ``build_laplacian_set``."""
+    aff = affinity_pair_by_masks(sims, labels, k)
+    d_plus, l_plus = laplacian(aff.a_plus)
+    _, l_minus = laplacian(aff.a_minus)
+    return LaplacianSet(d_plus=d_plus, l_tilde=sparse.csr_array(l_minus - l_plus))
+
+
+def laplacians(db: NetworkDatabase, k: int) -> LaplacianSet:
+    """The library's Laplacian set over every instance of ``db``, built as a
     reduction builds it."""
-    return _affinity_pair(_cosine_matrix(StateMatrix(db.values)), db.labels, k)
+    return build_laplacian_set(_cosine_matrix(StateMatrix(db.values)), db.labels, k)
+
+
+def split_affinities(lap: LaplacianSet, labels) -> AffinityPair:
+    """A+ and A- read back from L~ = (D- - D+) - A- + A+: its off-diagonal
+    entries between agreeing states, and the negated ones between differing
+    states, explicit zeros kept."""
+    coo = lap.l_tilde.tocoo()
+    rows, cols = coo.coords
+    labels = np.asarray(labels)
+    off = rows != cols
+    same = labels[rows] == labels[cols]
+
+    def as_csr(mask, sign):
+        return sparse.csr_array(
+            sparse.coo_array((sign * coo.data[mask], (rows[mask], cols[mask])), shape=coo.shape)
+        )
+
+    return AffinityPair(a_plus=as_csr(off & same, 1.0), a_minus=as_csr(off & ~same, -1.0))
+
+
+def affinities(db: NetworkDatabase, k: int) -> AffinityPair:
+    """The kNN affinity pair over every instance of ``db``, read back from
+    the Laplacian set a reduction builds."""
+    return split_affinities(laplacians(db, k), db.labels)
+
+
+def linked_sets(l_tilde: sparse.csr_array) -> list[frozenset[int]]:
+    """Per row, the columns of the off-diagonal entries stored in L~."""
+    coo = l_tilde.tocoo()
+    rows, cols = coo.coords
+    out = [set() for _ in range(l_tilde.shape[0])]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i != j:
+            out[i].add(j)
+    return [frozenset(row) for row in out]
+
+
+def symmetric_relation(neighbors) -> list[frozenset[int]]:
+    """Per instance, the instances it lists or that list it."""
+    out = [set(row) for row in neighbors]
+    for i, row in enumerate(neighbors):
+        for j in row:
+            out[j].add(i)
+    return [frozenset(row) for row in out]
 
 
 def knn_neighborhoods(v_matrix: StateMatrix, k: int) -> list[frozenset[int]]:
-    """The k instances the library's kNN step links to each instance."""
-    return [frozenset(row) for row in _nearest(_cosine_matrix(v_matrix), k).tolist()]
+    """The instances the library's symmetric kNN relation links to each
+    instance, read from the stored pattern of L~."""
+    sims = _cosine_matrix(v_matrix)
+    return linked_sets(build_laplacian_set(sims, np.zeros(v_matrix.m_cols), k).l_tilde)
 
 
 def svd_basis(v: StateMatrix, d_plus: np.ndarray, energy_fraction: float) -> TruncatedBasis:

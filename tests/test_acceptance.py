@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import affinities, assemble_objective_matrix, network, solve_spectral, template_db
+from helpers import assemble_objective_matrix, laplacians, network, solve_spectral, template_db
 from subnetmine import cli
 from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_network
 from subnetmine.evaluation import (
@@ -25,7 +25,7 @@ from subnetmine.evaluation import (
     run_cv,
     sweep_alpha,
 )
-from subnetmine.metagraph import build_constraint_matrix, build_laplacian_set
+from subnetmine.metagraph import build_constraint_matrix
 from subnetmine.solver import SolverConfig, truncated_svd_basis
 from subnetmine.synth import SynthConfig, generate_backbone, sample_database
 
@@ -58,7 +58,7 @@ def desk_runs():
 def pipeline_fixture(rng, n, m, alpha):
     db = template_db(rng, n=n, m=m)
     v = StateMatrix(db.values)
-    lap = build_laplacian_set(affinities(db, 3))
+    lap = laplacians(db, 3)
     c = build_constraint_matrix(build_generalized_network(db))
     a = assemble_objective_matrix(v, lap, c, alpha)
     basis = truncated_svd_basis(v, lap.d_plus, 0.95)

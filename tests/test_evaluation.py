@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import affinities, build_db, restrict_instances, template_db
+from helpers import build_db, laplacians, restrict_instances, template_db
 from subnetmine import evaluation, solver
 from subnetmine.data import StateMatrix, build_generalized_network
 from subnetmine.errors import (
@@ -33,7 +33,7 @@ from subnetmine.evaluation import (
     write_eval_report,
     write_sweep,
 )
-from subnetmine.metagraph import build_constraint_matrix, build_laplacian_set
+from subnetmine.metagraph import build_constraint_matrix
 from subnetmine.selection import build_report
 from subnetmine.solver import SolverConfig
 from subnetmine.synth import SynthConfig, generate_backbone, sample_database
@@ -214,13 +214,12 @@ def test_fitted_objects_compare_by_identity():
     a field-wise == over arrays raised ValueError, and hash TypeError."""
 
     def pieces(db):
-        aff = affinities(db, 3)
         g = build_generalized_network(db)
         problem = reduce_database(db, 3)
         model = problem.model(0.5, 2)
         embedded = model.u_matrix.T @ db.values
         return [
-            StateMatrix(db.values.copy()), aff, build_laplacian_set(aff), g, db.edge_index,
+            StateMatrix(db.values.copy()), laplacians(db, 3), g, db.edge_index,
             build_constraint_matrix(g), problem, model.basis, model,
             build_report(model.u_matrix, g, 3), train_linear_classifier(embedded, db.labels),
             train_linear_classifier(embedded, np.arange(db.m) % 3),
@@ -237,7 +236,7 @@ def test_fit_model_shapes_and_normalization():
     assert model.n == db.n
     assert model.d == 2  # two observed global states
     # recompute B = V D+ V^T through the library's pieces
-    lap = build_laplacian_set(affinities(db, 3))
+    lap = laplacians(db, 3)
     b = db.values @ np.diag(lap.d_plus) @ db.values.T
     for j in range(model.d):
         u = model.u_matrix[:, j]

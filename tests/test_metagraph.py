@@ -1,16 +1,33 @@
-"""Affinity construction, Laplacians and the topology constraint."""
+"""kNN meta-graph Laplacians and the topology constraint."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from scipy import sparse
 
-from helpers import affinities, cosine_similarity, knn_neighborhoods, network, random_db
+from helpers import (
+    affinities,
+    affinity_pair_by_masks,
+    cosine_similarity,
+    knn_neighborhoods,
+    laplacian,
+    laplacian_set_oracle,
+    laplacians,
+    nearest_by_argsort,
+    network,
+    random_db,
+    split_affinities,
+    symmetric_relation,
+)
+from subnetmine import evaluation
 from subnetmine.data import StateMatrix
-from subnetmine.errors import AsymmetricInput, KTooLarge
-from subnetmine.evaluation import reduce_database
-from subnetmine.metagraph import build_constraint_matrix, build_laplacian_set, laplacian
+from subnetmine.errors import KTooLarge
+from subnetmine.evaluation import EvalConfig, reduce_database, run_cv
+from subnetmine.metagraph import _cosine_matrix, build_constraint_matrix, build_laplacian_set
+from subnetmine.solver import SolverConfig
+from subnetmine.synth import SynthConfig, generate_backbone, sample_database
 
 
 def brute_force_knn(sims, k):
@@ -50,15 +67,16 @@ def test_knn_matches_exhaustive_search():
         v = StateMatrix(db.values)
         sims = cosine_matrix_of(db)
         for k in (1, 3, 8):
-            assert knn_neighborhoods(v, k) == brute_force_knn(sims, k)
+            assert knn_neighborhoods(v, k) == symmetric_relation(brute_force_knn(sims, k))
 
 
 def test_knn_tie_break_prefers_lower_index():
-    # duplicated columns make every similarity tie exactly
+    # duplicated columns make every similarity tie exactly: each instance
+    # picks the two lowest other indices, so 2 and 3 never pick each other
     v = StateMatrix(np.ones((3, 4)))
     assert knn_neighborhoods(v, 2) == [
-        frozenset({1, 2}),
-        frozenset({0, 2}),
+        frozenset({1, 2, 3}),
+        frozenset({0, 2, 3}),
         frozenset({0, 1}),
         frozenset({0, 1}),
     ]
@@ -123,39 +141,83 @@ def test_affinities_symmetric_zero_diagonal():
 
 
 def test_laplacian_quadratic_form_identity():
+    """With k = m - 1 every pair is linked, so u' L~ u is the cross-state
+    energy minus the same-state energy of the raw similarities."""
     for seed in range(5):
         rng = np.random.default_rng(seed)
         m = 7
-        upper = np.triu(rng.random((m, m)), 1)
-        a = upper + upper.T
-        degrees, lap = laplacian(sparse.csr_array(a))
-        assert np.allclose(degrees, a.sum(axis=1))
-        assert np.allclose(lap.toarray(), np.diag(degrees) - a)
+        upper = np.triu(rng.normal(size=(m, m)), 1)
+        sims = upper + upper.T
+        labels = rng.integers(0, 2, size=m)
+        lap = build_laplacian_set(sims, labels, m - 1)
+        same = labels[:, np.newaxis] == labels[np.newaxis, :]
+        assert np.allclose(lap.d_plus, np.where(same, sims, 0.0).sum(axis=1))
         for _ in range(10):
             u = rng.normal(size=m)
-            direct = 0.5 * sum(
-                a[i, j] * (u[i] - u[j]) ** 2 for i in range(m) for j in range(m)
-            )
-            assert abs(u @ (lap @ u) - direct) <= 1e-10 * max(1.0, abs(direct))
-
-
-def test_laplacian_rejects_bad_input():
-    bad = sparse.csr_array(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(AsymmetricInput):
-        laplacian(bad)
-    with pytest.raises(ValueError):
-        laplacian(sparse.csr_array(np.array([[1.0, 0.5], [0.5, 0.0]])))
+            diff2 = (u[:, np.newaxis] - u[np.newaxis, :]) ** 2
+            direct = 0.5 * np.sum(np.where(same, -sims, sims) * diff2)
+            assert abs(u @ (lap.l_tilde @ u) - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
 def test_laplacian_set_combination():
+    """L~ = L- - L+ and D+ = A+ 1 of the affinities read back from L~, by
+    sparse algebra over the dense-mask construction as well."""
     rng = np.random.default_rng(13)
     db = random_db(rng, n=5, m=9)
-    aff = affinities(db, 3)
-    lap = build_laplacian_set(aff)
-    _, l_plus = laplacian(aff.a_plus)
-    _, l_minus = laplacian(aff.a_minus)
-    assert np.array_equal(lap.l_tilde.toarray(), l_minus.toarray() - l_plus.toarray())
-    assert np.allclose(lap.d_plus, aff.a_plus.toarray().sum(axis=1))
+    lap = laplacians(db, 3)
+    for aff in (
+        split_affinities(lap, db.labels),
+        affinity_pair_by_masks(_cosine_matrix(StateMatrix(db.values)), db.labels, 3),
+    ):
+        d_plus, l_plus = laplacian(aff.a_plus)
+        d_minus, l_minus = laplacian(aff.a_minus)
+        assert np.array_equal(lap.l_tilde.toarray(), l_minus.toarray() - l_plus.toarray())
+        assert np.array_equal(lap.d_plus, d_plus)
+        assert np.array_equal(lap.l_tilde.diagonal(), d_minus - d_plus)
+
+
+def test_l_tilde_is_symmetric_by_construction():
+    """Each linked pair carries its upper-triangle similarity both ways, so
+    L~ is bitwise symmetric even for a similarity matrix that is not."""
+    rng = np.random.default_rng(5)
+    sims = rng.normal(size=(9, 9))
+    labels = rng.integers(0, 2, size=9)
+    for k in (1, 3, 8):
+        dense = build_laplacian_set(sims, labels, k).l_tilde.toarray()
+        assert np.array_equal(dense.view(np.uint64), dense.T.view(np.uint64))
+        assert np.array_equal(dense, laplacian_set_oracle(sims, labels, k).l_tilde.toarray())
+
+
+def test_laplacian_set_is_bit_identical_to_the_oracle():
+    """On every training set a 4-fold nested CV reduces, D+, L~ and L~ z
+    equal the argsort / dense-mask / checked-Laplacian construction bit for
+    bit, and L~ stores exactly the symmetric kNN relation plus its diagonal,
+    explicit zeros included."""
+    cfg = SynthConfig(n=30, m=48, n_gt=6, global_noise=0.25, seed=4)
+    db, _ = sample_database(generate_backbone(cfg), cfg)
+    seen = []
+
+    def record(sims, labels, k):
+        seen.append((sims, labels, k))
+        return build_laplacian_set(sims, labels, k)
+
+    with mock.patch.object(evaluation, "build_laplacian_set", record):
+        run_cv(db, EvalConfig(folds=4, alpha_grid=(0.1, 1.0), seed=3), SolverConfig(alpha=0.1))
+    assert len(seen) == 4 + 6  # outer folds, then the distinct inner pairs
+    rng = np.random.default_rng(0)
+    for sims, labels, k in seen:
+        m = sims.shape[0]
+        lap = build_laplacian_set(sims, labels, k)
+        oracle = laplacian_set_oracle(sims, labels, k)
+        assert np.array_equal(lap.d_plus, oracle.d_plus)
+        assert np.array_equal(lap.l_tilde.toarray(), oracle.l_tilde.toarray())
+        z = rng.normal(size=(m, 3))
+        assert np.array_equal(lap.l_tilde @ z, oracle.l_tilde @ z)
+        relation = symmetric_relation(nearest_by_argsort(sims, k).tolist())
+        coo = lap.l_tilde.tocoo()
+        stored = set(zip(coo.coords[0].tolist(), coo.coords[1].tolist()))
+        assert len(stored) == coo.nnz
+        assert stored == {(i, j) for i in range(m) for j in relation[i] | {i}}
 
 
 def test_constraint_matrix_hand_oracle():

@@ -1,6 +1,7 @@
 """Property tests: invariants of the fit under reordering, reuse of the
 per-database edge index, the array network and constraint against their
-tuple oracles, independence of the rows of a stacked classifier fit, and
+tuple oracles, the kNN Laplacians against their argsort oracle on tied
+similarities, independence of the rows of a stacked classifier fit, and
 the classifier's invariance under invertible maps of the embedding."""
 
 from __future__ import annotations
@@ -15,14 +16,19 @@ from helpers import (
     build_db,
     constraint_from_tuples,
     edge_tuples,
+    laplacian_set_oracle,
+    linked_sets,
+    nearest_by_argsort,
     network_by_counting,
     random_db,
     restrict_instances,
+    split_affinities,
+    symmetric_relation,
     template_db,
 )
-from subnetmine.data import NetworkDatabase, build_generalized_network
+from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_network
 from subnetmine.evaluation import EvalConfig, fit_model, run_cv, train_linear_classifier
-from subnetmine.metagraph import build_constraint_matrix
+from subnetmine.metagraph import _cosine_matrix, build_constraint_matrix, build_laplacian_set
 from subnetmine.selection import score_nodes
 from subnetmine.solver import SolverConfig
 
@@ -123,6 +129,40 @@ def test_network_and_constraint_match_the_tuple_oracles(seed, n, m, edge_prob, p
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 4),
+    m=st.integers(3, 12),
+    copies=st.integers(0, 6),
+    zeros=st.integers(0, 3),
+    k_pick=st.sampled_from([1, 2, -2, -1]),
+)
+@example(seed=0, n=2, m=4, copies=0, zeros=4, k_pick=2)  # all similarities 0
+def test_knn_laplacians_match_the_argsort_oracle_on_ties(seed, n, m, copies, zeros, k_pick):
+    """Small-integer values, duplicated and zero-norm columns tie many
+    similarities; k is 1, 2, m - 2 or m - 1.  The relation stored in L~ is
+    the stable-argsort kNN relation, L~ is bitwise symmetric, its diagonal is
+    D- - D+, and D+ and L~ equal the oracle's."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-2, 3, size=(n, m)).astype(np.float64)
+    values[:, rng.integers(0, m, size=copies)] = values[:, rng.integers(0, m, size=copies)]
+    values[:, rng.integers(0, m, size=zeros)] = 0.0
+    labels = rng.integers(0, 2, size=m)
+    k = k_pick % m  # 1, 2, m - 2 or m - 1
+    sims = _cosine_matrix(StateMatrix(values))
+    lap = build_laplacian_set(sims, labels, k)
+
+    assert linked_sets(lap.l_tilde) == symmetric_relation(nearest_by_argsort(sims, k).tolist())
+    dense = lap.l_tilde.toarray()
+    assert np.array_equal(dense.view(np.uint64), dense.T.view(np.uint64))
+    d_minus = split_affinities(lap, labels).a_minus.sum(axis=1)
+    assert np.array_equal(lap.l_tilde.diagonal(), d_minus - lap.d_plus)
+    oracle = laplacian_set_oracle(sims, labels, k)
+    assert np.array_equal(lap.d_plus, oracle.d_plus)
+    assert np.array_equal(dense, oracle.l_tilde.toarray())
 
 
 @SETTINGS

@@ -10,9 +10,9 @@ import pytest
 from scipy import sparse
 
 from helpers import (
-    affinities,
     assemble_objective_matrix,
     build_db,
+    laplacians,
     random_db,
     solve_spectral,
     svd_basis,
@@ -20,7 +20,7 @@ from helpers import (
 from subnetmine import cli
 from subnetmine.data import StateMatrix, build_generalized_network, write_database
 from subnetmine.errors import DimensionMismatch, ParseError, RankDeficient, ZeroMatrix
-from subnetmine.metagraph import ConstraintMatrix, build_constraint_matrix, build_laplacian_set
+from subnetmine.metagraph import ConstraintMatrix, build_constraint_matrix
 from subnetmine.solver import (
     SolverConfig,
     load_model,
@@ -40,7 +40,7 @@ def pipeline_pieces(seed, n=6, m=10, k=3, edge_prob=0.4, value_loc=4.0):
     rng = np.random.default_rng(seed)
     db = random_db(rng, n=n, m=m, edge_prob=edge_prob, value_loc=value_loc)
     v = StateMatrix(db.values)
-    lap = build_laplacian_set(affinities(db, k))
+    lap = laplacians(db, k)
     c = build_constraint_matrix(build_generalized_network(db))
     return db, v, lap, c
 
