@@ -1,6 +1,8 @@
 """Command-line front end for batch use.
 
 Subcommands: generate, fit, transform, select, evaluate, sweep-alpha.
+Flags that several subcommands share are declared once, as argparse
+parent parsers, and each subcommand names its handler with set_defaults.
 Exit codes: 0 success, 2 usage error (bad flags or invalid configuration),
 1 runtime error (bad files, degenerate inputs).
 """
@@ -26,21 +28,35 @@ def _alpha_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=10,
-                   help="neighbors per instance (default: %(default)s)")
-    p.add_argument("--dim", type=int, default=None,
-                   help="subspace dimension (default: number of distinct global states)")
-    p.add_argument("--energy", type=float, default=0.95,
-                   help="singular-value energy fraction kept (default: %(default)s)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subnetmine",
         description="Mine discriminative subnetworks from global-state network databases.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # flag blocks that several subcommands share, each declared once
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("dataset", help="dataset directory")
+    model = argparse.ArgumentParser(add_help=False, parents=[dataset])
+    model.add_argument("--model", required=True, help="model TSV path")
+    solve = p = argparse.ArgumentParser(add_help=False, parents=[dataset])
+    p.add_argument("--k", type=int, default=10,
+                   help="neighbors per instance (default: %(default)s)")
+    p.add_argument("--dim", type=int, default=None,
+                   help="subspace dimension (default: number of distinct global states)")
+    p.add_argument("--energy", type=float, default=0.95,
+                   help="singular-value energy fraction kept (default: %(default)s)")
+    cv = p = argparse.ArgumentParser(add_help=False, parents=[solve])
+    grid = ",".join(f"{alpha:g}" for alpha in evaluation.DEFAULT_ALPHA_GRID)
+    p.add_argument("--alpha-grid", type=_alpha_list, default=None,
+                   help=f"comma-separated relative alpha grid (default: {grid})")
+    p.add_argument("--folds", type=int, default=10,
+                   help="cross-validation folds (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="fold-shuffle seed (default: %(default)s)")
+    p.add_argument("--ground-truth", default=None,
+                   help="ground-truth node TSV (default: dataset's ground_truth.tsv if present)")
 
     p = sub.add_parser("generate", help="write a synthetic dataset directory")
     p.add_argument("--nodes", type=int, required=True, help="shared node count")
@@ -56,56 +72,40 @@ def build_parser() -> argparse.ArgumentParser:
                    help="class mean shift on ground-truth nodes (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="seed (default: %(default)s)")
     p.add_argument("--out", required=True, help="output dataset directory")
+    p.set_defaults(run=_cmd_generate)
 
-    p = sub.add_parser("fit", help="fit a spectral model on a dataset")
-    p.add_argument("dataset", help="dataset directory")
-    _add_solver_flags(p)
+    p = sub.add_parser("fit", parents=[solve], help="fit a spectral model on a dataset")
     p.add_argument("--alpha", type=float, default=1.0,
                    help="topology constraint weight relative to the data term; 1 gives "
                         "both terms equal spectral radius (default: %(default)s)")
     p.add_argument("--out", required=True, help="model TSV path")
+    p.set_defaults(run=_cmd_fit)
 
-    p = sub.add_parser("transform", help="project instances into model coordinates")
-    p.add_argument("dataset", help="dataset directory")
-    p.add_argument("--model", required=True, help="model TSV path")
+    p = sub.add_parser("transform", parents=[model],
+                       help="project instances into model coordinates")
     p.add_argument("--out", required=True, help="embedded coordinates TSV path")
+    p.set_defaults(run=_cmd_transform)
 
-    p = sub.add_parser("select", help="rank nodes and extract connected subnetworks")
-    p.add_argument("dataset", help="dataset directory")
-    p.add_argument("--model", required=True, help="model TSV path")
+    p = sub.add_parser("select", parents=[model],
+                       help="rank nodes and extract connected subnetworks")
     p.add_argument("--top-c", type=int, default=50,
                    help="nodes to keep (default: %(default)s)")
     p.add_argument("--min-edge-weight", type=float, default=0.0,
                    help="keep induced edges with weight >= this (default: %(default)s)")
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(run=_cmd_select)
 
-    p = sub.add_parser("evaluate", help="cross-validated accuracy and node-ranking AUC")
-    p.add_argument("dataset", help="dataset directory")
-    _add_solver_flags(p)
+    p = sub.add_parser("evaluate", parents=[cv],
+                       help="cross-validated accuracy and node-ranking AUC")
     p.add_argument("--alpha", type=float, default=None,
                    help="fixed relative alpha (skips grid search)")
-    p.add_argument("--alpha-grid", type=_alpha_list, default=None,
-                   help="comma-separated relative alpha grid (default: 0.1,0.5,1,2,3,4,5,6.5)")
-    p.add_argument("--folds", type=int, default=10,
-                   help="cross-validation folds (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="fold-shuffle seed (default: %(default)s)")
-    p.add_argument("--ground-truth", default=None,
-                   help="ground-truth node TSV (default: dataset's ground_truth.tsv if present)")
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(run=_cmd_evaluate)
 
-    p = sub.add_parser("sweep-alpha", help="fixed-alpha cross validation over a grid")
-    p.add_argument("dataset", help="dataset directory")
-    _add_solver_flags(p)
-    p.add_argument("--alpha-grid", type=_alpha_list, default=None,
-                   help="comma-separated relative alpha grid (default: 0.1,0.5,1,2,3,4,5,6.5)")
-    p.add_argument("--folds", type=int, default=10,
-                   help="cross-validation folds (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="fold-shuffle seed (default: %(default)s)")
-    p.add_argument("--ground-truth", default=None,
-                   help="ground-truth node TSV (default: dataset's ground_truth.tsv if present)")
+    p = sub.add_parser("sweep-alpha", parents=[cv],
+                       help="fixed-alpha cross validation over a grid")
     p.add_argument("--out", required=True, help="output TSV path")
+    p.set_defaults(run=_cmd_sweep_alpha, alpha=None)  # no fixed alpha: the grid is swept
 
     return parser
 
@@ -149,9 +149,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_fit(args) -> int:
     db = load_database(args.dataset)
-    model = evaluation.fit_model(
-        db, k=args.k, alpha=args.alpha, energy_fraction=args.energy, d=args.dim
-    )
+    # a bad flag is a usage error even where the data would fail the fit first
+    cfg = solver.SolverConfig(alpha=args.alpha, energy_fraction=args.energy, d=args.dim)
+    model = evaluation.fit_model(db, args.k, cfg.alpha, cfg.energy_fraction, cfg.d)
     solver.save_model(model, db.node_ids, args.out)
     print(f"model: d={model.d} r={model.basis.r} alpha={model.alpha!r}")
     return 0
@@ -182,7 +182,10 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _eval_configs(args):
+def _cv_inputs(args):
+    """The dataset, the two configs and the ground-truth ordinals (or None)
+    of an evaluate or sweep-alpha run."""
+    db = load_database(args.dataset)
     if args.alpha is not None and args.alpha_grid is not None:
         raise ConfigInvalid("--alpha conflicts with --alpha-grid")
     if args.alpha is not None:
@@ -197,13 +200,11 @@ def _eval_configs(args):
     solver_cfg = solver.SolverConfig(
         alpha=grid[0], energy_fraction=args.energy, d=args.dim
     )
-    return eval_cfg, solver_cfg
+    return db, eval_cfg, solver_cfg, _gt_ordinals(args, db)
 
 
 def _cmd_evaluate(args) -> int:
-    db = load_database(args.dataset)
-    eval_cfg, solver_cfg = _eval_configs(args)
-    gt = _gt_ordinals(args, db)
+    db, eval_cfg, solver_cfg, gt = _cv_inputs(args)
     report = evaluation.evaluate_dataset(db, eval_cfg, solver_cfg, gt_nodes=gt)
     evaluation.write_eval_report(report, args.out)
     line = (
@@ -217,10 +218,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep_alpha(args) -> int:
-    db = load_database(args.dataset)
-    args.alpha = None  # sweep has no fixed-alpha flag
-    eval_cfg, solver_cfg = _eval_configs(args)
-    gt = _gt_ordinals(args, db)
+    db, eval_cfg, solver_cfg, gt = _cv_inputs(args)
     rows = evaluation.sweep_alpha(db, eval_cfg, solver_cfg, gt_nodes=gt)
     evaluation.write_sweep(rows, args.out)
     best = max(rows, key=lambda r: r.mean_accuracy)
@@ -228,21 +226,11 @@ def _cmd_sweep_alpha(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "fit": _cmd_fit,
-    "transform": _cmd_transform,
-    "select": _cmd_select,
-    "evaluate": _cmd_evaluate,
-    "sweep-alpha": _cmd_sweep_alpha,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,7 +40,7 @@ from .errors import (
 from .metagraph import _cosine_matrix, build_constraint_matrix, build_laplacian_set
 from .seeds import substream
 from .selection import score_nodes
-from .solver import ReducedProblem, SolverConfig, SpectralModel, reduce_problem
+from .solver import ReducedProblem, SolverConfig, SpectralModel, check_alpha, reduce_problem
 
 DEFAULT_ALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.5)
 
@@ -56,7 +56,7 @@ class EvalConfig:
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be nonnegative, got {self.seed}")
         for alpha in self.alpha_grid:
-            SolverConfig(alpha=alpha)  # rejects a negative, infinite or NaN grid point
+            check_alpha(alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,16 +123,13 @@ def train_linear_classifier(embedded: np.ndarray, labels):
     plus a ridge of 1e-9 of its mean diagonal, or of 1 when the scatter is
     all zero, so constant features predict the majority class.
 
-    ``embedded`` is one d x m embedding, giving one classifier, or an
-    A x d x m stack of embeddings of the same instances, giving a tuple of
-    A classifiers from one batched solve.  Every sum runs along one row's
-    last axis, never through BLAS, and the solve is per matrix, so row a of
-    a stack gets exactly the classifier that row alone would.
+    ``embedded`` is an A x d x m stack of embeddings of the same m
+    instances, one per alpha; the result is a tuple of A classifiers from
+    one batched solve.  Every sum runs along one row's last axis, never
+    through BLAS, and the solve is per matrix, so row a gets exactly the
+    classifier that a stack of row a alone would.
     """
     embedded = np.ascontiguousarray(embedded, dtype=np.float64)
-    single = embedded.ndim < 3
-    if single:
-        embedded = np.atleast_2d(embedded)[np.newaxis]
     classes, member, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if classes.size < 2:
         raise SingleClassFold(f"single class {classes} in training labels")
@@ -153,8 +150,7 @@ def train_linear_classifier(embedded: np.ndarray, labels):
     regularized = cov + ridge[:, np.newaxis, np.newaxis] * np.eye(dim)
     weights = np.linalg.solve(regularized, means.transpose(0, 2, 1)).transpose(0, 2, 1)
     biases = np.log(counts / m) - 0.5 * (weights * means).sum(axis=2)
-    models = tuple(LinearClassifier(w, b, classes) for w, b in zip(weights, biases))
-    return models[0] if single else models
+    return tuple(LinearClassifier(w, b, classes) for w, b in zip(weights, biases))
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +162,12 @@ def _reduce(
 ) -> ReducedProblem:
     """The alpha-invariant part of every fit: meta-graphs, Laplacians,
     generalized network and reduced problem over the instances at ``idx``
-    only; k is clamped to |idx| - 1."""
-    k = min(k, idx.size - 1)
+    only; k >= 1 is clamped to |idx| - 1."""
     if k < 1:
-        raise KTooLarge(f"k={k} outside 1..{idx.size - 1}")
+        raise ConfigInvalid(f"k must be positive, got {k}")
+    if idx.size < 2:
+        raise KTooLarge(f"k={k} needs 2 or more training instances, got {idx.size}")
+    k = min(k, idx.size - 1)
     v_train = StateMatrix(db.values[:, idx].copy())  # C order; the index alone gives F
     lap = build_laplacian_set(_cosine_matrix(v_train), db.labels[idx], k)
     c = build_constraint_matrix(db.edge_index.network(idx))
@@ -204,7 +202,6 @@ def fit_model(
     to m - 1 so small databases keep working; d defaults to the number of
     distinct global states.  Invalid settings raise ConfigInvalid.
     """
-    SolverConfig(alpha=alpha, energy_fraction=energy_fraction, d=d)  # validates
     return reduce_database(db, k, energy_fraction).model(alpha, _dimension(d, db.labels))
 
 

@@ -7,8 +7,8 @@ nearest, by descending cosine with ties to the lower instance index; one
 partition per row finds them, with no sort.  The solver needs only D+ (the
 row sums of A+) and L~ = L- - L+, so both are built straight from the
 linked pairs; neither affinity is formed.  The n x n constraint matrix is
-the Laplacian of the generalized network and penalizes projection vectors
-that vary across strongly shared edges.
+the Laplacian of the generalized network, returned as a plain CSR array; it
+penalizes projection vectors that vary across strongly shared edges.
 
 Cosine values are kept raw (negative entries are not clamped), so row sums
 of the affinities are not guaranteed nonnegative in pathological inputs;
@@ -36,13 +36,6 @@ class LaplacianSet:
 
     d_plus: np.ndarray
     l_tilde: sparse.csr_array
-
-
-@dataclass(frozen=True, eq=False)
-class ConstraintMatrix:
-    """Laplacian of the generalized network (n x n, PSD)."""
-
-    c: sparse.csr_array
 
 
 def _cosine_matrix(v_matrix: StateMatrix) -> np.ndarray:
@@ -116,13 +109,13 @@ def build_laplacian_set(sims: np.ndarray, labels, k: int) -> LaplacianSet:
     return LaplacianSet(d_plus=d_plus, l_tilde=l_tilde)
 
 
-def build_constraint_matrix(g: GeneralizedNetwork) -> ConstraintMatrix:
-    """Laplacian of the generalized network: diagonal holds weighted degrees,
-    off-diagonal entries are minus the shared-edge weights."""
+def build_constraint_matrix(g: GeneralizedNetwork) -> sparse.csr_array:
+    """Laplacian of the generalized network, n x n CSR and PSD: the diagonal
+    holds weighted degrees, off-diagonal entries are minus the shared-edge
+    weights."""
     (p, q), w = g.edges.T, g.weights
     # per edge: (p, q) and (q, p) at -w, then w onto both degrees
     rows = np.column_stack((p, q, p, q)).ravel()
     cols = np.column_stack((q, p, p, q)).ravel()
     vals = np.column_stack((-w, -w, w, w)).ravel()
-    c = sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(g.n, g.n)))
-    return ConstraintMatrix(c=c)
+    return sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(g.n, g.n)))

@@ -32,6 +32,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .data import StateMatrix, TsvFile, floats, value_error, write_json, write_tsv
 from .errors import (
@@ -41,12 +42,23 @@ from .errors import (
     RankDeficient,
     ZeroMatrix,
 )
-from .metagraph import ConstraintMatrix, LaplacianSet
+from .metagraph import LaplacianSet
 
 # singular values below this fraction of the largest are discarded outright
 _SIGMA_RTOL = 1e-12
 # relative gap under which two eigenvalues count as tied
 _EIG_TIE_RTOL = 1e-12
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject a topology weight that is negative, infinite or NaN."""
+    if not 0.0 <= alpha < np.inf:  # NaN fails too
+        raise ConfigInvalid(f"alpha must be finite and nonnegative, got {alpha}")
+
+
+def _check_energy(energy_fraction: float) -> None:
+    if not 0.0 < energy_fraction <= 1.0:
+        raise ConfigInvalid(f"energy_fraction must be in (0, 1], got {energy_fraction}")
 
 
 @dataclass(frozen=True)
@@ -62,10 +74,8 @@ class SolverConfig:
     d: int | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < np.inf:  # NaN fails too
-            raise ConfigInvalid(f"alpha must be finite and nonnegative, got {self.alpha}")
-        if not 0.0 < self.energy_fraction <= 1.0:
-            raise ConfigInvalid(f"energy_fraction must be in (0, 1], got {self.energy_fraction}")
+        check_alpha(self.alpha)
+        _check_energy(self.energy_fraction)
         if self.d is not None and self.d < 1:
             raise ConfigInvalid(f"d must be positive, got {self.d}")
 
@@ -93,23 +103,19 @@ class SpectralModel:
     alpha: float
 
     @property
-    def n(self) -> int:
-        return self.u_matrix.shape[0]
-
-    @property
     def d(self) -> int:
         return self.u_matrix.shape[1]
 
 
-def _check_dims(v: StateMatrix, lap: LaplacianSet, c: ConstraintMatrix) -> None:
+def _check_dims(v: StateMatrix, lap: LaplacianSet, c: sparse.csr_array) -> None:
     if lap.l_tilde.shape[0] != v.m_cols:
         raise DimensionMismatch(
             f"Laplacians are {lap.l_tilde.shape[0]}x{lap.l_tilde.shape[0]}, "
             f"state matrix has {v.m_cols} columns"
         )
-    if c.c.shape[0] != v.n_rows:
+    if c.shape[0] != v.n_rows:
         raise DimensionMismatch(
-            f"constraint matrix is {c.c.shape[0]}x{c.c.shape[0]}, "
+            f"constraint matrix is {c.shape[0]}x{c.shape[0]}, "
             f"state matrix has {v.n_rows} rows"
         )
 
@@ -119,7 +125,8 @@ def truncated_svd_basis(
 ) -> TruncatedBasis:
     """Left singular vectors and singular values of X = V (D+)^{1/2},
     truncated to the smallest rank whose singular values sum to at least
-    ``energy_fraction`` of the total.
+    ``energy_fraction`` of the total; ``energy_fraction`` outside (0, 1]
+    raises ConfigInvalid.
 
     Two noise guards tighten the cut further: components whose squared
     singular value falls below the average squared singular value are
@@ -134,6 +141,7 @@ def truncated_svd_basis(
     sigma_max^2 / min(n, m)).  Null directions read near 1e-8 sigma_max,
     past the 1e-12 guard; the Kaiser rule drops them.
     """
+    _check_energy(energy_fraction)
     d_plus = np.asarray(d_plus, dtype=np.float64)
     if d_plus.shape != (v.m_cols,):
         raise DimensionMismatch(
@@ -241,14 +249,16 @@ class ReducedProblem:
         s scales U by 1/s and changes nothing else.  Without edges
         (rho(M1) = 0) alpha is used as is.  The result equals the top
         eigenpairs of the whitened dense objective V Ltilde V' - alpha_eff C,
-        but no n x n matrix is formed.
+        but no n x n matrix is formed.  A negative, infinite or NaN alpha
+        raises ConfigInvalid.
         """
+        check_alpha(alpha)
         weight = alpha * self.rho0 / self.rho1 if self.rho1 > 0.0 else alpha
         return _top_eigenpairs(self.m0 - weight * self.m1, self.basis, d, alpha)
 
 
 def reduce_problem(
-    v: StateMatrix, lap: LaplacianSet, c: ConstraintMatrix, energy_fraction: float
+    v: StateMatrix, lap: LaplacianSet, c: sparse.csr_array, energy_fraction: float
 ) -> ReducedProblem:
     """Truncated basis of V (D+)^{1/2} plus the whitened terms M0 and M1."""
     _check_dims(v, lap, c)
@@ -256,7 +266,7 @@ def reduce_problem(
     q = _whitening(basis)
     z = v.matrix.T @ q
     m0 = z.T @ (lap.l_tilde @ z)
-    m1 = q.T @ (c.c @ q)
+    m1 = q.T @ (c @ q)
     m0 = (m0 + m0.T) / 2.0
     m1 = (m1 + m1.T) / 2.0
     rho0 = float(np.abs(np.linalg.eigvalsh(m0)).max())

@@ -25,10 +25,11 @@ class SynthConfig:
     """Generator knobs.
 
     Edge existence probabilities are drawn from Gaussians truncated to
-    [0, 1]: (gt_edge_mean, gt_edge_sd) for edges between ground-truth
-    nodes, (bg_edge_mean, bg_edge_sd) for every other edge.
-    class_mean_shift is the mean separation of ground-truth node values
-    between the two classes (both classes share unit variance).
+    (0, 1]: (gt_edge_mean, gt_edge_sd) for edges between ground-truth
+    nodes, (bg_edge_mean, bg_edge_sd) for every other edge; each mean must
+    lie in (0, 1] and each sd in [0, 1].  class_mean_shift, which must be
+    finite, is the mean separation of ground-truth node values between the
+    two classes (both classes share unit variance).
     """
 
     n: int
@@ -55,10 +56,17 @@ class SynthConfig:
             raise ConfigInvalid(
                 f"need n > edges_per_node, got n={self.n}, edges_per_node={self.edges_per_node}"
             )
-        for name in ("global_noise", "local_noise"):
+        for name in ("global_noise", "local_noise", "gt_edge_sd", "bg_edge_sd"):
             rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
+            if not 0.0 <= rate <= 1.0:  # NaN fails too
                 raise ConfigInvalid(f"{name}={rate} outside [0, 1]")
+        # a mean outside (0, 1] would leave _truncated_gaussian drawing forever
+        for name in ("gt_edge_mean", "bg_edge_mean"):
+            mean = getattr(self, name)
+            if not 0.0 < mean <= 1.0:
+                raise ConfigInvalid(f"{name}={mean} outside (0, 1]")
+        if not np.isfinite(self.class_mean_shift):
+            raise ConfigInvalid(f"class_mean_shift must be finite, got {self.class_mean_shift}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from subnetmine.errors import (
     UnknownNode,
 )
 from subnetmine.metagraph import (
-    ConstraintMatrix,
     LaplacianSet,
     _cosine_matrix,
     build_laplacian_set,
@@ -444,7 +443,7 @@ def svd_basis(v: StateMatrix, d_plus: np.ndarray, energy_fraction: float) -> Tru
 
 
 def assemble_objective_matrix(
-    v: StateMatrix, lap: LaplacianSet, c: ConstraintMatrix, alpha: float
+    v: StateMatrix, lap: LaplacianSet, c: sparse.csr_array, alpha: float
 ) -> np.ndarray:
     """A = V Ltilde V' - alpha C, symmetrized to kill roundoff.
 
@@ -455,7 +454,7 @@ def assemble_objective_matrix(
     _check_dims(v, lap, c)
     mat = v.matrix @ (lap.l_tilde @ v.matrix.T)
     if alpha != 0.0:
-        mat = mat - alpha * c.c.toarray()
+        mat = mat - alpha * c.toarray()
     return (mat + mat.T) / 2.0
 
 

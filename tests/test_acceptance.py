@@ -107,7 +107,7 @@ def test_criterion_2_constraint_quadratic_identity(capsys):
                     count = int(rng.integers(1, denominator + 1))
                     edges.append((p, q, count / denominator))
         g = network(n, edges)
-        c = build_constraint_matrix(g).c
+        c = build_constraint_matrix(g)
         u = rng.normal(size=n)
         quad = float(u @ (c @ u))
         # half the ordered-pair sum is one term per stored undirected edge

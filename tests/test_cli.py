@@ -340,6 +340,10 @@ def truncated_meta_model(model_file, tmp_path_factory):
     (["sweep-alpha", "{dataset}", "--folds", "2", "--alpha-grid", "1,2"], 0),
     (["select", "{dataset}", "--model", "{model}", "--min-edge-weight", "nan"], 2),
     (["select", "{dataset}", "--model", "{model}", "--min-edge-weight", "inf"], 2),
+    (["fit", "{dataset}", "--k", "0"], 2),
+    (["evaluate", "{dataset}", "--k", "-3"], 2),
+    (["generate", "--nodes", "30", "--instances", "12", "--gt", "5", "--effect-size", "nan"], 2),
+    (["generate", "--nodes", "30", "--instances", "12", "--gt", "5", "--effect-size", "inf"], 2),
 ])
 def test_contract_errors_exit_with_one_line(
     argv,

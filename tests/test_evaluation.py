@@ -13,7 +13,6 @@ from subnetmine.data import StateMatrix, build_generalized_network
 from subnetmine.errors import (
     ConfigInvalid,
     DegenerateGroundTruth,
-    KTooLarge,
     SingleClassFold,
     TooFewPerClass,
 )
@@ -33,7 +32,6 @@ from subnetmine.evaluation import (
     write_eval_report,
     write_sweep,
 )
-from subnetmine.metagraph import build_constraint_matrix
 from subnetmine.selection import build_report
 from subnetmine.solver import SolverConfig
 from subnetmine.synth import SynthConfig, generate_backbone, sample_database
@@ -88,7 +86,7 @@ def test_folds_seed_determinism():
 def test_classifier_separable_line():
     x = np.array([[-3.0, -2.5, -2.0, 2.0, 2.5, 3.0]])
     labels = np.array([0, 0, 0, 1, 1, 1])
-    clf = train_linear_classifier(x, labels)
+    clf = train_linear_classifier(x[np.newaxis], labels)[0]
     assert np.array_equal(clf.predict(x), labels)
 
 
@@ -97,11 +95,11 @@ def test_classifier_constant_features_predict_majority():
     for value in (1.0, 0.1):
         x = np.full((2, 10), value)
         labels = np.array([0] * 7 + [1] * 3)
-        clf = train_linear_classifier(x, labels)
+        clf = train_linear_classifier(x[np.newaxis], labels)[0]
         pred = clf.predict(x)
         assert np.all(pred == 0)
         labels = np.array([0] * 3 + [1] * 7)
-        pred = train_linear_classifier(x, labels).predict(x)
+        pred = train_linear_classifier(x[np.newaxis], labels)[0].predict(x)
         assert np.all(pred == 1)
 
 
@@ -111,7 +109,7 @@ def test_classifier_well_separated_blobs():
     b = rng.normal(6.0, 1.0, size=(2, 60))
     x = np.hstack([a, b])
     labels = np.array([0] * 60 + [1] * 60)
-    clf = train_linear_classifier(x, labels)
+    clf = train_linear_classifier(x[np.newaxis], labels)[0]
     assert np.mean(clf.predict(x) == labels) >= 0.99
 
 
@@ -120,8 +118,8 @@ def test_classifier_deterministic():
     x = rng.normal(size=(2, 30))
     labels = (rng.random(30) < 0.5).astype(int)
     labels[:2] = [0, 1]
-    one = train_linear_classifier(x, labels)
-    two = train_linear_classifier(x, labels)
+    one = train_linear_classifier(x[np.newaxis], labels)[0]
+    two = train_linear_classifier(x[np.newaxis], labels)[0]
     assert np.array_equal(one.weights, two.weights)
     assert np.array_equal(one.biases, two.biases)
 
@@ -136,7 +134,7 @@ def test_classifier_three_classes():
         labels.extend([cls] * 25)
     x = np.hstack(cols)
     labels = np.array(labels)
-    clf = train_linear_classifier(x, labels)
+    clf = train_linear_classifier(x[np.newaxis], labels)[0]
     assert clf.weights.shape == (3, 2)
     assert clf.labels.tolist() == [0, 1, 2]
     assert np.array_equal(clf.predict(x), labels)
@@ -189,7 +187,7 @@ def test_classifier_matches_reference_loop():
     cases.append((ties, np.tile([0, 1, 2], 8)))
     cases.append((np.array([[-2.0, 2.0, -2.0, 2.0], [-2.0, 0.0, -1.0, 2.0]]), np.tile([0, 1], 2)))
     for x, labels in cases:
-        clf = train_linear_classifier(x, labels)
+        clf = train_linear_classifier(x[np.newaxis], labels)[0]
         expected = np.append(*reference_classifier(x, labels))
         got = np.append(clf.weights, clf.biases)
         assert np.max(np.abs(got - expected)) <= REFERENCE_RTOL * np.max(np.abs(expected))
@@ -198,7 +196,7 @@ def test_classifier_matches_reference_loop():
 
 def test_classifier_rejects_single_class():
     with pytest.raises(SingleClassFold):
-        train_linear_classifier(np.ones((1, 4)), np.zeros(4, dtype=int))
+        train_linear_classifier(np.ones((1, 1, 4)), np.zeros(4, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +218,10 @@ def test_fitted_objects_compare_by_identity():
         embedded = model.u_matrix.T @ db.values
         return [
             StateMatrix(db.values.copy()), laplacians(db, 3), g, db.edge_index,
-            build_constraint_matrix(g), problem, model.basis, model,
-            build_report(model.u_matrix, g, 3), train_linear_classifier(embedded, db.labels),
-            train_linear_classifier(embedded, np.arange(db.m) % 3),
+            problem, model.basis, model,
+            build_report(model.u_matrix, g, 3),
+            train_linear_classifier(embedded[np.newaxis], db.labels)[0],
+            train_linear_classifier(embedded[np.newaxis], np.arange(db.m) % 3)[0],
         ]
 
     for a, b in zip(pieces(class_db(0)), pieces(class_db(0))):
@@ -233,7 +232,7 @@ def test_fitted_objects_compare_by_identity():
 def test_fit_model_shapes_and_normalization():
     db = class_db(0)
     model = fit_model(db, k=3, alpha=0.5)
-    assert model.n == db.n
+    assert model.u_matrix.shape[0] == db.n
     assert model.d == 2  # two observed global states
     # recompute B = V D+ V^T through the library's pieces
     lap = laplacians(db, 3)
@@ -255,9 +254,9 @@ def test_fit_rejects_invalid_settings():
     for bad in ({"alpha": -1.0}, {"energy_fraction": 0.0}, {"d": 0}):
         with pytest.raises(ConfigInvalid):
             fit_model(db, **bad)
-    with pytest.raises(KTooLarge):
+    with pytest.raises(ConfigInvalid):
         fit_model(db, k=0)
-    with pytest.raises(KTooLarge):
+    with pytest.raises(ConfigInvalid):
         run_cv(db, EvalConfig(folds=3, alpha_grid=(1.0,), k=0), SolverConfig(alpha=1.0))
 
 
@@ -277,8 +276,8 @@ def test_cv_matches_manual_per_fold_refit():
         sub = restrict_instances(db, train_idx)
         model = fit_model(sub, k=3, alpha=0.7)
         clf = train_linear_classifier(
-            model.u_matrix.T @ v_full[:, train_idx], labels[train_idx]
-        )
+            (model.u_matrix.T @ v_full[:, train_idx])[np.newaxis], labels[train_idx]
+        )[0]
         predicted = clf.predict(model.u_matrix.T @ v_full[:, test_idx])
         manual = float(np.mean(predicted == labels[test_idx]))
         assert report.fold_accuracies[fold] == manual
@@ -309,8 +308,8 @@ def test_nested_cv_matches_naive_refit_per_alpha():
         test_idx = np.flatnonzero(held_out)
         model = fit_model(restrict_instances(db, train_idx), k=3, alpha=alpha)
         clf = train_linear_classifier(
-            model.u_matrix.T @ v_full[:, train_idx], labels[train_idx]
-        )
+            (model.u_matrix.T @ v_full[:, train_idx])[np.newaxis], labels[train_idx]
+        )[0]
         predicted = clf.predict(model.u_matrix.T @ v_full[:, test_idx])
         return float(np.mean(predicted == labels[test_idx]))
 

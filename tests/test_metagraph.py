@@ -23,7 +23,7 @@ from helpers import (
 )
 from subnetmine import evaluation
 from subnetmine.data import StateMatrix
-from subnetmine.errors import KTooLarge
+from subnetmine.errors import ConfigInvalid, KTooLarge
 from subnetmine.evaluation import EvalConfig, reduce_database, run_cv
 from subnetmine.metagraph import _cosine_matrix, build_constraint_matrix, build_laplacian_set
 from subnetmine.solver import SolverConfig
@@ -84,8 +84,13 @@ def test_knn_tie_break_prefers_lower_index():
 
 def test_knn_k_bounds():
     db = random_db(np.random.default_rng(0), n=4, m=4)
+    for k in (0, -3):
+        with pytest.raises(ConfigInvalid):
+            reduce_database(db, k=k)
+    # leave-one-out over 3 instances: an inner pair trains on one instance
+    tiny = random_db(np.random.default_rng(0), n=4, m=3)
     with pytest.raises(KTooLarge):
-        reduce_database(db, k=0)
+        run_cv(tiny, EvalConfig(folds=3, alpha_grid=(1.0, 2.0), k=1), SolverConfig(alpha=1.0))
 
 
 def test_affinities_match_brute_force():
@@ -222,7 +227,7 @@ def test_laplacian_set_is_bit_identical_to_the_oracle():
 
 def test_constraint_matrix_hand_oracle():
     g = network(3, ((0, 1, 0.5), (1, 2, 0.25)))
-    c = build_constraint_matrix(g).c.toarray()
+    c = build_constraint_matrix(g).toarray()
     want = np.array(
         [
             [0.5, -0.5, 0.0],
@@ -244,7 +249,7 @@ def test_constraint_matrix_quadratic_form_and_psd():
             if rng.random() < 0.5
         )
         g = network(n, edges)
-        c = build_constraint_matrix(g).c
+        c = build_constraint_matrix(g)
         dense = c.toarray()
         assert np.allclose(dense.sum(axis=1), 0.0, atol=1e-12)
         assert np.linalg.eigvalsh(dense).min() >= -1e-12

@@ -125,7 +125,7 @@ def test_network_and_constraint_match_the_tuple_oracles(seed, n, m, edge_prob, p
         assert edge_tuples(g) == expected
         assert g.edges.dtype == np.intp and g.edges.shape == (len(expected), 2)
         assert g.weights.dtype == np.float64
-        got, want = build_constraint_matrix(g).c, constraint_from_tuples(n, expected)
+        got, want = build_constraint_matrix(g), constraint_from_tuples(n, expected)
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -191,7 +191,7 @@ def test_stacked_classifier_rows_equal_single_fits(seed, rows, dim, m, classes, 
     fits = train_linear_classifier(stack, labels)
     assert len(fits) == rows
     for a, fit in enumerate(fits):
-        alone = train_linear_classifier(stack[a], labels)
+        alone = train_linear_classifier(stack[a][np.newaxis], labels)[0]
         assert np.array_equal(fit.weights, alone.weights)
         assert np.array_equal(fit.biases, alone.biases)
 
@@ -214,7 +214,7 @@ def test_classifier_invariant_under_invertible_maps(seed, dim, m, classes):
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     mix = q * rng.uniform(0.5, 2.0, size=dim)
     test = rng.normal(size=(dim, 50)) + rng.integers(0, classes, size=50)
-    before = train_linear_classifier(x, labels)
-    after = train_linear_classifier(mix @ x, labels)
+    before = train_linear_classifier(x[np.newaxis], labels)[0]
+    after = train_linear_classifier((mix @ x)[np.newaxis], labels)[0]
     assert np.array_equal(before.predict(x), after.predict(mix @ x))
     assert np.array_equal(before.predict(test), after.predict(mix @ test))

@@ -19,8 +19,14 @@ from helpers import (
 )
 from subnetmine import cli
 from subnetmine.data import StateMatrix, build_generalized_network, write_database
-from subnetmine.errors import DimensionMismatch, ParseError, RankDeficient, ZeroMatrix
-from subnetmine.metagraph import ConstraintMatrix, build_constraint_matrix
+from subnetmine.errors import (
+    ConfigInvalid,
+    DimensionMismatch,
+    ParseError,
+    RankDeficient,
+    ZeroMatrix,
+)
+from subnetmine.metagraph import build_constraint_matrix
 from subnetmine.solver import (
     SolverConfig,
     load_model,
@@ -50,7 +56,7 @@ def test_objective_matches_dense_formula():
         _, v, lap, c = pipeline_pieces(seed)
         for alpha in (0.0, 0.5, 2.0):
             a = assemble_objective_matrix(v, lap, c, alpha)
-            raw = v.matrix @ lap.l_tilde.toarray() @ v.matrix.T - alpha * c.c.toarray()
+            raw = v.matrix @ lap.l_tilde.toarray() @ v.matrix.T - alpha * c.toarray()
             assert np.allclose(a, (raw + raw.T) / 2.0, atol=1e-12)
             assert np.max(np.abs(a - a.T)) <= 1e-12
 
@@ -60,7 +66,7 @@ def test_objective_zero_laplacian_gives_minus_c():
     zero = sparse.csr_array((v.m_cols, v.m_cols))
     lap_zero = type(lap)(d_plus=np.zeros(v.m_cols), l_tilde=zero)
     a = assemble_objective_matrix(v, lap_zero, c, 1.0)
-    assert np.allclose(a, -c.c.toarray(), atol=1e-15)
+    assert np.allclose(a, -c.toarray(), atol=1e-15)
 
 
 def test_objective_dimension_checks():
@@ -68,7 +74,7 @@ def test_objective_dimension_checks():
     bad_v = StateMatrix(np.zeros((v.n_rows, v.m_cols + 1)))
     with pytest.raises(DimensionMismatch):
         assemble_objective_matrix(bad_v, lap, c, 1.0)
-    bad_c = ConstraintMatrix(c=sparse.csr_array((v.n_rows + 2, v.n_rows + 2)))
+    bad_c = sparse.csr_array((v.n_rows + 2, v.n_rows + 2))
     with pytest.raises(DimensionMismatch):
         assemble_objective_matrix(v, lap, bad_c, 1.0)
 
@@ -86,6 +92,9 @@ def test_truncation_energy_rule_on_known_spectrum():
     # energy 0.8: need 5+3
     basis = truncated_svd_basis(v, d_plus, 0.8)
     assert basis.r == 2 and np.allclose(basis.sigma_r, [5.0, 3.0])
+    for energy in (2.0, 0.0, -1.0, np.nan):
+        with pytest.raises(ConfigInvalid):
+            truncated_svd_basis(v, d_plus, energy)
 
 
 def test_truncation_noise_guard_drops_below_average_power():
@@ -348,7 +357,7 @@ def relative_weight(v, lap, c, basis):
     or 1 when the topology term vanishes."""
     q = basis.p_r / basis.sigma_r[np.newaxis, :]
     m0 = q.T @ assemble_objective_matrix(v, lap, c, 0.0) @ q
-    m1 = q.T @ c.c.toarray() @ q
+    m1 = q.T @ c.toarray() @ q
     rho0 = np.max(np.abs(np.linalg.eigvalsh((m0 + m0.T) / 2.0)))
     rho1 = np.max(np.abs(np.linalg.eigvalsh((m1 + m1.T) / 2.0)))
     return rho0 / rho1 if rho1 > 0.0 else 1.0
@@ -394,7 +403,10 @@ def test_reduce_problem_rank_and_dimension_errors():
     assert problem.basis.r == r
     with pytest.raises(RankDeficient):
         problem.model(1.0, r + 1)
-    bad_c = ConstraintMatrix(c=sparse.csr_array((v.n_rows + 2, v.n_rows + 2)))
+    for alpha in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigInvalid):
+            problem.model(alpha, 1)
+    bad_c = sparse.csr_array((v.n_rows + 2, v.n_rows + 2))
     with pytest.raises(DimensionMismatch):
         reduce_problem(v, lap, bad_c, 0.95)
 
@@ -403,7 +415,7 @@ def test_model_save_load_round_trip(tmp_path):
     v, d_plus, a = rich_fixture(4)
     basis = truncated_svd_basis(v, d_plus, 0.95)
     model = solve_spectral(a, basis, 2, alpha=1.5)
-    ids = [f"g{p}" for p in range(model.n)]
+    ids = [f"g{p}" for p in range(model.u_matrix.shape[0])]
     path = tmp_path / "sub" / "model.tsv"
     save_model(model, ids, path)
     got_ids, got_u = load_model(path)

@@ -39,7 +39,22 @@ def test_config_validation():
         small_cfg(global_noise=1.2).validate()
     with pytest.raises(ConfigInvalid):
         small_cfg(local_noise=-0.1).validate()
+    # settings the generator cannot honour; the edge means and sds here used
+    # to leave the truncated-Gaussian sampler drawing forever
+    for bad in (
+        {"class_mean_shift": np.nan},
+        {"class_mean_shift": np.inf},
+        {"bg_edge_mean": 5.0, "bg_edge_sd": 0.0},
+        {"bg_edge_mean": np.nan},
+        {"gt_edge_mean": 0.0},
+        {"gt_edge_sd": np.nan},
+        {"bg_edge_sd": -0.1},
+        {"gt_edge_sd": 1.5},
+    ):
+        with pytest.raises(ConfigInvalid):
+            small_cfg(**bad).validate()
     small_cfg().validate()
+    small_cfg(bg_edge_mean=1.0, bg_edge_sd=0.0, gt_edge_sd=1.0).validate()
 
 
 def test_backbone_deterministic_and_core_ring():
