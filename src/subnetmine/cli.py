@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import evaluation, selection, solver, synth
 from .data import build_generalized_network, load_database, write_tsv
-from .errors import ConfigInvalid, SubnetmineError, UnknownNode
+from .errors import ConfigInvalid, SubnetmineError
 
 
 def _alpha_list(text: str) -> tuple[float, ...]:
@@ -124,7 +124,7 @@ def _model_u(path, db):
     """U of the saved model, which must list the dataset's nodes in order."""
     node_ids, u_matrix = solver.load_model(path)
     if tuple(node_ids) != db.node_ids:
-        raise UnknownNode("model nodes do not match the dataset")
+        raise SubnetmineError("model nodes do not match the dataset")
     return u_matrix
 
 

@@ -33,14 +33,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    DuplicateEdge,
-    EdgeOnNullNode,
-    MissingFile,
-    ParseError,
-    SingleClassDatabase,
-    UnknownNode,
-)
+from .errors import ParseError, SubnetmineError
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -63,6 +56,8 @@ class NetworkDatabase:
     sorted by (instance, p, q) with no repeats, and the rows of instance i
     are ``offsets[i]:offsets[i + 1]``.  ``instance_edges[i]`` is that block
     as a read-only k_i x 2 view.
+
+    The labels must hold two or more distinct global states.
     """
 
     node_ids: tuple[str, ...]
@@ -87,6 +82,8 @@ class NetworkDatabase:
             if column.shape != shape:
                 raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
             object.__setattr__(self, name, column)
+        if np.unique(self.labels).size < 2:
+            raise SubnetmineError("database must contain at least two distinct global states")
         object.__setattr__(self, "values", np.where(self.valid, self.values, 0.0))
         for name in columns:
             _freeze(getattr(self, name))
@@ -191,7 +188,7 @@ class TsvFile:
 
     def __init__(self, path: Path, header):
         if not path.is_file():
-            raise MissingFile(path)
+            raise SubnetmineError(f"required file not found: {path}")
         # CR and CRLF end a line as LF does; the LF added ends the last line
         raw = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n") + b"\n"
         buf = np.frombuffer(raw, dtype=np.uint8)
@@ -303,10 +300,10 @@ def _state(text: str) -> int:
 def load_database(path) -> NetworkDatabase:
     """Load and validate a dataset directory.
 
-    Raises MissingFile, ParseError, UnknownNode, EdgeOnNullNode,
-    DuplicateEdge or SingleClassDatabase for the first bad line, in the
-    files read in the order nodes, instances, values, edges, with the first
-    check that line fails.
+    Raises ParseError for the first bad line, in the files read in the
+    order nodes, instances, values, edges, with the first check that line
+    fails; SubnetmineError for a missing file, or for a single global state
+    once every line has passed.
     """
     root = Path(path)
     objects = partial(np.array, dtype=object)
@@ -338,7 +335,7 @@ def load_database(path) -> NetworkDatabase:
         [i < 0, p < 0, _sorted_repeats(i * n + p)[1], ~np.isfinite(x)],
         lambda err, inst, node, value: (
             err(f"unknown instance id {inst!r}"),
-            UnknownNode(node),
+            err(f"unknown node id: {node!r}"),
             err(f"duplicate value for ({inst!r}, {node!r})"),
             value_error(err, value),
         ),
@@ -359,16 +356,14 @@ def load_database(path) -> NetworkDatabase:
         [i < 0, unknown_u, unknown_v, loop, ~(valid[p, i] & valid[q, i]), repeated],
         lambda err, inst, node_u, node_v: (
             err(f"unknown instance id {inst!r}"),
-            UnknownNode(node_u),
-            UnknownNode(node_v),
+            err(f"unknown node id: {node_u!r}"),
+            err(f"unknown node id: {node_v!r}"),
             err(f"self-loop on node {node_u!r}"),
-            EdgeOnNullNode(inst, node_u, node_v),
-            DuplicateEdge(inst, node_u, node_v),
+            err(f"instance {inst!r}: edge ({node_u!r}, {node_v!r}) touches a null node"),
+            err(f"instance {inst!r}: duplicate edge ({node_u!r}, {node_v!r})"),
         ),
     )
 
-    if len(set(labels)) < 2:
-        raise SingleClassDatabase()
     return NetworkDatabase(
         node_ids=tuple(node_ids),
         instance_ids=tuple(inst_ids),

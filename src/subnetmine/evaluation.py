@@ -30,13 +30,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .data import NetworkDatabase, StateMatrix, write_json, write_tsv
-from .errors import (
-    ConfigInvalid,
-    DegenerateGroundTruth,
-    KTooLarge,
-    SingleClassFold,
-    TooFewPerClass,
-)
+from .errors import ConfigInvalid, SubnetmineError
 from .metagraph import _cosine_matrix, build_constraint_matrix, build_laplacian_set
 from .seeds import substream
 from .selection import score_nodes
@@ -55,6 +49,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be nonnegative, got {self.seed}")
+        if not self.alpha_grid:
+            raise ConfigInvalid("alpha grid is empty")
         for alpha in self.alpha_grid:
             check_alpha(alpha)
 
@@ -108,7 +104,7 @@ def stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         if idx.size < folds:
-            raise TooFewPerClass(
+            raise SubnetmineError(
                 f"class {cls} has {idx.size} members, need >= {folds}"
             )
         idx = idx[rng.permutation(idx.size)]
@@ -132,7 +128,7 @@ def train_linear_classifier(embedded: np.ndarray, labels):
     embedded = np.ascontiguousarray(embedded, dtype=np.float64)
     classes, member, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if classes.size < 2:
-        raise SingleClassFold(f"single class {classes} in training labels")
+        raise SubnetmineError(f"single class {classes} in training labels")
     dim, m = embedded.shape[1:]
     # means[a, c]: class c's mean in row a, taken about its first member, so a
     # feature constant within the class adds exactly zero scatter.  np.take
@@ -166,7 +162,7 @@ def _reduce(
     if k < 1:
         raise ConfigInvalid(f"k must be positive, got {k}")
     if idx.size < 2:
-        raise KTooLarge(f"k={k} needs 2 or more training instances, got {idx.size}")
+        raise SubnetmineError(f"k={k} needs 2 or more training instances, got {idx.size}")
     k = min(k, idx.size - 1)
     v_train = StateMatrix(db.values[:, idx].copy())  # C order; the index alone gives F
     lap = build_laplacian_set(_cosine_matrix(v_train), db.labels[idx], k)
@@ -241,13 +237,12 @@ def run_cv(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig) 
 
     With two or more grid points, each outer fold picks its alpha by
     leave-one-fold-out validation over its training folds; a single-point
-    grid (or an empty one, falling back to solver_cfg.alpha) skips the
-    inner loop.  The overall best_alpha is the most frequently selected
-    one, ties to the smaller value.
+    grid skips the inner loop.  The overall best_alpha is the most
+    frequently selected one, ties to the smaller value.
     """
-    grid = tuple(sorted(eval_cfg.alpha_grid)) if eval_cfg.alpha_grid else ()
+    grid = tuple(sorted(eval_cfg.alpha_grid))
     folds, score = _cv_scorer(db, eval_cfg, solver_cfg)
-    alphas = [grid[0] if grid else solver_cfg.alpha] * folds
+    alphas = [grid[0]] * folds
     if len(grid) > 1:
         if folds < 3:  # an inner pair would leave out both folds and train on nothing
             raise ConfigInvalid(
@@ -287,12 +282,12 @@ def ranking_auc(scores, gt_nodes) -> tuple[float, list[tuple[float, float]]]:
     positive = np.zeros(n, dtype=bool)
     for p in gt_nodes:
         if not 0 <= int(p) < n:
-            raise DegenerateGroundTruth(f"ground-truth ordinal {p} out of range")
+            raise SubnetmineError(f"ground-truth ordinal {p} out of range")
         positive[int(p)] = True
     n_pos = int(positive.sum())
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise DegenerateGroundTruth(
+        raise SubnetmineError(
             f"need 0 < |ground truth| < n, got {n_pos} of {n}"
         )
     ranks = rankdata(scores)
@@ -339,7 +334,7 @@ def sweep_alpha(
 ) -> list[SweepRow]:
     """Fixed-alpha cross validation for every grid point, with the AUC of a
     full-database model at that alpha when ground truth is available."""
-    grid = tuple(sorted(eval_cfg.alpha_grid)) if eval_cfg.alpha_grid else (solver_cfg.alpha,)
+    grid = tuple(sorted(eval_cfg.alpha_grid))
     folds, score = _cv_scorer(db, eval_cfg, solver_cfg)
     # accuracies[a, f]: accuracy at grid[a] on outer fold f
     accuracies = np.hstack([score((f,), (f,), grid) for f in range(folds)])

@@ -16,7 +16,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .data import GeneralizedNetwork, write_tsv
-from .errors import ConfigInvalid, CTooLarge
+from .errors import ConfigInvalid, SubnetmineError
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def select_top_nodes(scores: np.ndarray, c: int) -> list[int]:
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.shape[0]
     if c > n:
-        raise CTooLarge(f"c={c} exceeds node count {n}")
+        raise SubnetmineError(f"c={c} exceeds node count {n}")
     if c < 1:
         raise ConfigInvalid(f"c must be positive, got {c}")
     order = np.lexsort((np.arange(n), -scores))

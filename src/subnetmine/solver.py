@@ -35,13 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from .data import StateMatrix, TsvFile, floats, value_error, write_json, write_tsv
-from .errors import (
-    ConfigInvalid,
-    DimensionMismatch,
-    NegativeDegree,
-    RankDeficient,
-    ZeroMatrix,
-)
+from .errors import ConfigInvalid, SubnetmineError
 from .metagraph import LaplacianSet
 
 # singular values below this fraction of the largest are discarded outright
@@ -109,12 +103,12 @@ class SpectralModel:
 
 def _check_dims(v: StateMatrix, lap: LaplacianSet, c: sparse.csr_array) -> None:
     if lap.l_tilde.shape[0] != v.m_cols:
-        raise DimensionMismatch(
+        raise SubnetmineError(
             f"Laplacians are {lap.l_tilde.shape[0]}x{lap.l_tilde.shape[0]}, "
             f"state matrix has {v.m_cols} columns"
         )
     if c.shape[0] != v.n_rows:
-        raise DimensionMismatch(
+        raise SubnetmineError(
             f"constraint matrix is {c.shape[0]}x{c.shape[0]}, "
             f"state matrix has {v.n_rows} rows"
         )
@@ -144,11 +138,11 @@ def truncated_svd_basis(
     _check_energy(energy_fraction)
     d_plus = np.asarray(d_plus, dtype=np.float64)
     if d_plus.shape != (v.m_cols,):
-        raise DimensionMismatch(
+        raise SubnetmineError(
             f"degree diagonal has length {d_plus.shape}, expected ({v.m_cols},)"
         )
     if np.any(d_plus < 0.0):
-        raise NegativeDegree(
+        raise SubnetmineError(
             "D+ has negative diagonal entries; same-state affinity row sums "
             "must be >= 0 (reduce k or use more training instances)"
         )
@@ -158,7 +152,7 @@ def truncated_svd_basis(
     sigma = np.sqrt(np.maximum(eigvals[::-1], 0.0))
     eigvecs = eigvecs[:, ::-1]
     if sigma.size == 0 or sigma[0] <= 0.0:
-        raise ZeroMatrix("all singular values vanish; affinity graph is degenerate")
+        raise SubnetmineError("all singular values vanish; affinity graph is degenerate")
 
     n_above = int(np.count_nonzero(sigma > _SIGMA_RTOL * sigma[0]))
     total = sigma.sum()
@@ -205,7 +199,7 @@ def _top_eigenpairs(
     """Top-d eigenpairs of a symmetric r x r reduced matrix, mapped back to
     node space with tie ordering and the sign convention applied."""
     if d > basis.r:
-        raise RankDeficient(f"requested d={d} exceeds retained rank r={basis.r}")
+        raise SubnetmineError(f"requested d={d} exceeds retained rank r={basis.r}")
     if d < 1:
         raise ConfigInvalid(f"d must be positive, got {d}")
     eigvals, eigvecs = np.linalg.eigh(reduced)
@@ -307,7 +301,8 @@ def load_model(path) -> tuple[list[str], np.ndarray]:
 
     The file follows the dataset file rules of ``data.TsvFile``; its header
     is node_id, u_1 .. u_d with d >= 1 and every cell is a finite float.
-    Raises MissingFile or ParseError for the first bad line.
+    Raises SubnetmineError for a missing file, ParseError for the first
+    bad line.
     """
     tsv = TsvFile(Path(path), lambda width: _model_header(max(width - 1, 1)))
     node_ids, *columns = tsv.columns(

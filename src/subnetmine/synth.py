@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import NetworkDatabase, TsvFile, ordinals, write_database, write_tsv
-from .errors import ConfigInvalid, UnknownNode
+from .errors import ConfigInvalid
 from .seeds import substream
 
 
@@ -204,5 +204,5 @@ def read_ground_truth(path, node_ids: tuple[str, ...]) -> set[int]:
     ordinal_of = {node_id: p for p, node_id in enumerate(node_ids)}
     tsv = TsvFile(Path(path), ["node_id"])
     (found,) = tsv.columns(partial(ordinals, ordinal_of))
-    tsv.raise_first([found < 0], lambda err, node_id: (UnknownNode(node_id),))
+    tsv.raise_first([found < 0], lambda err, node_id: (err(f"unknown node id: {node_id!r}"),))
     return set(found.tolist())

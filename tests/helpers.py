@@ -11,14 +11,7 @@ import numpy as np
 from scipy import sparse
 
 from subnetmine.data import GeneralizedNetwork, NetworkDatabase, StateMatrix
-from subnetmine.errors import (
-    DuplicateEdge,
-    EdgeOnNullNode,
-    MissingFile,
-    ParseError,
-    SingleClassDatabase,
-    UnknownNode,
-)
+from subnetmine.errors import ParseError, SubnetmineError
 from subnetmine.metagraph import (
     LaplacianSet,
     _cosine_matrix,
@@ -133,7 +126,7 @@ def _read_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, li
     """Yield the (line_number, fields) rows of a TSV file, one line at a
     time, after the header (its first non-blank line) is validated."""
     if not path.is_file():
-        raise MissingFile(path)
+        raise SubnetmineError(f"required file not found: {path}")
     header_seen = False
     # bytes.splitlines ends lines at LF, CR and CRLF, as universal newlines do
     for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
@@ -201,7 +194,7 @@ def load_database_rows(path) -> NetworkDatabase:
         if inst_id not in instance_order:
             raise ParseError(values_path, lineno, f"unknown instance id {inst_id!r}")
         if node_id not in ordinal_of:
-            raise UnknownNode(node_id)
+            raise ParseError(values_path, lineno, f"unknown node id: {node_id!r}")
         i = instance_order[inst_id]
         p = ordinal_of[node_id]
         if valid[p, i]:
@@ -227,7 +220,7 @@ def load_database_rows(path) -> NetworkDatabase:
             raise ParseError(edges_path, lineno, f"unknown instance id {inst_id!r}")
         for node in (node_u, node_v):
             if node not in ordinal_of:
-                raise UnknownNode(node)
+                raise ParseError(edges_path, lineno, f"unknown node id: {node!r}")
         i = instance_order[inst_id]
         p, q = ordinal_of[node_u], ordinal_of[node_v]
         if p == q:
@@ -235,14 +228,20 @@ def load_database_rows(path) -> NetworkDatabase:
         if p > q:
             p, q = q, p
         if not (valid[p, i] and valid[q, i]):
-            raise EdgeOnNullNode(inst_id, node_u, node_v)
+            raise ParseError(
+                edges_path,
+                lineno,
+                f"instance {inst_id!r}: edge ({node_u!r}, {node_v!r}) touches a null node",
+            )
         if (p, q) in edge_seen[i]:
-            raise DuplicateEdge(inst_id, node_u, node_v)
+            raise ParseError(
+                edges_path, lineno, f"instance {inst_id!r}: duplicate edge ({node_u!r}, {node_v!r})"
+            )
         edge_seen[i].add((p, q))
         edge_lists[i].append((p, q))
 
     if len(set(labels)) < 2:
-        raise SingleClassDatabase()
+        raise SubnetmineError("database must contain at least two distinct global states")
 
     return with_edges(
         ordinal_of, instance_order, np.array(labels, dtype=int), valid, values,

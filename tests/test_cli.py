@@ -297,6 +297,16 @@ def nan_model(model_file, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def renamed_model(model_file, tmp_path_factory):
+    """The fitted model with one node id that the dataset does not have."""
+    path = tmp_path_factory.mktemp("renamed_model") / "model.tsv"
+    lines = model_file.read_text().splitlines()
+    lines[2] = "renamed\t" + lines[2].split("\t", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.fixture(scope="module")
 def truncated_meta_model(model_file, tmp_path_factory):
     """The fitted model with its .meta.json sidecar cut in half."""
     path = tmp_path_factory.mktemp("truncated_meta_model") / "model.tsv"
@@ -304,6 +314,15 @@ def truncated_meta_model(model_file, tmp_path_factory):
     meta = model_meta_path(model_file).read_bytes()
     model_meta_path(path).write_bytes(meta[: len(meta) // 2])
     return path
+
+
+# the message of the cases below whose whole error line is pinned
+PINNED_ERRORS = {
+    "select {dataset} --model {renamed_model}": "model nodes do not match the dataset",
+    "transform {dataset} --model {renamed_model}": "model nodes do not match the dataset",
+    "generate --nodes 10 --instances 2 --gt 2 --edges-per-node 2 --global-noise 0.5":
+        "database must contain at least two distinct global states",
+}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -344,6 +363,11 @@ def truncated_meta_model(model_file, tmp_path_factory):
     (["evaluate", "{dataset}", "--k", "-3"], 2),
     (["generate", "--nodes", "30", "--instances", "12", "--gt", "5", "--effect-size", "nan"], 2),
     (["generate", "--nodes", "30", "--instances", "12", "--gt", "5", "--effect-size", "inf"], 2),
+    (["select", "{dataset}", "--model", "{renamed_model}"], 1),
+    (["transform", "{dataset}", "--model", "{renamed_model}"], 1),
+    # label noise leaves both instances in one global state
+    (["generate", "--nodes", "10", "--instances", "2", "--gt", "2", "--edges-per-node", "2",
+      "--global-noise", "0.5"], 1),
 ])
 def test_contract_errors_exit_with_one_line(
     argv,
@@ -358,6 +382,7 @@ def test_contract_errors_exit_with_one_line(
     header_only_model,
     nan_model,
     truncated_meta_model,
+    renamed_model,
     tmp_path,
     capsys,
 ):
@@ -372,8 +397,11 @@ def test_contract_errors_exit_with_one_line(
         "header_only_model": header_only_model,
         "nan_model": nan_model,
         "truncated_meta_model": truncated_meta_model,
+        "renamed_model": renamed_model,
     }
-    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+    message = PINNED_ERRORS.get(" ".join(argv))
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(out)]
     capsys.readouterr()
     assert cli.main(argv) == code
     err = capsys.readouterr().err
@@ -381,4 +409,7 @@ def test_contract_errors_exit_with_one_line(
         assert err == ""
     else:
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+    if message is not None:
+        assert err == f"error: {message}\n"
     assert "Traceback" not in err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -11,15 +12,11 @@ import pytest
 
 from helpers import build_db, edge_tuples, random_db, restrict_instances, with_edges
 from subnetmine.data import build_generalized_network, load_database, write_database
-from subnetmine.errors import (
-    DuplicateEdge,
-    EdgeOnNullNode,
-    MissingFile,
-    ParseError,
-    SingleClassDatabase,
-    UnknownNode,
-)
+from subnetmine.errors import ParseError, SubnetmineError
 from subnetmine.synth import SynthConfig, generate_backbone, sample_database
+
+
+FILES = ("nodes.tsv", "instances.tsv", "values.tsv", "edges.tsv")
 
 
 def write_dataset_files(root, nodes, instances, values, edges):
@@ -230,35 +227,61 @@ def test_load_canonicalizes_reversed_edges(tmp_path):
 
 
 def test_load_missing_file(tmp_path):
-    with pytest.raises(MissingFile):
+    with pytest.raises(
+        SubnetmineError, match=re.escape(f"required file not found: {tmp_path / 'nodes.tsv'}")
+    ):
         load_database(tmp_path)
+
+
+def append(rows, k, row, message):
+    """Append ``row`` to file k of ``valid_rows``; return the file name,
+    the line (the header is line 1) and the message of its error."""
+    rows[k].append(row)
+    return FILES[k], len(rows[k]) + 1, message
 
 
 @pytest.mark.parametrize(
     "mutate,error",
     [
-        (lambda r: r[0].append("a"), ParseError),  # duplicate node id
-        (lambda r: r[1].append("i0\t1"), ParseError),  # duplicate instance id
-        (lambda r: r[1].append("i9\tx"), ParseError),  # non-integer state
-        (lambda r: r[2].append("i9\ta\t1.0"), ParseError),  # unknown instance
-        (lambda r: r[2].append("i0\tzz\t1.0"), UnknownNode),
-        (lambda r: r[2].append("i0\tc\tnot-a-number"), ParseError),
-        (lambda r: r[2].append("i0\tc\tinf"), ParseError),  # non-finite
-        (lambda r: r[2].append("i0\ta\t9.0"), ParseError),  # duplicate value
-        (lambda r: r[3].append("i9\ta\tb"), ParseError),  # unknown instance
-        (lambda r: r[3].append("i0\ta\tzz"), UnknownNode),
-        (lambda r: r[3].append("i0\ta\ta"), ParseError),  # self loop
-        (lambda r: r[3].append("i0\ta\tc"), EdgeOnNullNode),  # c null in i0
-        (lambda r: r[3].append("i0\tb\ta"), DuplicateEdge),  # reversed duplicate
-        (lambda r: r[1].append("i9\t9223372036854775808"), ParseError),  # state past int64
+        (lambda r: append(r, 0, "a", "duplicate node id 'a'"), ParseError),
+        (lambda r: append(r, 1, "i0\t1", "duplicate instance id 'i0'"), ParseError),
+        (lambda r: append(r, 1, "i9\tx", "global_state not a 64-bit integer: 'x'"), ParseError),
+        (lambda r: append(r, 2, "i9\ta\t1.0", "unknown instance id 'i9'"), ParseError),
+        (lambda r: append(r, 2, "i0\tc\tnot-a-number", "bad value: 'not-a-number'"), ParseError),
+        (lambda r: append(r, 2, "i0\tc\tinf", "non-finite value: 'inf'"), ParseError),
+        (lambda r: append(r, 2, "i0\ta\t9.0", "duplicate value for ('i0', 'a')"), ParseError),
+        (lambda r: append(r, 3, "i9\ta\tb", "unknown instance id 'i9'"), ParseError),
+        (lambda r: append(r, 3, "i0\ta\ta", "self-loop on node 'a'"), ParseError),
+        (
+            lambda r: append(
+                r, 1, "i9\t9223372036854775808",
+                "global_state not a 64-bit integer: '9223372036854775808'",
+            ),
+            ParseError,
+        ),
+        (lambda r: append(r, 2, "i0\tzz\t1.0", "unknown node id: 'zz'"), ParseError),
+        (lambda r: append(r, 3, "i0\ta\tzz", "unknown node id: 'zz'"), ParseError),
+        (
+            lambda r: append(  # c is null in i0
+                r, 3, "i0\ta\tc", "instance 'i0': edge ('a', 'c') touches a null node"
+            ),
+            ParseError,
+        ),
+        (
+            lambda r: append(  # a reversed duplicate
+                r, 3, "i0\tb\ta", "instance 'i0': duplicate edge ('b', 'a')"
+            ),
+            ParseError,
+        ),
     ],
 )
 def test_load_contract_violations(tmp_path, mutate, error):
     rows = [list(part) for part in valid_rows()]
-    mutate(rows)
+    name, line, message = mutate(rows)
     write_dataset_files(tmp_path, *rows)
-    with pytest.raises(error):
+    with pytest.raises(error, match=re.escape(f"{tmp_path / name}:{line}: {message}")) as exc:
         load_database(tmp_path)
+    assert exc.value.path == tmp_path / name and exc.value.line == line
 
 
 def test_load_bad_header(tmp_path):
@@ -272,8 +295,14 @@ def test_load_bad_header(tmp_path):
 def test_load_single_class(tmp_path):
     nodes, _, values, edges = valid_rows()
     write_dataset_files(tmp_path, nodes, ["i0\t1", "i1\t1"], values, edges)
-    with pytest.raises(SingleClassDatabase):
+    message = "database must contain at least two distinct global states"
+    with pytest.raises(SubnetmineError, match=re.escape(message)):
         load_database(tmp_path)
+    # checked once every line has passed: a bad last edge line wins
+    write_dataset_files(tmp_path, nodes, ["i0\t1", "i1\t1"], values, [*edges, "i0\ta\ta"])
+    with pytest.raises(ParseError, match=re.escape("self-loop on node 'a'")) as exc:
+        load_database(tmp_path)
+    assert exc.value.path == tmp_path / "edges.tsv" and exc.value.line == 4
 
 
 def test_load_skips_blank_lines(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from helpers import (
 )
 from subnetmine import evaluation
 from subnetmine.data import StateMatrix
-from subnetmine.errors import ConfigInvalid, KTooLarge
+from subnetmine.errors import ConfigInvalid, SubnetmineError
 from subnetmine.evaluation import EvalConfig, reduce_database, run_cv
 from subnetmine.metagraph import _cosine_matrix, build_constraint_matrix, build_laplacian_set
 from subnetmine.solver import SolverConfig
@@ -89,7 +90,8 @@ def test_knn_k_bounds():
             reduce_database(db, k=k)
     # leave-one-out over 3 instances: an inner pair trains on one instance
     tiny = random_db(np.random.default_rng(0), n=4, m=3)
-    with pytest.raises(KTooLarge):
+    message = "k=1 needs 2 or more training instances, got 1"
+    with pytest.raises(SubnetmineError, match=re.escape(message)):
         run_cv(tiny, EvalConfig(folds=3, alpha_grid=(1.0, 2.0), k=1), SolverConfig(alpha=1.0))
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from helpers import edge_tuples, network
-from subnetmine.errors import CTooLarge
+from subnetmine.errors import SubnetmineError
 from subnetmine.selection import (
     build_report,
     extract_subnetworks,
@@ -56,7 +58,7 @@ def test_select_orders_descending_with_tie_on_ordinal():
 
 
 def test_select_bounds():
-    with pytest.raises(CTooLarge):
+    with pytest.raises(SubnetmineError, match=re.escape("c=4 exceeds node count 3")):
         select_top_nodes(np.ones(3), 4)
     with pytest.raises(ValueError):
         select_top_nodes(np.ones(3), 0)

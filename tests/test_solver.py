@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -19,13 +20,7 @@ from helpers import (
 )
 from subnetmine import cli
 from subnetmine.data import StateMatrix, build_generalized_network, write_database
-from subnetmine.errors import (
-    ConfigInvalid,
-    DimensionMismatch,
-    ParseError,
-    RankDeficient,
-    ZeroMatrix,
-)
+from subnetmine.errors import ConfigInvalid, ParseError, SubnetmineError
 from subnetmine.metagraph import build_constraint_matrix
 from subnetmine.solver import (
     SolverConfig,
@@ -72,10 +67,13 @@ def test_objective_zero_laplacian_gives_minus_c():
 def test_objective_dimension_checks():
     _, v, lap, c = pipeline_pieces(2)
     bad_v = StateMatrix(np.zeros((v.n_rows, v.m_cols + 1)))
-    with pytest.raises(DimensionMismatch):
+    m, n = v.m_cols, v.n_rows
+    message = f"Laplacians are {m}x{m}, state matrix has {m + 1} columns"
+    with pytest.raises(SubnetmineError, match=re.escape(message)):
         assemble_objective_matrix(bad_v, lap, c, 1.0)
-    bad_c = sparse.csr_array((v.n_rows + 2, v.n_rows + 2))
-    with pytest.raises(DimensionMismatch):
+    bad_c = sparse.csr_array((n + 2, n + 2))
+    message = f"constraint matrix is {n + 2}x{n + 2}, state matrix has {n} rows"
+    with pytest.raises(SubnetmineError, match=re.escape(message)):
         assemble_objective_matrix(v, lap, bad_c, 1.0)
 
 
@@ -165,12 +163,18 @@ def test_gram_basis_matches_svd(shape, kind):
 
 
 def test_truncation_errors():
-    with pytest.raises(ZeroMatrix):
+    message = "all singular values vanish; affinity graph is degenerate"
+    with pytest.raises(SubnetmineError, match=re.escape(message)):
         truncated_svd_basis(StateMatrix(np.zeros((3, 4))), np.ones(4), 0.95)
     v = StateMatrix(np.eye(3))
-    with pytest.raises(ValueError):
+    message = (
+        "D+ has negative diagonal entries; same-state affinity row sums "
+        "must be >= 0 (reduce k or use more training instances)"
+    )
+    with pytest.raises(SubnetmineError, match=re.escape(message)):
         truncated_svd_basis(v, np.array([1.0, -0.5, 1.0]), 0.95)
-    with pytest.raises(DimensionMismatch):
+    message = "degree diagonal has length (5,), expected (3,)"
+    with pytest.raises(SubnetmineError, match=re.escape(message)):
         truncated_svd_basis(v, np.ones(5), 0.95)
 
 
@@ -296,7 +300,9 @@ def test_solve_degenerate_ties_order_by_anchor_row():
 def test_solve_rank_errors():
     v = StateMatrix(np.eye(3))
     basis = truncated_svd_basis(v, np.ones(3), 1.0)
-    with pytest.raises(RankDeficient):
+    with pytest.raises(
+        SubnetmineError, match=re.escape("requested d=4 exceeds retained rank r=3")
+    ):
         solve_spectral(np.eye(3), basis, 4)
     with pytest.raises(ValueError):
         solve_spectral(np.eye(3), basis, 0)
@@ -401,13 +407,17 @@ def test_reduce_problem_rank_and_dimension_errors():
     problem = reduce_problem(v, lap, c, 0.95)
     r = truncated_svd_basis(v, lap.d_plus, 0.95).r
     assert problem.basis.r == r
-    with pytest.raises(RankDeficient):
+    with pytest.raises(
+        SubnetmineError, match=re.escape(f"requested d={r + 1} exceeds retained rank r={r}")
+    ):
         problem.model(1.0, r + 1)
     for alpha in (-1.0, np.nan, np.inf):
         with pytest.raises(ConfigInvalid):
             problem.model(alpha, 1)
-    bad_c = sparse.csr_array((v.n_rows + 2, v.n_rows + 2))
-    with pytest.raises(DimensionMismatch):
+    n = v.n_rows
+    bad_c = sparse.csr_array((n + 2, n + 2))
+    message = f"constraint matrix is {n + 2}x{n + 2}, state matrix has {n} rows"
+    with pytest.raises(SubnetmineError, match=re.escape(message)):
         reduce_problem(v, lap, bad_c, 0.95)
 
 

@@ -4,13 +4,14 @@ noise channels and file round trips."""
 from __future__ import annotations
 
 import filecmp
+import re
 
 import numpy as np
 import pytest
 
 from helpers import edge_tuples
 from subnetmine.data import build_generalized_network, load_database
-from subnetmine.errors import ConfigInvalid, MissingFile, ParseError, UnknownNode
+from subnetmine.errors import ConfigInvalid, ParseError, SubnetmineError
 from subnetmine.synth import (
     GroundTruth,
     SynthConfig,
@@ -206,15 +207,17 @@ def test_written_dataset_loads_back(tmp_path):
 
 
 def test_read_ground_truth_errors(tmp_path):
-    with pytest.raises(MissingFile):
+    message = f"required file not found: {tmp_path / 'nope.tsv'}"
+    with pytest.raises(SubnetmineError, match=re.escape(message)):
         read_ground_truth(tmp_path / "nope.tsv", ["a"])
     bad = tmp_path / "gt.tsv"
     bad.write_text("wrong_header\na\n")
     with pytest.raises(ParseError):
         read_ground_truth(bad, ["a"])
     bad.write_text("node_id\nmystery\n")
-    with pytest.raises(UnknownNode):
+    with pytest.raises(ParseError, match=re.escape(f"{bad}:2: unknown node id: 'mystery'")) as exc:
         read_ground_truth(bad, ["a"])
+    assert exc.value.path == bad and exc.value.line == 2
 
 
 def test_read_ground_truth_reads_like_the_dataset_files(tmp_path):
