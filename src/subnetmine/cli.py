@@ -45,8 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="neighbors per instance (default: %(default)s)")
     p.add_argument("--dim", type=int, default=None,
                    help="subspace dimension (default: number of distinct global states)")
-    p.add_argument("--energy", type=float, default=0.95,
-                   help="singular-value energy fraction kept (default: %(default)s)")
     cv = p = argparse.ArgumentParser(add_help=False, parents=[solve])
     grid = ",".join(f"{alpha:g}" for alpha in evaluation.DEFAULT_ALPHA_GRID)
     p.add_argument("--alpha-grid", type=_alpha_list, default=None,
@@ -150,8 +148,8 @@ def _cmd_generate(args) -> int:
 def _cmd_fit(args) -> int:
     db = load_database(args.dataset)
     # a bad flag is a usage error even where the data would fail the fit first
-    cfg = solver.SolverConfig(alpha=args.alpha, energy_fraction=args.energy, d=args.dim)
-    model = evaluation.fit_model(db, args.k, cfg.alpha, cfg.energy_fraction, cfg.d)
+    cfg = solver.SolverConfig(alpha=args.alpha, d=args.dim)
+    model = evaluation.fit_model(db, args.k, cfg.alpha, d=cfg.d)
     solver.save_model(model, db.node_ids, args.out)
     print(f"model: d={model.d} r={model.basis.r} alpha={model.alpha!r}")
     return 0
@@ -197,9 +195,7 @@ def _cv_inputs(args):
     eval_cfg = evaluation.EvalConfig(
         folds=args.folds, alpha_grid=grid, k=args.k, seed=args.seed
     )
-    solver_cfg = solver.SolverConfig(
-        alpha=grid[0], energy_fraction=args.energy, d=args.dim
-    )
+    solver_cfg = solver.SolverConfig(alpha=grid[0], d=args.dim)
     return db, eval_cfg, solver_cfg, _gt_ordinals(args, db)
 
 

@@ -55,7 +55,8 @@ class NetworkDatabase:
     ordinal pairs (p, q), p < q, both endpoints valid in their instance,
     sorted by (instance, p, q) with no repeats, and the rows of instance i
     are ``offsets[i]:offsets[i + 1]``.  ``instance_edges[i]`` is that block
-    as a read-only k_i x 2 view.
+    as a read-only k_i x 2 view, and ``network(indices)`` the generalized
+    network of the instances at ``indices``.
 
     The labels must hold two or more distinct global states.
     """
@@ -101,9 +102,11 @@ class NetworkDatabase:
         return tuple(self.edges[a:b] for a, b in pairwise(self.offsets.tolist()))
 
     @cached_property
-    def edge_index(self) -> EdgeIndex:
-        """The union edges and which instances carry them, built on first use
-        and kept: the database and its arrays are immutable."""
+    def _union(self) -> tuple[np.ndarray, sparse.csr_array]:
+        """The distinct instance edges, E x 2 and sorted by (p, q), and the
+        sparse m x E matrix that is True where instance i carries edge j.
+        Built on first use and kept: the database and its arrays are
+        immutable."""
         n = self.n
         # p * n + q sorts like (p, q) because q < n
         keys, edge_of = np.unique(self.edges[:, 0] * n + self.edges[:, 1], return_inverse=True)
@@ -111,8 +114,17 @@ class NetworkDatabase:
             (np.ones(edge_of.size, dtype=bool), edge_of, self.offsets),
             shape=(self.m, keys.size),
         )
-        pairs = _freeze(np.column_stack(np.divmod(keys, n)))
-        return EdgeIndex(n=n, pairs=pairs, presence=presence)
+        return _freeze(np.column_stack(np.divmod(keys, n))), presence
+
+    def network(self, indices) -> GeneralizedNetwork:
+        """Union network of the instances at ``indices``: the distinct edges
+        they carry, each weighted by the share of them that carry it."""
+        pairs, presence = self._union
+        indices = np.asarray(indices, dtype=np.intp)
+        # an instance's multiplicity in indices times its presence row
+        counts = np.bincount(indices, minlength=self.m) @ presence
+        kept = np.flatnonzero(counts)
+        return GeneralizedNetwork(self.n, pairs[kept], counts[kept] / indices.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,29 +135,6 @@ class GeneralizedNetwork:
     n: int
     edges: np.ndarray
     weights: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeIndex:
-    """Distinct instance edges of a database and which instances carry them.
-
-    ``pairs`` is E x 2, one (p, q) row per union edge, sorted by (p, q);
-    ``presence`` is the sparse m x E matrix that is True where instance i
-    carries edge j.
-    """
-
-    n: int
-    pairs: np.ndarray
-    presence: sparse.csr_array
-
-    def network(self, indices) -> GeneralizedNetwork:
-        """Union network of the instances at ``indices``: the ``pairs`` rows
-        they carry, each weighted by the share of them that carry it."""
-        indices = np.asarray(indices, dtype=np.intp)
-        # an instance's multiplicity in indices times its presence row
-        counts = np.bincount(indices, minlength=self.presence.shape[0]) @ self.presence
-        kept = np.flatnonzero(counts)
-        return GeneralizedNetwork(self.n, self.pairs[kept], counts[kept] / indices.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,4 +413,4 @@ def write_database(db: NetworkDatabase, path) -> None:
 
 def build_generalized_network(db: NetworkDatabase) -> GeneralizedNetwork:
     """Union of instance edges weighted by presence fraction count/m."""
-    return db.edge_index.network(np.arange(db.m))
+    return db.network(np.arange(db.m))

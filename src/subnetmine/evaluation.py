@@ -14,15 +14,15 @@ subset network, constraint, SVD basis and whitened terms.  Per alpha there is
 one r x r eigensolve.  The classifiers of all alphas on one training set come
 from one call of ``train_linear_classifier``, one batched d x d solve over
 the stacked embeddings.  Inner splits (f, g) and (g, f)
-share their training set, so F-fold ``run_cv`` reduces and trains on
-F + F(F-1)/2 sets and ``sweep_alpha`` on F, plus one more reduction of the
-full database when ground truth is given.
+share their training set, so F-fold ``evaluate_dataset`` reduces and trains
+on F + F(F-1)/2 sets and ``sweep_alpha`` on F, plus one more reduction of
+the full database when ground truth is given.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -41,6 +41,9 @@ DEFAULT_ALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.5)
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """Cross-validation settings; ``alpha_grid`` is stored as a sorted tuple
+    without repeats."""
+
     folds: int = 10
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
     k: int = 10
@@ -49,10 +52,12 @@ class EvalConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be nonnegative, got {self.seed}")
-        if not self.alpha_grid:
+        grid = tuple(sorted(set(self.alpha_grid)))
+        if not grid:
             raise ConfigInvalid("alpha grid is empty")
-        for alpha in self.alpha_grid:
+        for alpha in grid:
             check_alpha(alpha)
+        object.__setattr__(self, "alpha_grid", grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,11 +167,14 @@ def _reduce(
     if k < 1:
         raise ConfigInvalid(f"k must be positive, got {k}")
     if idx.size < 2:
-        raise SubnetmineError(f"k={k} needs 2 or more training instances, got {idx.size}")
+        raise SubnetmineError(
+            f"training set has {idx.size} instance, need 2 or more; "
+            "use more instances or a fixed --alpha"
+        )
     k = min(k, idx.size - 1)
     v_train = StateMatrix(db.values[:, idx].copy())  # C order; the index alone gives F
     lap = build_laplacian_set(_cosine_matrix(v_train), db.labels[idx], k)
-    c = build_constraint_matrix(db.edge_index.network(idx))
+    c = build_constraint_matrix(db.network(idx))
     return reduce_problem(v_train, lap, c, energy_fraction)
 
 
@@ -232,44 +240,6 @@ def _mean_sd(accuracies) -> tuple[float, float]:
     return mean, sd
 
 
-def run_cv(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig) -> EvalReport:
-    """Outer cross validation with nested alpha selection.
-
-    With two or more grid points, each outer fold picks its alpha by
-    leave-one-fold-out validation over its training folds; a single-point
-    grid skips the inner loop.  The overall best_alpha is the most
-    frequently selected one, ties to the smaller value.
-    """
-    grid = tuple(sorted(eval_cfg.alpha_grid))
-    folds, score = _cv_scorer(db, eval_cfg, solver_cfg)
-    alphas = [grid[0]] * folds
-    if len(grid) > 1:
-        if folds < 3:  # an inner pair would leave out both folds and train on nothing
-            raise ConfigInvalid(
-                f"nested alpha selection needs 3 or more folds, got {folds}; "
-                "use more folds or a fixed --alpha"
-            )
-        # inner[a, f, g]: accuracy at grid[a] on fold g, trained without f and g
-        inner = np.empty((len(grid), folds, folds))
-        for f, g in combinations(range(folds), 2):
-            inner[:, f, g], inner[:, g, f] = score((f, g), (g, f), grid).T
-        for f in range(folds):
-            means = [np.mean(np.delete(inner[a, f], f)) for a in range(len(grid))]
-            alphas[f] = grid[int(np.argmax(means))]  # argmax keeps the smaller alpha on ties
-    accuracies = [float(score((f,), (f,), (alphas[f],))[0, 0]) for f in range(folds)]
-
-    counts = Counter(alphas)
-    best_alpha = min(counts, key=lambda a: (-counts[a], a))
-    mean, sd = _mean_sd(accuracies)
-    return EvalReport(
-        fold_accuracies=tuple(accuracies),
-        mean_accuracy=mean,
-        sd_accuracy=sd,
-        fold_alphas=tuple(alphas),
-        best_alpha=best_alpha,
-    )
-
-
 # ---------------------------------------------------------------------------
 # node-ranking AUC
 
@@ -307,15 +277,51 @@ def evaluate_dataset(
     solver_cfg: SolverConfig,
     gt_nodes=None,
 ) -> EvalReport:
-    """run_cv plus, when ground truth is supplied, the node-ranking AUC of a
-    full-database model fitted at the selected alpha."""
-    report = run_cv(db, eval_cfg, solver_cfg)
-    if gt_nodes is None:
-        return report
-    full = reduce_database(db, eval_cfg.k, solver_cfg.energy_fraction)
-    model = full.model(report.best_alpha, _dimension(solver_cfg.d, db.labels))
-    auc, roc = ranking_auc(score_nodes(model.u_matrix), gt_nodes)
-    return replace(report, auc=auc, roc=tuple(roc))
+    """Outer cross validation with nested alpha selection, plus, when ground
+    truth is supplied, the node-ranking AUC of a full-database model fitted
+    at the selected alpha.
+
+    With two or more grid points, each outer fold picks its alpha by
+    leave-one-fold-out validation over its training folds; a single-point
+    grid skips the inner loop.  The overall best_alpha is the most
+    frequently selected one, ties to the smaller value.
+    """
+    grid = eval_cfg.alpha_grid
+    folds, score = _cv_scorer(db, eval_cfg, solver_cfg)
+    alphas = [grid[0]] * folds
+    if len(grid) > 1:
+        if folds < 3:  # an inner pair would leave out both folds and train on nothing
+            raise ConfigInvalid(
+                f"nested alpha selection needs 3 or more folds, got {folds}; "
+                "use more folds or a fixed --alpha"
+            )
+        # inner[a, f, g]: accuracy at grid[a] on fold g, trained without f and g
+        inner = np.empty((len(grid), folds, folds))
+        for f, g in combinations(range(folds), 2):
+            inner[:, f, g], inner[:, g, f] = score((f, g), (g, f), grid).T
+        for f in range(folds):
+            means = [np.mean(np.delete(inner[a, f], f)) for a in range(len(grid))]
+            alphas[f] = grid[int(np.argmax(means))]  # argmax keeps the smaller alpha on ties
+    accuracies = [float(score((f,), (f,), (alphas[f],))[0, 0]) for f in range(folds)]
+
+    counts = Counter(alphas)
+    best_alpha = min(counts, key=lambda a: (-counts[a], a))
+    auc = roc = None
+    if gt_nodes is not None:
+        full = reduce_database(db, eval_cfg.k, solver_cfg.energy_fraction)
+        model = full.model(best_alpha, _dimension(solver_cfg.d, db.labels))
+        auc, roc = ranking_auc(score_nodes(model.u_matrix), gt_nodes)
+        roc = tuple(roc)
+    mean, sd = _mean_sd(accuracies)
+    return EvalReport(
+        fold_accuracies=tuple(accuracies),
+        mean_accuracy=mean,
+        sd_accuracy=sd,
+        fold_alphas=tuple(alphas),
+        best_alpha=best_alpha,
+        auc=auc,
+        roc=roc,
+    )
 
 
 @dataclass(frozen=True)
@@ -334,7 +340,7 @@ def sweep_alpha(
 ) -> list[SweepRow]:
     """Fixed-alpha cross validation for every grid point, with the AUC of a
     full-database model at that alpha when ground truth is available."""
-    grid = tuple(sorted(eval_cfg.alpha_grid))
+    grid = eval_cfg.alpha_grid
     folds, score = _cv_scorer(db, eval_cfg, solver_cfg)
     # accuracies[a, f]: accuracy at grid[a] on outer fold f
     accuracies = np.hstack([score((f,), (f,), grid) for f in range(folds)])

@@ -80,7 +80,10 @@ class TruncatedBasis:
 
     p_r: np.ndarray
     sigma_r: np.ndarray
-    r: int
+
+    @property
+    def r(self) -> int:
+        return self.sigma_r.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +167,7 @@ def truncated_svd_basis(
     n_kaiser = int(np.count_nonzero(power >= power.mean() - _SIGMA_RTOL * power[0]))
     r = min(r_energy, n_kaiser, n_above)
     p_r = eigvecs[:, :r].copy() if wide else x @ eigvecs[:, :r] / sigma[:r]
-    return TruncatedBasis(p_r=p_r, sigma_r=sigma[:r].copy(), r=r)
+    return TruncatedBasis(p_r=p_r, sigma_r=sigma[:r].copy())
 
 
 def _order_ties(eigenvalues: np.ndarray, u_columns: np.ndarray) -> np.ndarray:

@@ -20,32 +20,31 @@ from .errors import ConfigInvalid
 from .seeds import substream
 
 
+# (mean, sd) of the Gaussians, truncated to (0, 1], that edge existence
+# probabilities are drawn from: edges between ground-truth nodes, and all others
+GT_EDGE = (0.9, 0.1)
+BG_EDGE = (0.7, 0.1)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator knobs.
+    """Generator knobs, checked on construction.
 
-    Edge existence probabilities are drawn from Gaussians truncated to
-    (0, 1]: (gt_edge_mean, gt_edge_sd) for edges between ground-truth
-    nodes, (bg_edge_mean, bg_edge_sd) for every other edge; each mean must
-    lie in (0, 1] and each sd in [0, 1].  class_mean_shift, which must be
-    finite, is the mean separation of ground-truth node values between the
-    two classes (both classes share unit variance).
+    class_mean_shift, which must be finite, is the mean separation of
+    ground-truth node values between the two classes (both classes share
+    unit variance).
     """
 
     n: int
     m: int
     n_gt: int
     edges_per_node: int = 20
-    gt_edge_mean: float = 0.9
-    gt_edge_sd: float = 0.1
-    bg_edge_mean: float = 0.7
-    bg_edge_sd: float = 0.1
     class_mean_shift: float = 1.5
     global_noise: float = 0.10
     local_noise: float = 0.30
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_gt > self.n:
             raise ConfigInvalid(f"n_gt={self.n_gt} exceeds n={self.n}")
         if self.n_gt < 1 or self.n < 2 or self.m < 2:
@@ -56,15 +55,10 @@ class SynthConfig:
             raise ConfigInvalid(
                 f"need n > edges_per_node, got n={self.n}, edges_per_node={self.edges_per_node}"
             )
-        for name in ("global_noise", "local_noise", "gt_edge_sd", "bg_edge_sd"):
+        for name in ("global_noise", "local_noise"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:  # NaN fails too
                 raise ConfigInvalid(f"{name}={rate} outside [0, 1]")
-        # a mean outside (0, 1] would leave _truncated_gaussian drawing forever
-        for name in ("gt_edge_mean", "bg_edge_mean"):
-            mean = getattr(self, name)
-            if not 0.0 < mean <= 1.0:
-                raise ConfigInvalid(f"{name}={mean} outside (0, 1]")
         if not np.isfinite(self.class_mean_shift):
             raise ConfigInvalid(f"class_mean_shift must be finite, got {self.class_mean_shift}")
 
@@ -92,7 +86,6 @@ def generate_backbone(cfg: SynthConfig) -> GroundTruth:
     attaches edges_per_node edges to distinct existing nodes picked with
     probability proportional to current degree.
     """
-    cfg.validate()
     rng = substream(cfg.seed, "backbone")
     e = cfg.edges_per_node
     core = e + 1
@@ -118,14 +111,14 @@ def generate_backbone(cfg: SynthConfig) -> GroundTruth:
     backbone = []
     for p, q in sorted(edges):
         if p in gt_nodes and q in gt_nodes:
-            prob = _truncated_gaussian(rng, cfg.gt_edge_mean, cfg.gt_edge_sd)
+            prob = _truncated_gaussian(rng, *GT_EDGE)
         else:
-            prob = _truncated_gaussian(rng, cfg.bg_edge_mean, cfg.bg_edge_sd)
+            prob = _truncated_gaussian(rng, *BG_EDGE)
         backbone.append((p, q, prob))
     return GroundTruth(gt_nodes=gt_nodes, backbone=tuple(backbone))
 
 
-def sample_database(gt: GroundTruth, cfg: SynthConfig) -> tuple[NetworkDatabase, GroundTruth]:
+def sample_database(gt: GroundTruth, cfg: SynthConfig) -> NetworkDatabase:
     """Sample m instances from the backbone.
 
     Labels are balanced (floor(m/2) zeros) then shuffled; every backbone
@@ -136,7 +129,6 @@ def sample_database(gt: GroundTruth, cfg: SynthConfig) -> tuple[NetworkDatabase,
     ground-truth value with a fresh N(0, 1) draw with probability
     local_noise.
     """
-    cfg.validate()
     rng = substream(cfg.seed, "values")
     n, m = cfg.n, cfg.m
 
@@ -166,7 +158,7 @@ def sample_database(gt: GroundTruth, cfg: SynthConfig) -> tuple[NetworkDatabase,
     # sorted by (instance, p, q)
     pairs = np.array([(p, q) for p, q, _ in gt.backbone], dtype=np.intp).reshape(-1, 2)
     _, kept = np.nonzero(keep)
-    db = NetworkDatabase(
+    return NetworkDatabase(
         node_ids=tuple(f"n{p:0{width}d}" for p in range(n)),
         instance_ids=tuple(f"inst{i:0{width}d}" for i in range(m)),
         labels=labels,
@@ -175,7 +167,6 @@ def sample_database(gt: GroundTruth, cfg: SynthConfig) -> tuple[NetworkDatabase,
         edges=pairs[kept],
         offsets=np.concatenate(([0], np.cumsum(keep.sum(axis=1)))),
     )
-    return db, gt
 
 
 def write_synthetic_dataset(db: NetworkDatabase, gt: GroundTruth, path) -> None:
@@ -194,7 +185,7 @@ def write_synthetic_dataset(db: NetworkDatabase, gt: GroundTruth, path) -> None:
 def generate_dataset(cfg: SynthConfig, path) -> tuple[NetworkDatabase, GroundTruth]:
     """generate_backbone + sample_database + write, in one call."""
     gt = generate_backbone(cfg)
-    db, gt = sample_database(gt, cfg)
+    db = sample_database(gt, cfg)
     write_synthetic_dataset(db, gt, path)
     return db, gt
 

@@ -268,7 +268,7 @@ def edge_tuples(g: GeneralizedNetwork) -> tuple[tuple[int, int, float], ...]:
 def network_by_counting(db, indices) -> tuple[tuple[int, int, float], ...]:
     """(p, q, w) per union edge of the instances at ``indices``, sorted,
     counted one instance edge at a time: the oracle for
-    ``EdgeIndex.network``."""
+    ``NetworkDatabase.network``."""
     counts: dict[tuple[int, int], int] = {}
     for i in indices:
         for p, q in db.instance_edges[i].tolist():
@@ -438,7 +438,7 @@ def svd_basis(v: StateMatrix, d_plus: np.ndarray, energy_fraction: float) -> Tru
     power = sigma**2
     n_kaiser = int(np.count_nonzero(power >= power.mean() - 1e-12 * power[0]))
     r = min(r_energy, n_kaiser, n_above)
-    return TruncatedBasis(p_r=p[:, :r], sigma_r=sigma[:r], r=r)
+    return TruncatedBasis(p_r=p[:, :r], sigma_r=sigma[:r])
 
 
 def assemble_objective_matrix(

@@ -22,7 +22,6 @@ from subnetmine.evaluation import (
     EvalConfig,
     evaluate_dataset,
     fit_model,
-    run_cv,
     sweep_alpha,
 )
 from subnetmine.metagraph import build_constraint_matrix
@@ -43,7 +42,8 @@ def desk_runs():
     runs = []
     for s in SEEDS:
         cfg = SynthConfig(n=300, m=200, n_gt=20, seed=s)
-        db, gt = sample_database(generate_backbone(cfg), cfg)
+        gt = generate_backbone(cfg)
+        db = sample_database(gt, cfg)
         gt_nodes = sorted(gt.gt_nodes)
         eval_cfg = EvalConfig(folds=10, seed=s)
         solver_cfg = SolverConfig(alpha=DEFAULT_ALPHA_GRID[0])
@@ -216,9 +216,9 @@ def test_criterion_7_permutation_baseline(capsys):
     means = []
     for s in range(20):
         cfg = SynthConfig(n=100, m=60, n_gt=10, seed=s)
-        db, _ = sample_database(generate_backbone(cfg), cfg)
+        db = sample_database(generate_backbone(cfg), cfg)
         shuffled = shuffle_labels(db, np.random.default_rng(10_000 + s))
-        report = run_cv(
+        report = evaluate_dataset(
             shuffled,
             EvalConfig(folds=5, alpha_grid=(1.0,), seed=s),
             SolverConfig(alpha=1.0),
@@ -277,7 +277,7 @@ def test_criterion_9_fit_scaling(capsys):
     times = {}
     for n in (100, 200, 400):
         cfg = SynthConfig(n=n, m=100, n_gt=10, seed=0)
-        db, _ = sample_database(generate_backbone(cfg), cfg)
+        db = sample_database(generate_backbone(cfg), cfg)
         reps = []
         for _ in range(3):
             start = time.perf_counter()

@@ -201,6 +201,16 @@ def test_sweep_alpha_writes_table(dataset, tmp_path, capsys):
     assert all(ln.split("\t")[3] != "" for ln in lines[1:])
 
 
+def test_sweep_alpha_grid_rows_are_sorted_without_repeats(dataset, tmp_path):
+    out = tmp_path / "sweep.tsv"
+    rc = cli.main([
+        "sweep-alpha", str(dataset), "--alpha-grid", "2,1,2", "--folds", "4",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    assert [ln.split("\t")[0] for ln in out.read_text().splitlines()[1:]] == ["1.0", "2.0"]
+
+
 def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["fit", str(tmp_path)])  # missing --out
@@ -210,6 +220,9 @@ def test_usage_errors_exit_two(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main([])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # the energy rule is not a flag
+        cli.main(["evaluate", str(tmp_path), "--energy", "0.5", "--out", "x"])
     assert exc.value.code == 2
 
 
@@ -330,7 +343,7 @@ PINNED_ERRORS = {
     (["fit", "{dataset}", "--alpha", "-1"], 2),
     (["fit", "{dataset}", "--dim", "0"], 2),
     (["select", "{dataset}", "--model", "{model}", "--top-c", "0"], 2),
-    (["evaluate", "{dataset}", "--energy", "0"], 2),
+    (["generate", "--nodes", "30", "--instances", "12", "--gt", "5", "--local-noise", "nan"], 2),
     (["evaluate", "{dataset}", "--folds", "1"], 2),
     (["evaluate", "{dataset}", "--alpha-grid", "2,-1"], 2),
     (["evaluate", "{dataset}", "--alpha-grid", "2,nan"], 2),

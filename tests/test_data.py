@@ -121,7 +121,7 @@ def test_subset_network_matches_counting_loop():
             for e in map(tuple, db.instance_edges[i].tolist()):
                 counts[e] = counts.get(e, 0) + 1
         expected = tuple((p, q, c / subset.size) for (p, q), c in sorted(counts.items()))
-        g = db.edge_index.network(subset)
+        g = db.network(subset)
         assert edge_tuples(g) == expected
         assert g.edges.dtype == np.intp and g.weights.dtype == np.float64
 
@@ -138,8 +138,8 @@ PEAK_BYTES_PER_EDGE = 160
 
 def test_generalized_network_memory_per_edge():
     cfg = SynthConfig(n=2000, m=20, n_gt=10, edges_per_node=7, seed=0)
-    db, _ = sample_database(generate_backbone(cfg), cfg)
-    db.edge_index  # built once per database, before the measured call
+    db = sample_database(generate_backbone(cfg), cfg)
+    db.network([0])  # the edge union is built once per database, before the measured call
     gc.collect()
     tracemalloc.start()
     try:

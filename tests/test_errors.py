@@ -18,8 +18,8 @@ from subnetmine.data import StateMatrix, load_database
 from subnetmine.errors import ConfigInvalid, ParseError, SubnetmineError
 from subnetmine.evaluation import (
     EvalConfig,
+    evaluate_dataset,
     ranking_auc,
-    run_cv,
     stratified_folds,
     train_linear_classifier,
 )
@@ -72,7 +72,8 @@ def reduced(n, m, c_size):
 def leave_one_out_of_three():
     """Nested CV over 3 instances: an inner pair trains on one."""
     db = random_db(np.random.default_rng(0), n=4, m=3)
-    return run_cv(db, EvalConfig(folds=3, alpha_grid=(1.0, 2.0), k=1), SolverConfig(alpha=1.0))
+    eval_cfg = EvalConfig(folds=3, alpha_grid=(1.0, 2.0), k=1)
+    return evaluate_dataset(db, eval_cfg, SolverConfig(alpha=1.0))
 
 # name: (call on the temporary directory, class, text)
 ROWS = {
@@ -150,7 +151,7 @@ ROWS = {
     "training-set-of-one": (
         lambda tmp: leave_one_out_of_three(),
         SubnetmineError,
-        "k=1 needs 2 or more training instances, got 1",
+        "training set has 1 instance, need 2 or more; use more instances or a fixed --alpha",
     ),
     "laplacian-size": (
         lambda tmp: reduced(3, 4, 3),

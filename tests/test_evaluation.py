@@ -21,7 +21,6 @@ from subnetmine.evaluation import (
     fit_model,
     ranking_auc,
     reduce_database,
-    run_cv,
     stratified_folds,
     sweep_alpha,
     train_linear_classifier,
@@ -213,7 +212,7 @@ def test_fitted_objects_compare_by_identity():
         model = problem.model(0.5, 2)
         embedded = model.u_matrix.T @ db.values
         return [
-            StateMatrix(db.values.copy()), laplacians(db, 3), g, db.edge_index,
+            StateMatrix(db.values.copy()), laplacians(db, 3), g,
             problem, model.basis, model,
             build_report(model.u_matrix, g, 3),
             train_linear_classifier(embedded[np.newaxis], db.labels)[0],
@@ -253,7 +252,7 @@ def test_fit_rejects_invalid_settings():
     with pytest.raises(ConfigInvalid):
         fit_model(db, k=0)
     with pytest.raises(ConfigInvalid):
-        run_cv(db, EvalConfig(folds=3, alpha_grid=(1.0,), k=0), SolverConfig(alpha=1.0))
+        evaluate_dataset(db, EvalConfig(folds=3, alpha_grid=(1.0,), k=0), SolverConfig(alpha=1.0))
 
 
 def test_cv_matches_manual_per_fold_refit():
@@ -262,7 +261,7 @@ def test_cv_matches_manual_per_fold_refit():
     db = class_db(2, n=8, m=24)
     eval_cfg = EvalConfig(folds=4, alpha_grid=(0.7,), k=3, seed=11)
     solver_cfg = SolverConfig(alpha=0.7)
-    report = run_cv(db, eval_cfg, solver_cfg)
+    report = evaluate_dataset(db, eval_cfg, solver_cfg)
 
     labels, v_full = db.labels, db.values
     assignment = stratified_folds(labels, 4, seed=11)
@@ -288,12 +287,12 @@ def test_nested_cv_matches_naive_refit_per_alpha():
     # at r = d every alpha's embedding is an invertible map of every other's,
     # the discriminant classifies them alike, and every fold keeps grid[0].
     cfg = SynthConfig(n=30, m=48, n_gt=6, global_noise=0.25, seed=4)
-    db, _ = sample_database(generate_backbone(cfg), cfg)
+    db = sample_database(generate_backbone(cfg), cfg)
     labels = db.labels
     grid = (0.1, 1.0, 4.0)
     folds = 4
     eval_cfg = EvalConfig(folds=folds, alpha_grid=grid, k=3, seed=11)
-    report = run_cv(db, eval_cfg, SolverConfig(alpha=0.1))
+    report = evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1))
     assert len(set(report.fold_alphas)) == len(grid)
 
     v_full = db.values
@@ -349,7 +348,7 @@ def test_each_training_set_is_reduced_once(monkeypatch):
     db = class_db(5, n=8, m=24)
     folds, grid = 4, (0.1, 1.0, 4.0)
     eval_cfg = EvalConfig(folds=folds, alpha_grid=grid, k=3, seed=8)
-    run_cv(db, eval_cfg, SolverConfig(alpha=0.1))
+    evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1))
     pairs = folds * (folds - 1) // 2
     assert calls == {"svd": folds + pairs, "classifier": pairs + folds}
 
@@ -388,8 +387,8 @@ def test_alpha_is_independent_of_value_units(power):
     scaled = build_db(db.values * factor, db.labels, db.instance_edges)
     eval_cfg = EvalConfig(folds=4, alpha_grid=(2.0,), k=3, seed=11)
     solver_cfg = SolverConfig(alpha=2.0)
-    base_cv = run_cv(db, eval_cfg, solver_cfg)
-    scaled_cv = run_cv(scaled, eval_cfg, solver_cfg)
+    base_cv = evaluate_dataset(db, eval_cfg, solver_cfg)
+    scaled_cv = evaluate_dataset(scaled, eval_cfg, solver_cfg)
     assert scaled_cv.fold_accuracies == base_cv.fold_accuracies
 
     expected = fit_model(db, k=3, alpha=2.0).u_matrix / factor
@@ -413,7 +412,8 @@ def test_cv_three_states():
     ]
     db = build_db(values, labels, edge_lists)
     grid = (0.5, 2.0)
-    report = run_cv(db, EvalConfig(folds=3, alpha_grid=grid, k=3, seed=0), SolverConfig(alpha=0.5))
+    eval_cfg = EvalConfig(folds=3, alpha_grid=grid, k=3, seed=0)
+    report = evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.5))
     assert len(report.fold_accuracies) == 3
     assert all(alpha in grid for alpha in report.fold_alphas)
     assert report.mean_accuracy >= 0.9
@@ -424,7 +424,7 @@ def test_cv_no_edges_selects_smallest_alpha():
     # tie rule keeps the smallest grid point in every fold
     db = class_db(7, n=6, m=12, edge_prob=0.0)
     eval_cfg = EvalConfig(folds=3, alpha_grid=(0.5, 1.5, 3.0), k=3, seed=0)
-    report = run_cv(db, eval_cfg, SolverConfig(alpha=0.5))
+    report = evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.5))
     assert report.fold_alphas == (0.5, 0.5, 0.5)
     assert report.best_alpha == 0.5
 
@@ -434,11 +434,19 @@ def test_eval_config_rejects_empty_grid():
         EvalConfig(folds=3, alpha_grid=(), k=3, seed=2)
 
 
+def test_eval_config_stores_a_sorted_grid_without_repeats():
+    from_list = EvalConfig(alpha_grid=[2.0, 0.5, 2.0, 1.0])
+    assert from_list.alpha_grid == (0.5, 1.0, 2.0)
+    assert from_list == EvalConfig(alpha_grid=(0.5, 1.0, 2.0))
+    assert hash(from_list) == hash(EvalConfig(alpha_grid=(1.0, 2.0, 0.5)))
+    assert EvalConfig(alpha_grid=np.array([2.0, 0.5, 1.0])) == from_list
+
+
 def test_cv_report_invariants():
     db = class_db(5, n=8, m=24)
     grid = (0.1, 1.0)
     eval_cfg = EvalConfig(folds=4, alpha_grid=grid, k=3, seed=8)
-    report = run_cv(db, eval_cfg, SolverConfig(alpha=0.1))
+    report = evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1))
     assert len(report.fold_accuracies) == 4
     assert len(report.fold_alphas) == 4
     assert all(a in grid for a in report.fold_alphas)
@@ -474,7 +482,7 @@ def test_sweep_rows_match_fixed_alpha_cv():
     rows = sweep_alpha(db, eval_cfg, solver_cfg, gt_nodes=gt_nodes)
     assert [row.alpha for row in rows] == [0.5, 2.0]  # sorted
     for row in rows:
-        single = run_cv(
+        single = evaluate_dataset(
             db, EvalConfig(folds=3, alpha_grid=(row.alpha,), k=3, seed=4), solver_cfg
         )
         assert row.mean_accuracy == single.mean_accuracy
@@ -608,7 +616,7 @@ def test_numpy_alpha_grid_writes_plain_floats(tmp_path):
     np.float64(2.0)."""
     db = class_db(3, n=6, m=12)
     eval_cfg = EvalConfig(folds=3, alpha_grid=tuple(np.array([0.5, 2.0])), k=3, seed=2)
-    write_eval_report(run_cv(db, eval_cfg, SolverConfig(alpha=0.5)), tmp_path / "out")
+    write_eval_report(evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.5)), tmp_path / "out")
     write_sweep(sweep_alpha(db, eval_cfg, SolverConfig(alpha=0.5)), tmp_path / "sweep.tsv")
     folds = (tmp_path / "out" / "fold_accuracies.tsv").read_text().splitlines()[1:]
     assert {line.split("\t")[2] for line in folds} <= {"0.5", "2.0"}

@@ -25,7 +25,7 @@ from helpers import (
 from subnetmine import evaluation
 from subnetmine.data import StateMatrix
 from subnetmine.errors import ConfigInvalid, SubnetmineError
-from subnetmine.evaluation import EvalConfig, reduce_database, run_cv
+from subnetmine.evaluation import EvalConfig, evaluate_dataset, reduce_database
 from subnetmine.metagraph import _cosine_matrix, build_constraint_matrix, build_laplacian_set
 from subnetmine.solver import SolverConfig
 from subnetmine.synth import SynthConfig, generate_backbone, sample_database
@@ -90,9 +90,10 @@ def test_knn_k_bounds():
             reduce_database(db, k=k)
     # leave-one-out over 3 instances: an inner pair trains on one instance
     tiny = random_db(np.random.default_rng(0), n=4, m=3)
-    message = "k=1 needs 2 or more training instances, got 1"
+    message = "training set has 1 instance, need 2 or more"
+    eval_cfg = EvalConfig(folds=3, alpha_grid=(1.0, 2.0), k=1)
     with pytest.raises(SubnetmineError, match=re.escape(message)):
-        run_cv(tiny, EvalConfig(folds=3, alpha_grid=(1.0, 2.0), k=1), SolverConfig(alpha=1.0))
+        evaluate_dataset(tiny, eval_cfg, SolverConfig(alpha=1.0))
 
 
 def test_affinities_match_brute_force():
@@ -201,7 +202,7 @@ def test_laplacian_set_is_bit_identical_to_the_oracle():
     bit, and L~ stores exactly the symmetric kNN relation plus its diagonal,
     explicit zeros included."""
     cfg = SynthConfig(n=30, m=48, n_gt=6, global_noise=0.25, seed=4)
-    db, _ = sample_database(generate_backbone(cfg), cfg)
+    db = sample_database(generate_backbone(cfg), cfg)
     seen = []
 
     def record(sims, labels, k):
@@ -209,7 +210,8 @@ def test_laplacian_set_is_bit_identical_to_the_oracle():
         return build_laplacian_set(sims, labels, k)
 
     with mock.patch.object(evaluation, "build_laplacian_set", record):
-        run_cv(db, EvalConfig(folds=4, alpha_grid=(0.1, 1.0), seed=3), SolverConfig(alpha=0.1))
+        eval_cfg = EvalConfig(folds=4, alpha_grid=(0.1, 1.0), seed=3)
+        evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1))
     assert len(seen) == 4 + 6  # outer folds, then the distinct inner pairs
     rng = np.random.default_rng(0)
     for sims, labels, k in seen:

@@ -27,7 +27,7 @@ from helpers import (
     template_db,
 )
 from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_network
-from subnetmine.evaluation import EvalConfig, fit_model, run_cv, train_linear_classifier
+from subnetmine.evaluation import EvalConfig, evaluate_dataset, fit_model, train_linear_classifier
 from subnetmine.metagraph import _cosine_matrix, build_constraint_matrix, build_laplacian_set
 from subnetmine.selection import score_nodes
 from subnetmine.solver import SolverConfig
@@ -88,7 +88,7 @@ def test_node_order_permutes_rows_scores_and_edges(seed, n, m):
 )
 def test_repeated_fits_reuse_one_edge_index(seed, alphas):
     db = sized_db(seed, 8, 18)
-    prop = vars(NetworkDatabase)["edge_index"]
+    prop = vars(NetworkDatabase)["_union"]
     builds = []
 
     def counting(database):
@@ -99,7 +99,7 @@ def test_repeated_fits_reuse_one_edge_index(seed, alphas):
     with mock.patch.object(prop, "func", counting):
         for alpha in alphas:
             fit_model(db, k=K, alpha=alpha)
-        run_cv(db, EvalConfig(folds=3, alpha_grid=tuple(alphas), k=K), SolverConfig(alpha=0.0))
+        evaluate_dataset(db, EvalConfig(folds=3, alpha_grid=alphas, k=K), SolverConfig(alpha=0.0))
         build_generalized_network(db)
     assert len(builds) == 1 and builds[0] is db
 
@@ -114,13 +114,13 @@ def test_repeated_fits_reuse_one_edge_index(seed, alphas):
 )
 @example(seed=0, n=4, m=3, edge_prob=0.0, picks=[2, 0])  # no edges anywhere
 def test_network_and_constraint_match_the_tuple_oracles(seed, n, m, edge_prob, picks):
-    """EdgeIndex.network equals the counting loop on a random subset (in
+    """NetworkDatabase.network equals the counting loop on a random subset (in
     drawn order) and on every instance, and the constraint built from the
     arrays has the CSR arrays of the one built from (p, q, w) tuples."""
     db = random_db(np.random.default_rng(seed), n=n, m=m, edge_prob=edge_prob)
     subset = list(dict.fromkeys(p % m for p in picks))
     for indices in (subset, list(range(m))):
-        g = db.edge_index.network(indices)
+        g = db.network(indices)
         expected = network_by_counting(db, indices)
         assert edge_tuples(g) == expected
         assert g.edges.dtype == np.intp and g.edges.shape == (len(expected), 2)

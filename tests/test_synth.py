@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.stats import truncnorm
 
 from helpers import edge_tuples
 from subnetmine.data import build_generalized_network, load_database
@@ -30,32 +31,20 @@ def small_cfg(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigInvalid):
-        small_cfg(n_gt=31).validate()
-    with pytest.raises(ConfigInvalid):
-        small_cfg(n_gt=0).validate()
-    with pytest.raises(ConfigInvalid):
-        small_cfg(n=4, edges_per_node=4).validate()
-    with pytest.raises(ConfigInvalid):
-        small_cfg(global_noise=1.2).validate()
-    with pytest.raises(ConfigInvalid):
-        small_cfg(local_noise=-0.1).validate()
-    # settings the generator cannot honour; the edge means and sds here used
-    # to leave the truncated-Gaussian sampler drawing forever
     for bad in (
+        {"n_gt": 31},
+        {"n_gt": 0},
+        {"n": 4, "edges_per_node": 4},
+        {"global_noise": 1.2},
+        {"local_noise": -0.1},
+        {"local_noise": np.nan},
         {"class_mean_shift": np.nan},
         {"class_mean_shift": np.inf},
-        {"bg_edge_mean": 5.0, "bg_edge_sd": 0.0},
-        {"bg_edge_mean": np.nan},
-        {"gt_edge_mean": 0.0},
-        {"gt_edge_sd": np.nan},
-        {"bg_edge_sd": -0.1},
-        {"gt_edge_sd": 1.5},
+        {"seed": -1},
     ):
         with pytest.raises(ConfigInvalid):
-            small_cfg(**bad).validate()
-    small_cfg().validate()
-    small_cfg(bg_edge_mean=1.0, bg_edge_sd=0.0, gt_edge_sd=1.0).validate()
+            small_cfg(**bad)
+    small_cfg(global_noise=1.0, local_noise=0.0)
 
 
 def test_backbone_deterministic_and_core_ring():
@@ -86,14 +75,18 @@ def test_backbone_edge_count_and_probabilities():
 
 
 def test_backbone_probability_means_split_by_node_type():
-    # wide margin between the two truncated-Gaussian families
-    cfg = SynthConfig(n=60, m=10, n_gt=20, edges_per_node=6,
-                      gt_edge_mean=0.9, bg_edge_mean=0.4, seed=3)
+    """Edge probabilities come from N(0.9, 0.1) between ground-truth nodes
+    and N(0.7, 0.1) otherwise, truncated to (0, 1]: each family's sample
+    mean lies within 4 standard errors of its law's mean (.871 and .700)."""
+    cfg = SynthConfig(n=300, m=10, n_gt=100, edges_per_node=6, seed=3)
     gt = generate_backbone(cfg)
-    gt_w = [w for p, q, w in gt.backbone if p in gt.gt_nodes and q in gt.gt_nodes]
-    bg_w = [w for p, q, w in gt.backbone if not (p in gt.gt_nodes and q in gt.gt_nodes)]
-    assert len(gt_w) >= 5 and len(bg_w) >= 5
-    assert np.mean(gt_w) > np.mean(bg_w) + 0.2
+    weights = np.array([w for _, _, w in gt.backbone])
+    inside = np.array([p in gt.gt_nodes and q in gt.gt_nodes for p, q, _ in gt.backbone])
+    for family, mean, expected in ((weights[inside], 0.9, 0.871), (weights[~inside], 0.7, 0.700)):
+        law = truncnorm(-mean / 0.1, (1.0 - mean) / 0.1, loc=mean, scale=0.1)
+        assert round(law.mean(), 3) == expected
+        assert family.size >= 100
+        assert abs(family.mean() - law.mean()) <= 4 * law.std() / np.sqrt(family.size)
 
 
 def test_backbone_degree_distribution_has_heavy_tail():
@@ -123,7 +116,7 @@ def test_sample_deterministic_directories(tmp_path):
 def test_sample_labels_balanced_without_flip_noise():
     for m in (20, 21):
         cfg = small_cfg(m=m, global_noise=0.0)
-        db, _ = sample_database(generate_backbone(cfg), cfg)
+        db = sample_database(generate_backbone(cfg), cfg)
         labels = db.labels
         assert int(np.sum(labels == 0)) == m // 2
         assert int(np.sum(labels == 1)) == m - m // 2
@@ -131,7 +124,8 @@ def test_sample_labels_balanced_without_flip_noise():
 
 def test_sample_instance_edges_subset_of_backbone():
     cfg = small_cfg()
-    db, gt = sample_database(generate_backbone(cfg), cfg)
+    gt = generate_backbone(cfg)
+    db = sample_database(gt, cfg)
     pairs = {(p, q) for p, q, _ in gt.backbone}
     for inst_edges in db.instance_edges:
         assert set(map(tuple, inst_edges.tolist())) <= pairs
@@ -142,7 +136,7 @@ def test_sample_edge_frequency_tracks_probability():
     # single-edge backbone, many instances: K(0,1) estimates the edge prob
     cfg = SynthConfig(n=3, m=2000, n_gt=1, edges_per_node=1, seed=7)
     gt = GroundTruth(gt_nodes=frozenset({0}), backbone=((0, 1, 0.9),))
-    db, _ = sample_database(gt, cfg)
+    db = sample_database(gt, cfg)
     g = build_generalized_network(db)
     assert len(g.edges) == 1
     p, q, w = edge_tuples(g)[0]
@@ -154,7 +148,8 @@ def test_sample_class_shift_recovered_from_clean_data():
     cfg = SynthConfig(n=10, m=2000, n_gt=4, edges_per_node=2,
                       class_mean_shift=1.5, global_noise=0.0,
                       local_noise=0.0, seed=11)
-    db, gt = sample_database(generate_backbone(cfg), cfg)
+    gt = generate_backbone(cfg)
+    db = sample_database(gt, cfg)
     labels = db.labels
     values = db.values
     gt_idx = sorted(gt.gt_nodes)
@@ -173,7 +168,8 @@ def test_sample_full_local_noise_erases_class_signal():
     cfg = SynthConfig(n=10, m=2000, n_gt=4, edges_per_node=2,
                       class_mean_shift=1.5, global_noise=0.0,
                       local_noise=1.0, seed=11)
-    db, gt = sample_database(generate_backbone(cfg), cfg)
+    gt = generate_backbone(cfg)
+    db = sample_database(gt, cfg)
     labels = db.labels
     values = db.values
     gt_idx = sorted(gt.gt_nodes)
@@ -185,9 +181,9 @@ def test_sample_full_local_noise_erases_class_signal():
 
 def test_sample_full_global_noise_flips_every_label():
     cfg = small_cfg(global_noise=0.0)
-    clean, _ = sample_database(generate_backbone(cfg), cfg)
+    clean = sample_database(generate_backbone(cfg), cfg)
     flipped_cfg = small_cfg(global_noise=1.0)
-    flipped, _ = sample_database(generate_backbone(flipped_cfg), flipped_cfg)
+    flipped = sample_database(generate_backbone(flipped_cfg), flipped_cfg)
     assert np.array_equal(flipped.labels, 1 - clean.labels)
 
 
@@ -233,7 +229,7 @@ def test_read_ground_truth_reads_like_the_dataset_files(tmp_path):
 def test_write_dataset_extra_files(tmp_path):
     cfg = small_cfg()
     gt = generate_backbone(cfg)
-    db, gt = sample_database(gt, cfg)
+    db = sample_database(gt, cfg)
     write_synthetic_dataset(db, gt, tmp_path / "ds")
     gt_lines = (tmp_path / "ds" / "ground_truth.tsv").read_text().splitlines()
     assert gt_lines[0] == "node_id"
