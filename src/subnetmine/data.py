@@ -7,7 +7,9 @@ of read-only columns: the n x m state matrix V (0 at null nodes), its valid
 mask, the m global states, and every instance edge in one sorted array.
 The union of instance edges, weighted by the fraction of instances carrying
 each edge, forms the generalized network used downstream as the topology
-regularizer.
+regularizer.  The per-edge counts of the whole database are kept, so the
+network of a training set (a fold) is the full counts minus the edge rows
+of the instances it leaves out.
 
 Dataset directory format (UTF-8, tab-separated, header on the first
 non-blank line, lines ending in LF, CRLF or CR, blank lines skipped):
@@ -102,11 +104,11 @@ class NetworkDatabase:
         return tuple(self.edges[a:b] for a, b in pairwise(self.offsets.tolist()))
 
     @cached_property
-    def _union(self) -> tuple[np.ndarray, sparse.csr_array]:
-        """The distinct instance edges, E x 2 and sorted by (p, q), and the
-        sparse m x E matrix that is True where instance i carries edge j.
-        Built on first use and kept: the database and its arrays are
-        immutable."""
+    def _union(self) -> tuple[np.ndarray, sparse.csr_array, np.ndarray]:
+        """The distinct instance edges, E x 2 and sorted by (p, q), the
+        sparse m x E matrix that is True where instance i carries edge j,
+        and the number of instances that carry each edge.  Built on first
+        use and kept: the database and its arrays are immutable."""
         n = self.n
         # p * n + q sorts like (p, q) because q < n
         keys, edge_of = np.unique(self.edges[:, 0] * n + self.edges[:, 1], return_inverse=True)
@@ -114,15 +116,23 @@ class NetworkDatabase:
             (np.ones(edge_of.size, dtype=bool), edge_of, self.offsets),
             shape=(self.m, keys.size),
         )
-        return _freeze(np.column_stack(np.divmod(keys, n))), presence
+        counts = np.bincount(edge_of, minlength=keys.size)
+        return _freeze(np.column_stack(np.divmod(keys, n))), presence, _freeze(counts)
 
     def network(self, indices) -> GeneralizedNetwork:
         """Union network of the instances at ``indices``: the distinct edges
-        they carry, each weighted by the share of them that carry it."""
-        pairs, presence = self._union
+        they carry, each weighted by the share of them that carry it.
+
+        The counts are the full database's, corrected by the presence rows
+        of the instances whose multiplicity in ``indices`` is not 1, so a
+        training set reads only the rows of the instances it leaves out."""
+        pairs, presence, counts = self._union
         indices = np.asarray(indices, dtype=np.intp)
-        # an instance's multiplicity in indices times its presence row
-        counts = np.bincount(indices, minlength=self.m) @ presence
+        multiplicity = np.bincount(indices, minlength=self.m)
+        if multiplicity.size > self.m:
+            raise ValueError("instance index out of range")
+        if (changed := np.flatnonzero(multiplicity != 1)).size:
+            counts = counts + (multiplicity[changed] - 1) @ presence[changed]
         kept = np.flatnonzero(counts)
         return GeneralizedNetwork(self.n, pairs[kept], counts[kept] / indices.size)
 

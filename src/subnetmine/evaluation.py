@@ -11,12 +11,13 @@ embedding.
 
 Per distinct training set, ``_reduce`` runs once: kNN affinities, Laplacians,
 subset network, constraint, SVD basis and whitened terms.  Per alpha there is
-one r x r eigensolve.  The classifiers of all alphas on one training set come
-from one call of ``train_linear_classifier``, one batched d x d solve over
-the stacked embeddings.  Inner splits (f, g) and (g, f)
-share their training set, so F-fold ``evaluate_dataset`` reduces and trains
-on F + F(F-1)/2 sets and ``sweep_alpha`` on F, plus one more reduction of
-the full database when ground truth is given.
+one eigensolve for the top d + 1 pairs of the r x r reduced matrix.  The
+classifiers of all alphas on one training set come from one call of
+``train_linear_classifier``, one batched d x d solve over the stacked
+embeddings.  Inner splits (f, g) and (g, f) share their training set, so
+F-fold ``evaluate_dataset`` reduces and trains on F + F(F-1)/2 sets and
+``sweep_alpha`` on F, plus one more reduction of the full database when
+ground truth is given.
 """
 
 from __future__ import annotations

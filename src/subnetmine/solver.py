@@ -17,9 +17,11 @@ term, M = M0 - alpha M1 with M0 = (V'Q)' Ltilde (V'Q) and M1 = Q' C Q.
 Only the final r x r eigensolve depends on alpha, so a fit runs in two
 steps: ``reduce_problem`` does the alpha-invariant work once per training
 set (SVD basis, M0, M1 and their spectral radii) and returns a
-``ReducedProblem``; ``ReducedProblem.model(alpha, d)`` then costs one r x r
-``eigh`` per alpha.  Multiplying every node value by s leaves M0 unchanged
-but scales M1 by 1/s^2, so an absolute alpha would mean something different
+``ReducedProblem``; ``ReducedProblem.model(alpha, d)`` then costs one
+eigensolve per alpha for the top d + 1 eigenpairs of the r x r matrix (all
+r only when pair d + 1 ties pair d), and maps only those d + 1 columns back
+to node space.  Multiplying every node value by s leaves M0 unchanged but
+scales M1 by 1/s^2, so an absolute alpha would mean something different
 in every unit system.  Alpha is therefore relative to the data term: the
 topology weight actually used is alpha * rho(M0) / rho(M1), rho being the
 largest absolute eigenvalue.
@@ -32,7 +34,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 
 from .data import StateMatrix, TsvFile, floats, value_error, write_json, write_tsv
 from .errors import ConfigInvalid, SubnetmineError
@@ -170,30 +172,53 @@ def truncated_svd_basis(
     return TruncatedBasis(p_r=p_r, sigma_r=sigma[:r].copy())
 
 
+def _tie_groups(eigenvalues: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of tied eigenvalues in a descending
+    sequence: a run holds the values within _EIG_TIE_RTOL (1 + |first|) of
+    its first value."""
+    groups, start = [], 0
+    while start < len(eigenvalues):
+        stop = start + 1
+        scale = 1.0 + abs(eigenvalues[start])
+        while (
+            stop < len(eigenvalues)
+            and abs(eigenvalues[stop] - eigenvalues[start]) <= _EIG_TIE_RTOL * scale
+        ):
+            stop += 1
+        groups.append((start, stop))
+        start = stop
+    return groups
+
+
 def _order_ties(eigenvalues: np.ndarray, u_columns: np.ndarray) -> np.ndarray:
     """Permutation stabilizing the descending eigenvalue order: within a tied
     group, columns are ordered by the row index of their largest-magnitude
     entry."""
-    order = list(range(len(eigenvalues)))
     anchor = np.argmax(np.abs(u_columns), axis=0)
-    start = 0
-    while start < len(order):
-        stop = start + 1
-        scale = 1.0 + abs(eigenvalues[start])
-        while (
-            stop < len(order)
-            and abs(eigenvalues[stop] - eigenvalues[start]) <= _EIG_TIE_RTOL * scale
-        ):
-            stop += 1
-        if stop - start > 1:
-            order[start:stop] = sorted(order[start:stop], key=lambda i: anchor[i])
-        start = stop
+    order = []
+    for start, stop in _tie_groups(eigenvalues):
+        order += sorted(range(start, stop), key=lambda i: anchor[i])
     return np.array(order)
 
 
 def _whitening(basis: TruncatedBasis) -> np.ndarray:
     """Q = P_r S_r^{-1}, n x r: maps reduced coordinates w to u = Q w."""
     return basis.p_r / basis.sigma_r[np.newaxis, :]
+
+
+def _descending_eigh(reduced: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric r x r matrix in descending order: the top
+    d + 1 when d < r, so that ``_order_ties`` orders the first d exactly as
+    over all r.  That holds unless pair d ties pair d - 1, whose run may
+    then go on past d; only then, or when d = r, are all r pairs solved."""
+    r = reduced.shape[0]
+    if d < r:
+        eigvals, eigvecs = linalg.eigh(reduced, subset_by_index=[r - d - 1, r - 1])
+        eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+        if _tie_groups(eigvals)[-1][0] == d:
+            return eigvals, eigvecs
+    eigvals, eigvecs = np.linalg.eigh(reduced)
+    return eigvals[::-1], eigvecs[:, ::-1]
 
 
 def _top_eigenpairs(
@@ -205,14 +230,11 @@ def _top_eigenpairs(
         raise SubnetmineError(f"requested d={d} exceeds retained rank r={basis.r}")
     if d < 1:
         raise ConfigInvalid(f"d must be positive, got {d}")
-    eigvals, eigvecs = np.linalg.eigh(reduced)
-    eigvals = eigvals[::-1]
-    eigvecs = eigvecs[:, ::-1]
-
-    u_all = _whitening(basis) @ eigvecs
-    order = _order_ties(eigvals, u_all)
-    eigvals = eigvals[order][:d].copy()
-    u = u_all[:, order][:, :d].copy()
+    eigvals, eigvecs = _descending_eigh(reduced, d)
+    u_top = _whitening(basis) @ eigvecs
+    order = _order_ties(eigvals, u_top)[:d]
+    eigvals = eigvals[order]
+    u = u_top[:, order]
 
     flip = np.take_along_axis(
         u, np.argmax(np.abs(u), axis=0)[np.newaxis, :], axis=0
@@ -247,11 +269,19 @@ class ReducedProblem:
         (rho(M1) = 0) alpha is used as is.  The result equals the top
         eigenpairs of the whitened dense objective V Ltilde V' - alpha_eff C,
         but no n x n matrix is formed.  A negative, infinite or NaN alpha
-        raises ConfigInvalid.
+        raises ConfigInvalid, as does one so large that alpha_eff or the
+        reduced matrix overflows.
         """
         check_alpha(alpha)
-        weight = alpha * self.rho0 / self.rho1 if self.rho1 > 0.0 else alpha
-        return _top_eigenpairs(self.m0 - weight * self.m1, self.basis, d, alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weight = alpha * self.rho0 / self.rho1 if self.rho1 > 0.0 else alpha
+            reduced = self.m0 - weight * self.m1
+        if not (np.isfinite(weight) and np.isfinite(reduced).all()):
+            raise ConfigInvalid(
+                f"alpha={alpha} overflows the reduced problem (topology weight {weight:g}); "
+                "use a smaller alpha"
+            )
+        return _top_eigenpairs(reduced, self.basis, d, alpha)
 
 
 def reduce_problem(

@@ -21,6 +21,7 @@ from subnetmine.solver import (
     SpectralModel,
     TruncatedBasis,
     _check_dims,
+    _order_ties,
     _top_eigenpairs,
     _whitening,
 )
@@ -471,3 +472,18 @@ def solve_spectral(
     q = _whitening(basis)
     reduced = q.T @ (a @ q)
     return _top_eigenpairs((reduced + reduced.T) / 2.0, basis, d, alpha)
+
+
+def top_eigenpairs_by_full_solve(
+    reduced: np.ndarray, basis: TruncatedBasis, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, U) of the top d pairs of a symmetric r x r reduced
+    matrix from ``np.linalg.eigh`` over all r, with ``_order_ties`` over all
+    r mapped columns and the largest-magnitude entry of each column made
+    positive: the oracle for the top-(d + 1) solve of ``_top_eigenpairs``."""
+    eigvals, eigvecs = np.linalg.eigh(reduced)
+    u_all = _whitening(basis) @ eigvecs[:, ::-1]
+    order = _order_ties(eigvals[::-1], u_all)[:d]
+    u = u_all[:, order]
+    u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(d)])
+    return eigvals[::-1][order], u

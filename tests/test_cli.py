@@ -381,6 +381,8 @@ PINNED_ERRORS = {
     # label noise leaves both instances in one global state
     (["generate", "--nodes", "10", "--instances", "2", "--gt", "2", "--edges-per-node", "2",
       "--global-noise", "0.5"], 1),
+    # alpha * rho0 / rho1 overflows to inf
+    (["fit", "{dataset}", "--alpha", "1e308"], 2),
 ])
 def test_contract_errors_exit_with_one_line(
     argv,

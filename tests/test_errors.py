@@ -25,7 +25,14 @@ from subnetmine.evaluation import (
 )
 from subnetmine.metagraph import LaplacianSet
 from subnetmine.selection import select_top_nodes
-from subnetmine.solver import SolverConfig, load_model, reduce_problem, truncated_svd_basis
+from subnetmine.solver import (
+    ReducedProblem,
+    SolverConfig,
+    TruncatedBasis,
+    load_model,
+    reduce_problem,
+    truncated_svd_basis,
+)
 from subnetmine.synth import SynthConfig, generate_dataset, read_ground_truth
 
 VALID = {
@@ -74,6 +81,17 @@ def leave_one_out_of_three():
     db = random_db(np.random.default_rng(0), n=4, m=3)
     eval_cfg = EvalConfig(folds=3, alpha_grid=(1.0, 2.0), k=1)
     return evaluate_dataset(db, eval_cfg, SolverConfig(alpha=1.0))
+
+
+def overflowing(rho1):
+    """``model(1e308, 1)`` of a 2 x 2 reduced problem with rho0 = 1 and
+    M1 = diag(2, 1): rho1 = 0.5 makes the topology weight overflow, and
+    rho1 = 1, below M1's radius, leaves it finite at 1e308 so that only the
+    reduced matrix overflows."""
+    basis = TruncatedBasis(p_r=np.eye(2), sigma_r=np.ones(2))
+    m0, m1 = np.diag([1.0, 0.0]), np.diag([2.0, 1.0])
+    return ReducedProblem(basis, m0=m0, m1=m1, rho0=1.0, rho1=rho1).model(1e308, 1)
+
 
 # name: (call on the temporary directory, class, text)
 ROWS = {
@@ -214,6 +232,17 @@ ROWS = {
         lambda tmp: SolverConfig(alpha=-1.0),
         ConfigInvalid,
         "alpha must be finite and nonnegative, got -1.0",
+    ),
+    "alpha-overflows-weight": (
+        lambda tmp: overflowing(0.5),
+        ConfigInvalid,
+        "alpha=1e+308 overflows the reduced problem (topology weight inf); use a smaller alpha",
+    ),
+    "alpha-overflows-reduced-matrix": (
+        lambda tmp: overflowing(1.0),
+        ConfigInvalid,
+        "alpha=1e+308 overflows the reduced problem (topology weight 1e+308); "
+        "use a smaller alpha",
     ),
     "one-fold": (
         lambda tmp: stratified_folds([0, 1], 1, seed=0),

@@ -9,6 +9,7 @@ from __future__ import annotations
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -110,16 +111,21 @@ def test_repeated_fits_reuse_one_edge_index(seed, alphas):
     n=st.integers(2, 10),
     m=st.integers(2, 14),
     edge_prob=st.sampled_from([0.0, 0.15, 0.6]),
-    picks=st.lists(st.integers(0, 13), min_size=1, max_size=14, unique=True),
+    picks=st.lists(st.integers(0, 13), min_size=1, max_size=14),
 )
 @example(seed=0, n=4, m=3, edge_prob=0.0, picks=[2, 0])  # no edges anywhere
+@example(seed=1, n=5, m=6, edge_prob=0.6, picks=[1, 4, 1, 5, 0, 4])  # repeats, 2 left out
 def test_network_and_constraint_match_the_tuple_oracles(seed, n, m, edge_prob, picks):
-    """NetworkDatabase.network equals the counting loop on a random subset (in
-    drawn order) and on every instance, and the constraint built from the
-    arrays has the CSR arrays of the one built from (p, q, w) tuples."""
+    """NetworkDatabase.network equals the counting loop on a random pick of
+    instances (in drawn order, repeats kept), on one instance, on all but
+    one, on every instance and on every instance plus the pick, and the
+    constraint built from the arrays has the CSR arrays of the one built
+    from (p, q, w) tuples.  An index one past the last instance raises."""
     db = random_db(np.random.default_rng(seed), n=n, m=m, edge_prob=edge_prob)
-    subset = list(dict.fromkeys(p % m for p in picks))
-    for indices in (subset, list(range(m))):
+    subset = [p % m for p in picks]
+    everyone = list(range(m))
+    left_out = everyone[: subset[0]] + everyone[subset[0] + 1 :]
+    for indices in (subset, subset[-1:], left_out, everyone, everyone + subset):
         g = db.network(indices)
         expected = network_by_counting(db, indices)
         assert edge_tuples(g) == expected
@@ -129,6 +135,9 @@ def test_network_and_constraint_match_the_tuple_oracles(seed, n, m, edge_prob, p
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for indices in (everyone[1:] + [m], subset + [m]):
+        with pytest.raises(ValueError, match="^instance index out of range$"):
+            db.network(indices)
 
 
 @SETTINGS

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from helpers import (
     random_db,
     solve_spectral,
     svd_basis,
+    top_eigenpairs_by_full_solve,
 )
 from subnetmine import cli
 from subnetmine.data import StateMatrix, build_generalized_network, write_database
@@ -24,6 +26,8 @@ from subnetmine.errors import ConfigInvalid, ParseError, SubnetmineError
 from subnetmine.metagraph import build_constraint_matrix
 from subnetmine.solver import (
     SolverConfig,
+    TruncatedBasis,
+    _top_eigenpairs,
     load_model,
     model_meta_path,
     reduce_problem,
@@ -306,6 +310,68 @@ def test_solve_rank_errors():
         solve_spectral(np.eye(3), basis, 4)
     with pytest.raises(ValueError):
         solve_spectral(np.eye(3), basis, 0)
+
+
+# rank of the reduced problems below
+R = 7
+
+
+def top_pairs_and_full_solves(reduced, basis, d):
+    """``_top_eigenpairs`` and the number of full r x r solves it ran."""
+    with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as full:
+        model = _top_eigenpairs(reduced, basis, d, alpha=0.0)
+    return model, full.call_count
+
+
+def assert_matches_full_solve(model, reduced, basis, d):
+    eigvals, u = top_eigenpairs_by_full_solve(reduced, basis, d)
+    scale = np.abs(eigvals).max()
+    assert np.abs(model.eigenvalues - eigvals).max() <= 1e-10 * scale
+    # the sign convention is applied on both sides, so no column may flip
+    assert np.abs(model.u_matrix - u).max() <= 1e-10 * np.abs(u).max()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", [1, 2, R - 1, R])
+def test_top_eigenpairs_match_the_full_solve(seed, d):
+    """A random reduced problem: only d = r solves all r pairs."""
+    rng = np.random.default_rng(seed)
+    p, _ = np.linalg.qr(rng.normal(size=(12, R)))
+    basis = TruncatedBasis(p_r=p, sigma_r=np.sort(rng.uniform(0.5, 3.0, R))[::-1])
+    s = rng.normal(size=(R, R))
+    reduced = (s + s.T) / 2.0
+    model, full_solves = top_pairs_and_full_solves(reduced, basis, d)
+    assert full_solves == (d == R)
+    assert model.u_matrix.shape == (12, d)
+    assert_matches_full_solve(model, reduced, basis, d)
+
+
+# on seeds 4 and 5 a top-(d + 1) solve alone keeps the wrong tied column
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "spectrum, d, full_solves",
+    [
+        # pairs d and d + 1 tie, so their run may go on past d + 1: all r are solved
+        ((5.0, 3.0, 3.0, 1.0, 0.0, -1.0, -2.0), 2, 1),
+        ((5.0, 3.0, 3.0, 3.0, 0.0, -1.0, -2.0), 2, 1),
+        # a tie inside the top d, cut off from pair d + 1
+        ((4.0, 4.0, 2.0, 1.0, 0.0, -1.0, -3.0), 3, 0),
+        ((4.0, 4.0, 4.0, 1.0, 0.0, -1.0, -3.0), 3, 0),
+    ],
+)
+def test_planted_ties_keep_the_full_solve_order(seed, spectrum, d, full_solves):
+    """The spectrum on the diagonal in shuffled rows, whose eigenvectors
+    are exact, so tied columns are ordered by their anchor rows alone; the
+    basis maps each to a distinct row."""
+    rng = np.random.default_rng(seed)
+    basis = TruncatedBasis(
+        p_r=np.eye(12)[:, rng.permutation(12)[:R]], sigma_r=rng.uniform(0.5, 3.0, R)
+    )
+    reduced = np.diag(rng.permutation(spectrum))
+    model, solves = top_pairs_and_full_solves(reduced, basis, d)
+    assert solves == full_solves
+    assert_matches_full_solve(model, reduced, basis, d)
+    assert np.array_equal(model.eigenvalues, spectrum[:d])
 
 
 def cli_transform(model, model_node_ids, db, tmp_path):
