@@ -11,7 +11,7 @@ embedding.
 
 Per distinct training set, ``_reduce`` runs once: kNN affinities, Laplacians,
 subset network, constraint, SVD basis and whitened terms.  Per alpha there is
-one eigensolve for the top d + 1 pairs of the r x r reduced matrix.  The
+one eigensolve for the top d pairs of the r x r reduced matrix.  The
 classifiers of all alphas on one training set come from one call of
 ``train_linear_classifier``, one batched d x d solve over the stacked
 embeddings.  Inner splits (f, g) and (g, f) share their training set, so

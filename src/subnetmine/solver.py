@@ -18,9 +18,10 @@ Only the final r x r eigensolve depends on alpha, so a fit runs in two
 steps: ``reduce_problem`` does the alpha-invariant work once per training
 set (SVD basis, M0, M1 and their spectral radii) and returns a
 ``ReducedProblem``; ``ReducedProblem.model(alpha, d)`` then costs one
-eigensolve per alpha for the top d + 1 eigenpairs of the r x r matrix (all
-r only when pair d + 1 ties pair d), and maps only those d + 1 columns back
-to node space.  Multiplying every node value by s leaves M0 unchanged but
+eigensolve per alpha for the top d eigenpairs of the r x r matrix, and maps
+only those d columns back to node space.  Within an exactly tied eigenvalue
+group any orthonormal basis is equally optimal; U holds the one the solver
+returns.  Multiplying every node value by s leaves M0 unchanged but
 scales M1 by 1/s^2, so an absolute alpha would mean something different
 in every unit system.  Alpha is therefore relative to the data term: the
 topology weight actually used is alpha * rho(M0) / rho(M1), rho being the
@@ -42,8 +43,6 @@ from .metagraph import LaplacianSet
 
 # singular values below this fraction of the largest are discarded outright
 _SIGMA_RTOL = 1e-12
-# relative gap under which two eigenvalues count as tied
-_EIG_TIE_RTOL = 1e-12
 
 
 def check_alpha(alpha: float) -> None:
@@ -172,70 +171,25 @@ def truncated_svd_basis(
     return TruncatedBasis(p_r=p_r, sigma_r=sigma[:r].copy())
 
 
-def _tie_groups(eigenvalues: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) of each run of tied eigenvalues in a descending
-    sequence: a run holds the values within _EIG_TIE_RTOL (1 + |first|) of
-    its first value."""
-    groups, start = [], 0
-    while start < len(eigenvalues):
-        stop = start + 1
-        scale = 1.0 + abs(eigenvalues[start])
-        while (
-            stop < len(eigenvalues)
-            and abs(eigenvalues[stop] - eigenvalues[start]) <= _EIG_TIE_RTOL * scale
-        ):
-            stop += 1
-        groups.append((start, stop))
-        start = stop
-    return groups
-
-
-def _order_ties(eigenvalues: np.ndarray, u_columns: np.ndarray) -> np.ndarray:
-    """Permutation stabilizing the descending eigenvalue order: within a tied
-    group, columns are ordered by the row index of their largest-magnitude
-    entry."""
-    anchor = np.argmax(np.abs(u_columns), axis=0)
-    order = []
-    for start, stop in _tie_groups(eigenvalues):
-        order += sorted(range(start, stop), key=lambda i: anchor[i])
-    return np.array(order)
-
-
 def _whitening(basis: TruncatedBasis) -> np.ndarray:
     """Q = P_r S_r^{-1}, n x r: maps reduced coordinates w to u = Q w."""
     return basis.p_r / basis.sigma_r[np.newaxis, :]
 
 
-def _descending_eigh(reduced: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric r x r matrix in descending order: the top
-    d + 1 when d < r, so that ``_order_ties`` orders the first d exactly as
-    over all r.  That holds unless pair d ties pair d - 1, whose run may
-    then go on past d; only then, or when d = r, are all r pairs solved."""
-    r = reduced.shape[0]
-    if d < r:
-        eigvals, eigvecs = linalg.eigh(reduced, subset_by_index=[r - d - 1, r - 1])
-        eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
-        if _tie_groups(eigvals)[-1][0] == d:
-            return eigvals, eigvecs
-    eigvals, eigvecs = np.linalg.eigh(reduced)
-    return eigvals[::-1], eigvecs[:, ::-1]
-
-
 def _top_eigenpairs(
     reduced: np.ndarray, basis: TruncatedBasis, d: int, alpha: float
 ) -> SpectralModel:
-    """Top-d eigenpairs of a symmetric r x r reduced matrix, mapped back to
-    node space with tie ordering and the sign convention applied."""
-    if d > basis.r:
-        raise SubnetmineError(f"requested d={d} exceeds retained rank r={basis.r}")
+    """Top-d eigenpairs of a symmetric r x r reduced matrix in descending
+    order, mapped back to node space with the largest-magnitude entry of
+    each column made positive."""
+    r = basis.r
+    if d > r:
+        raise SubnetmineError(f"requested d={d} exceeds retained rank r={r}")
     if d < 1:
         raise ConfigInvalid(f"d must be positive, got {d}")
-    eigvals, eigvecs = _descending_eigh(reduced, d)
-    u_top = _whitening(basis) @ eigvecs
-    order = _order_ties(eigvals, u_top)[:d]
-    eigvals = eigvals[order]
-    u = u_top[:, order]
-
+    eigvals, eigvecs = linalg.eigh(reduced, subset_by_index=[r - d, r - 1])
+    eigvals = eigvals[::-1]
+    u = _whitening(basis) @ eigvecs[:, ::-1]
     flip = np.take_along_axis(
         u, np.argmax(np.abs(u), axis=0)[np.newaxis, :], axis=0
     ).ravel()

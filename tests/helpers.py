@@ -21,7 +21,6 @@ from subnetmine.solver import (
     SpectralModel,
     TruncatedBasis,
     _check_dims,
-    _order_ties,
     _top_eigenpairs,
     _whitening,
 )
@@ -478,12 +477,10 @@ def top_eigenpairs_by_full_solve(
     reduced: np.ndarray, basis: TruncatedBasis, d: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, U) of the top d pairs of a symmetric r x r reduced
-    matrix from ``np.linalg.eigh`` over all r, with ``_order_ties`` over all
-    r mapped columns and the largest-magnitude entry of each column made
-    positive: the oracle for the top-(d + 1) solve of ``_top_eigenpairs``."""
+    matrix from ``np.linalg.eigh`` over all r, in descending order, with the
+    largest-magnitude entry of each column made positive: the oracle for
+    the top-d solve of ``_top_eigenpairs``."""
     eigvals, eigvecs = np.linalg.eigh(reduced)
-    u_all = _whitening(basis) @ eigvecs[:, ::-1]
-    order = _order_ties(eigvals[::-1], u_all)[:d]
-    u = u_all[:, order]
+    u = _whitening(basis) @ eigvecs[:, ::-1][:, :d]
     u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(d)])
-    return eigvals[::-1][order], u
+    return eigvals[::-1][:d], u

@@ -1,8 +1,9 @@
-"""Property tests: invariants of the fit under reordering, reuse of the
-per-database edge index, the array network and constraint against their
-tuple oracles, the kNN Laplacians against their argsort oracle on tied
-similarities, independence of the rows of a stacked classifier fit, and
-the classifier's invariance under invertible maps of the embedding."""
+"""Property tests: invariants of the fit under reordering, tied
+eigenvalues included, reuse of the per-database edge index, the array
+network and constraint against their tuple oracles, the kNN Laplacians
+against their argsort oracle on tied similarities, independence of the
+rows of a stacked classifier fit, and the classifier's invariance under
+invertible maps of the embedding."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from helpers import (
     network_by_counting,
     random_db,
     restrict_instances,
+    solve_spectral,
     split_affinities,
     symmetric_relation,
     template_db,
@@ -31,7 +33,7 @@ from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_netw
 from subnetmine.evaluation import EvalConfig, evaluate_dataset, fit_model, train_linear_classifier
 from subnetmine.metagraph import _cosine_matrix, build_constraint_matrix, build_laplacian_set
 from subnetmine.selection import score_nodes
-from subnetmine.solver import SolverConfig
+from subnetmine.solver import SolverConfig, truncated_svd_basis
 
 SETTINGS = settings(max_examples=12, derandomize=True, deadline=None)
 K = 4
@@ -80,6 +82,26 @@ def test_node_order_permutes_rows_scores_and_edges(seed, n, m):
         for p, q, w in edge_tuples(build_generalized_network(db))
     )
     assert list(edge_tuples(build_generalized_network(permuted))) == expected_edges
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**16))
+@example(seed=0)
+def test_node_order_permutes_rows_under_tied_eigenvalues(seed):
+    """V = I, so the reduced matrix is the objective itself in any node
+    order, and a diagonal objective over {1, 3} ties most of the top d = 3
+    eigenvalues.  Relabelling the nodes permutes U's rows and nothing else:
+    no column order may follow the node labels."""
+    rng = np.random.default_rng(seed)
+    a = np.diag(rng.choice([1.0, 3.0], size=6))
+    order = rng.permutation(6)
+
+    def fit(objective, v):
+        return solve_spectral(objective, truncated_svd_basis(v, np.ones(6), 1.0), 3).u_matrix
+
+    base = fit(a, StateMatrix(np.eye(6)))
+    moved = fit(a[np.ix_(order, order)], StateMatrix(np.eye(6)[order]))
+    assert np.abs(moved - base[order]).max() <= 1e-12
 
 
 @SETTINGS
