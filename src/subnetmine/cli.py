@@ -47,8 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subspace dimension (default: number of distinct global states)")
     cv = p = argparse.ArgumentParser(add_help=False, parents=[solve])
     grid = ",".join(f"{alpha:g}" for alpha in evaluation.DEFAULT_ALPHA_GRID)
-    p.add_argument("--alpha-grid", type=_alpha_list, default=None,
-                   help=f"comma-separated relative alpha grid (default: {grid})")
+    p.add_argument("--alpha-grid", type=_alpha_list, default=evaluation.DEFAULT_ALPHA_GRID,
+                   help="comma-separated relative alpha grid; one point fixes alpha "
+                        f"(default: {grid})")
     p.add_argument("--folds", type=int, default=10,
                    help="cross-validation folds (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0,
@@ -95,15 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", parents=[cv],
                        help="cross-validated accuracy and node-ranking AUC")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="fixed relative alpha (skips grid search)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(run=_cmd_evaluate)
 
     p = sub.add_parser("sweep-alpha", parents=[cv],
                        help="fixed-alpha cross validation over a grid")
     p.add_argument("--out", required=True, help="output TSV path")
-    p.set_defaults(run=_cmd_sweep_alpha, alpha=None)  # no fixed alpha: the grid is swept
+    p.set_defaults(run=_cmd_sweep_alpha)
 
     return parser
 
@@ -184,18 +183,10 @@ def _cv_inputs(args):
     """The dataset, the two configs and the ground-truth ordinals (or None)
     of an evaluate or sweep-alpha run."""
     db = load_database(args.dataset)
-    if args.alpha is not None and args.alpha_grid is not None:
-        raise ConfigInvalid("--alpha conflicts with --alpha-grid")
-    if args.alpha is not None:
-        grid = (args.alpha,)
-    elif args.alpha_grid is not None:
-        grid = args.alpha_grid
-    else:
-        grid = evaluation.DEFAULT_ALPHA_GRID
     eval_cfg = evaluation.EvalConfig(
-        folds=args.folds, alpha_grid=grid, k=args.k, seed=args.seed
+        folds=args.folds, alpha_grid=args.alpha_grid, k=args.k, seed=args.seed
     )
-    solver_cfg = solver.SolverConfig(alpha=grid[0], d=args.dim)
+    solver_cfg = solver.SolverConfig(alpha=eval_cfg.alpha_grid[0], d=args.dim)
     return db, eval_cfg, solver_cfg, _gt_ordinals(args, db)
 
 

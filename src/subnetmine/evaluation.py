@@ -170,13 +170,13 @@ def _reduce(
     if idx.size < 2:
         raise SubnetmineError(
             f"training set has {idx.size} instance, need 2 or more; "
-            "use more instances or a fixed --alpha"
+            "use more instances or a one-point --alpha-grid"
         )
     k = min(k, idx.size - 1)
     v_train = StateMatrix(db.values[:, idx].copy())  # C order; the index alone gives F
-    lap = build_laplacian_set(_cosine_matrix(v_train), db.labels[idx], k)
+    d_plus, l_tilde = build_laplacian_set(_cosine_matrix(v_train), db.labels[idx], k)
     c = build_constraint_matrix(db.network(idx))
-    return reduce_problem(v_train, lap, c, energy_fraction)
+    return reduce_problem(v_train, d_plus, l_tilde, c, energy_fraction)
 
 
 def reduce_database(
@@ -285,7 +285,9 @@ def evaluate_dataset(
     With two or more grid points, each outer fold picks its alpha by
     leave-one-fold-out validation over its training folds; a single-point
     grid skips the inner loop.  The overall best_alpha is the most
-    frequently selected one, ties to the smaller value.
+    frequently selected one, ties to the smaller value.  Alphas come from
+    ``eval_cfg.alpha_grid`` only: of ``solver_cfg`` just ``d`` and
+    ``energy_fraction`` are read, never its ``alpha``.
     """
     grid = eval_cfg.alpha_grid
     folds, score = _cv_scorer(db, eval_cfg, solver_cfg)
@@ -294,7 +296,7 @@ def evaluate_dataset(
         if folds < 3:  # an inner pair would leave out both folds and train on nothing
             raise ConfigInvalid(
                 f"nested alpha selection needs 3 or more folds, got {folds}; "
-                "use more folds or a fixed --alpha"
+                "use more folds or a one-point --alpha-grid"
             )
         # inner[a, f, g]: accuracy at grid[a] on fold g, trained without f and g
         inner = np.empty((len(grid), folds, folds))
@@ -340,7 +342,9 @@ def sweep_alpha(
     gt_nodes=None,
 ) -> list[SweepRow]:
     """Fixed-alpha cross validation for every grid point, with the AUC of a
-    full-database model at that alpha when ground truth is available."""
+    full-database model at that alpha when ground truth is available.  As in
+    ``evaluate_dataset``, the alphas are ``eval_cfg.alpha_grid`` and of
+    ``solver_cfg`` only ``d`` and ``energy_fraction`` are read."""
     grid = eval_cfg.alpha_grid
     folds, score = _cv_scorer(db, eval_cfg, solver_cfg)
     # accuracies[a, f]: accuracy at grid[a] on outer fold f

@@ -5,8 +5,9 @@ A+ links neighbor pairs that share a global state, A- pairs whose states
 differ.  A pair is linked when either instance is among the other's k
 nearest, by descending cosine with ties to the lower instance index; one
 partition per row finds them, with no sort.  The solver needs only D+ (the
-row sums of A+) and L~ = L- - L+, so both are built straight from the
-linked pairs; neither affinity is formed.  The n x n constraint matrix is
+row sums of A+) and L~ = L- - L+, so ``build_laplacian_set`` builds both
+straight from the linked pairs and returns them as a plain pair of arrays;
+neither affinity is formed.  The n x n constraint matrix is
 the Laplacian of the generalized network, returned as a plain CSR array; it
 penalizes projection vectors that vary across strongly shared edges.
 
@@ -17,25 +18,10 @@ downstream whitening checks for that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 
 from .data import GeneralizedNetwork, StateMatrix
-
-
-@dataclass(frozen=True, eq=False)
-class LaplacianSet:
-    """What the solver needs of the two meta-graphs' Laplacians.
-
-    ``d_plus`` stores the diagonal entries of D+ (row sums of A+);
-    ``l_tilde`` is L- minus L+, with an entry stored for every linked pair
-    (explicit zeros included) and for every diagonal position.
-    """
-
-    d_plus: np.ndarray
-    l_tilde: sparse.csr_array
 
 
 def _cosine_matrix(v_matrix: StateMatrix) -> np.ndarray:
@@ -64,9 +50,14 @@ def _row_sums(rows: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
     return sums
 
 
-def build_laplacian_set(sims: np.ndarray, labels, k: int) -> LaplacianSet:
-    """D+ and L~ of the kNN relation of the m x m similarity ``sims``,
-    split by agreement of ``labels``; 1 <= k < m.
+def build_laplacian_set(
+    sims: np.ndarray, labels, k: int
+) -> tuple[np.ndarray, sparse.csr_array]:
+    """(d_plus, l_tilde) of the kNN relation of the m x m similarity
+    ``sims``, split by agreement of ``labels``; 1 <= k < m.  ``d_plus``
+    holds the diagonal of D+ (row sums of A+); ``l_tilde`` is L- minus L+,
+    with an entry stored for every linked pair (explicit zeros included) and
+    for every diagonal position.
 
     Row i's k nearest are found without a sort: a partition gives the k-th
     largest similarity, every larger one is taken, and of the entries equal
@@ -106,7 +97,7 @@ def build_laplacian_set(sims: np.ndarray, labels, k: int) -> LaplacianSet:
             shape=(m, m),
         )
     )
-    return LaplacianSet(d_plus=d_plus, l_tilde=l_tilde)
+    return d_plus, l_tilde
 
 
 def build_constraint_matrix(g: GeneralizedNetwork) -> sparse.csr_array:

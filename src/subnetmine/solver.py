@@ -2,9 +2,10 @@
 
 Maximizes u' (V Ltilde V' - alpha C) u subject to u' (V D+ V') u = 1.
 The n x n right-hand matrix has rank at most min(n, m), so it is inverted
-through a truncated SVD V (D+)^{1/2} = P S Q' from one Gram eigensolve (see
-``truncated_svd_basis``): the retained left singular vectors span the
-working space and the problem reduces to an ordinary symmetric eigenproblem
+through a truncated SVD V (D+)^{1/2} = P S W' from one Gram eigensolve, cut
+by the energy and Kaiser rules (see ``truncated_svd_basis``): the retained
+left singular vectors span the working space and the problem reduces to an
+ordinary symmetric eigenproblem
 
     M = S^{-1} P' A P S^{-1},    u = P S^{-1} w,
 
@@ -15,23 +16,24 @@ spectrum real and the normalization u'Bu = ||w||^2 = 1 exact.
 With Q = P S^{-1} the reduced matrix splits into a data term and a topology
 term, M = M0 - alpha M1 with M0 = (V'Q)' Ltilde (V'Q) and M1 = Q' C Q.
 Only the final r x r eigensolve depends on alpha, so a fit runs in two
-steps: ``reduce_problem`` does the alpha-invariant work once per training
-set (SVD basis, M0, M1 and their spectral radii) and returns a
-``ReducedProblem``; ``ReducedProblem.model(alpha, d)`` then costs one
-eigensolve per alpha for the top d eigenpairs of the r x r matrix, and maps
-only those d columns back to node space.  Within an exactly tied eigenvalue
-group any orthonormal basis is equally optimal; U holds the one the solver
-returns.  Multiplying every node value by s leaves M0 unchanged but
-scales M1 by 1/s^2, so an absolute alpha would mean something different
-in every unit system.  Alpha is therefore relative to the data term: the
-topology weight actually used is alpha * rho(M0) / rho(M1), rho being the
-largest absolute eigenvalue.
+steps: ``reduce_problem`` takes the D+ diagonal and L~ that
+``metagraph.build_laplacian_set`` returns, does the alpha-invariant work
+once per training set (SVD basis, Q, M0, M1 and their spectral radii) and
+returns a ``ReducedProblem``; ``ReducedProblem.model(alpha, d)`` then costs
+one eigensolve per alpha for the top d eigenpairs of the r x r matrix, and
+maps only those d columns back to node space through the same Q.  Within
+an exactly tied eigenvalue group any orthonormal basis is equally optimal;
+U holds the one the solver returns.  Multiplying every node value by s
+leaves M0 unchanged but scales M1 by 1/s^2, so an absolute alpha would mean
+something different in every unit system.  Alpha is therefore relative to
+the data term: the topology weight actually used is alpha * rho(M0) /
+rho(M1), rho being the largest absolute eigenvalue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +41,9 @@ from scipy import linalg, sparse
 
 from .data import StateMatrix, TsvFile, floats, value_error, write_json, write_tsv
 from .errors import ConfigInvalid, SubnetmineError
-from .metagraph import LaplacianSet
 
-# singular values below this fraction of the largest are discarded outright
+# rounding tolerance of both truncation rules (energy and Kaiser), as a
+# fraction of the total energy and of the largest squared singular value
 _SIGMA_RTOL = 1e-12
 
 
@@ -86,6 +88,12 @@ class TruncatedBasis:
     def r(self) -> int:
         return self.sigma_r.size
 
+    @cached_property
+    def q(self) -> np.ndarray:
+        """Q = P_r S_r^{-1}, n x r: maps reduced coordinates w to u = Q w.
+        Built on first use and kept, so one reduction builds it once."""
+        return self.p_r / self.sigma_r[np.newaxis, :]
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralModel:
@@ -105,10 +113,10 @@ class SpectralModel:
         return self.u_matrix.shape[1]
 
 
-def _check_dims(v: StateMatrix, lap: LaplacianSet, c: sparse.csr_array) -> None:
-    if lap.l_tilde.shape[0] != v.m_cols:
+def _check_dims(v: StateMatrix, l_tilde: sparse.csr_array, c: sparse.csr_array) -> None:
+    if l_tilde.shape[0] != v.m_cols:
         raise SubnetmineError(
-            f"Laplacians are {lap.l_tilde.shape[0]}x{lap.l_tilde.shape[0]}, "
+            f"Laplacians are {l_tilde.shape[0]}x{l_tilde.shape[0]}, "
             f"state matrix has {v.m_cols} columns"
         )
     if c.shape[0] != v.n_rows:
@@ -126,18 +134,20 @@ def truncated_svd_basis(
     ``energy_fraction`` of the total; ``energy_fraction`` outside (0, 1]
     raises ConfigInvalid.
 
-    Two noise guards tighten the cut further: components whose squared
+    A noise guard tightens the cut further: components whose squared
     singular value falls below the average squared singular value are
-    dropped (Kaiser rule; keeps the basis clear of the noise bulk), and so
-    are values below 1e-12 of the largest.
+    dropped (Kaiser rule; keeps the basis clear of the noise bulk).  Both
+    rules allow a rounding slack of 1e-12 (of the total, and of sigma_max^2).
+    Kaiser keeps only sigma_i^2 >= mean - 1e-12 sigma_max^2 >= sigma_max^2
+    (1/N - 1e-12), N = min(n, m), so for any N up to 5e11 every kept value
+    is at least sigma_max / sqrt(2N) and no floor on tiny values is needed.
 
     No SVD runs, as nothing needs its right singular vectors: for X n x m,
     m <= n takes eigh(X'X) = W S^2 W' and P_r = X W_r / sigma_r for the kept
     columns only, m > n takes eigh(XX'), whose eigenvectors are P.  Then
     sigma = sqrt(max(lambda, 0)) is within about eps sigma_max^2 / sigma_i^2
-    relative, at most min(n, m) eps where Kaiser keeps (sigma_i^2 >= mean >=
-    sigma_max^2 / min(n, m)).  Null directions read near 1e-8 sigma_max,
-    past the 1e-12 guard; the Kaiser rule drops them.
+    relative, at most N eps where Kaiser keeps.  Null directions read near
+    1e-8 sigma_max, far below the mean; the Kaiser rule drops them.
     """
     _check_energy(energy_fraction)
     d_plus = np.asarray(d_plus, dtype=np.float64)
@@ -158,7 +168,6 @@ def truncated_svd_basis(
     if sigma.size == 0 or sigma[0] <= 0.0:
         raise SubnetmineError("all singular values vanish; affinity graph is degenerate")
 
-    n_above = int(np.count_nonzero(sigma > _SIGMA_RTOL * sigma[0]))
     total = sigma.sum()
     cumulative = np.cumsum(sigma)
     target = energy_fraction * total
@@ -166,22 +175,17 @@ def truncated_svd_basis(
     # Kaiser guard: sigma is descending, so this is a prefix count
     power = sigma**2
     n_kaiser = int(np.count_nonzero(power >= power.mean() - _SIGMA_RTOL * power[0]))
-    r = min(r_energy, n_kaiser, n_above)
+    r = min(r_energy, n_kaiser)
     p_r = eigvecs[:, :r].copy() if wide else x @ eigvecs[:, :r] / sigma[:r]
     return TruncatedBasis(p_r=p_r, sigma_r=sigma[:r].copy())
-
-
-def _whitening(basis: TruncatedBasis) -> np.ndarray:
-    """Q = P_r S_r^{-1}, n x r: maps reduced coordinates w to u = Q w."""
-    return basis.p_r / basis.sigma_r[np.newaxis, :]
 
 
 def _top_eigenpairs(
     reduced: np.ndarray, basis: TruncatedBasis, d: int, alpha: float
 ) -> SpectralModel:
     """Top-d eigenpairs of a symmetric r x r reduced matrix in descending
-    order, mapped back to node space with the largest-magnitude entry of
-    each column made positive."""
+    order, mapped back to node space by ``basis.q`` with the
+    largest-magnitude entry of each column made positive."""
     r = basis.r
     if d > r:
         raise SubnetmineError(f"requested d={d} exceeds retained rank r={r}")
@@ -189,7 +193,7 @@ def _top_eigenpairs(
         raise ConfigInvalid(f"d must be positive, got {d}")
     eigvals, eigvecs = linalg.eigh(reduced, subset_by_index=[r - d, r - 1])
     eigvals = eigvals[::-1]
-    u = _whitening(basis) @ eigvecs[:, ::-1]
+    u = basis.q @ eigvecs[:, ::-1]
     flip = np.take_along_axis(
         u, np.argmax(np.abs(u), axis=0)[np.newaxis, :], axis=0
     ).ravel()
@@ -200,8 +204,9 @@ def _top_eigenpairs(
 
 @dataclass(frozen=True, eq=False)
 class ReducedProblem:
-    """The alpha-invariant part of one fit: the truncated basis, the whitened
-    data term M0 and topology term M1 (both r x r), and their spectral radii.
+    """The alpha-invariant part of one fit: the truncated basis (with its Q,
+    built once), the whitened data term M0 and topology term M1 (both
+    r x r), and their spectral radii.
 
     rho0 and rho1 are kept apart, not as a ratio, so every weight is
     computed as alpha * rho0 / rho1 with one rounding order.
@@ -239,14 +244,16 @@ class ReducedProblem:
 
 
 def reduce_problem(
-    v: StateMatrix, lap: LaplacianSet, c: sparse.csr_array, energy_fraction: float
+    v: StateMatrix, d_plus: np.ndarray, l_tilde: sparse.csr_array, c: sparse.csr_array,
+    energy_fraction: float,
 ) -> ReducedProblem:
-    """Truncated basis of V (D+)^{1/2} plus the whitened terms M0 and M1."""
-    _check_dims(v, lap, c)
-    basis = truncated_svd_basis(v, lap.d_plus, energy_fraction)
-    q = _whitening(basis)
+    """Truncated basis of V (D+)^{1/2} plus the whitened terms M0 and M1;
+    ``d_plus`` is the diagonal of D+ and ``l_tilde`` is L~, m x m."""
+    _check_dims(v, l_tilde, c)
+    basis = truncated_svd_basis(v, d_plus, energy_fraction)
+    q = basis.q
     z = v.matrix.T @ q
-    m0 = z.T @ (lap.l_tilde @ z)
+    m0 = z.T @ (l_tilde @ z)
     m1 = q.T @ (c @ q)
     m0 = (m0 + m0.T) / 2.0
     m1 = (m1 + m1.T) / 2.0

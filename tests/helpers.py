@@ -12,18 +12,8 @@ from scipy import sparse
 
 from subnetmine.data import GeneralizedNetwork, NetworkDatabase, StateMatrix
 from subnetmine.errors import ParseError, SubnetmineError
-from subnetmine.metagraph import (
-    LaplacianSet,
-    _cosine_matrix,
-    build_laplacian_set,
-)
-from subnetmine.solver import (
-    SpectralModel,
-    TruncatedBasis,
-    _check_dims,
-    _top_eigenpairs,
-    _whitening,
-)
+from subnetmine.metagraph import _cosine_matrix, build_laplacian_set
+from subnetmine.solver import SpectralModel, TruncatedBasis, _check_dims, _top_eigenpairs
 
 
 def build_db(values, labels, edge_lists, valid=None, node_ids=None) -> NetworkDatabase:
@@ -361,26 +351,28 @@ def laplacian(a: sparse.csr_array) -> tuple[np.ndarray, sparse.csr_array]:
     return degrees, sparse.csr_array(sparse.diags_array(degrees) - a)
 
 
-def laplacian_set_oracle(sims: np.ndarray, labels, k: int) -> LaplacianSet:
-    """D+ and L- - L+ from the argsort kNN, the dense-mask affinities and
+def laplacian_set_oracle(
+    sims: np.ndarray, labels, k: int
+) -> tuple[np.ndarray, sparse.csr_array]:
+    """(D+, L- - L+) from the argsort kNN, the dense-mask affinities and
     two checked Laplacians: the oracle for ``build_laplacian_set``."""
     aff = affinity_pair_by_masks(sims, labels, k)
     d_plus, l_plus = laplacian(aff.a_plus)
     _, l_minus = laplacian(aff.a_minus)
-    return LaplacianSet(d_plus=d_plus, l_tilde=sparse.csr_array(l_minus - l_plus))
+    return d_plus, sparse.csr_array(l_minus - l_plus)
 
 
-def laplacians(db: NetworkDatabase, k: int) -> LaplacianSet:
-    """The library's Laplacian set over every instance of ``db``, built as a
+def laplacians(db: NetworkDatabase, k: int) -> tuple[np.ndarray, sparse.csr_array]:
+    """The library's (D+, L~) over every instance of ``db``, built as a
     reduction builds it."""
     return build_laplacian_set(_cosine_matrix(StateMatrix(db.values)), db.labels, k)
 
 
-def split_affinities(lap: LaplacianSet, labels) -> AffinityPair:
+def split_affinities(l_tilde: sparse.csr_array, labels) -> AffinityPair:
     """A+ and A- read back from L~ = (D- - D+) - A- + A+: its off-diagonal
     entries between agreeing states, and the negated ones between differing
     states, explicit zeros kept."""
-    coo = lap.l_tilde.tocoo()
+    coo = l_tilde.tocoo()
     rows, cols = coo.coords
     labels = np.asarray(labels)
     off = rows != cols
@@ -396,8 +388,8 @@ def split_affinities(lap: LaplacianSet, labels) -> AffinityPair:
 
 def affinities(db: NetworkDatabase, k: int) -> AffinityPair:
     """The kNN affinity pair over every instance of ``db``, read back from
-    the Laplacian set a reduction builds."""
-    return split_affinities(laplacians(db, k), db.labels)
+    the L~ a reduction builds."""
+    return split_affinities(laplacians(db, k)[1], db.labels)
 
 
 def linked_sets(l_tilde: sparse.csr_array) -> list[frozenset[int]]:
@@ -424,7 +416,7 @@ def knn_neighborhoods(v_matrix: StateMatrix, k: int) -> list[frozenset[int]]:
     """The instances the library's symmetric kNN relation links to each
     instance, read from the stored pattern of L~."""
     sims = _cosine_matrix(v_matrix)
-    return linked_sets(build_laplacian_set(sims, np.zeros(v_matrix.m_cols), k).l_tilde)
+    return linked_sets(build_laplacian_set(sims, np.zeros(v_matrix.m_cols), k)[1])
 
 
 def svd_basis(v: StateMatrix, d_plus: np.ndarray, energy_fraction: float) -> TruncatedBasis:
@@ -442,7 +434,7 @@ def svd_basis(v: StateMatrix, d_plus: np.ndarray, energy_fraction: float) -> Tru
 
 
 def assemble_objective_matrix(
-    v: StateMatrix, lap: LaplacianSet, c: sparse.csr_array, alpha: float
+    v: StateMatrix, l_tilde: sparse.csr_array, c: sparse.csr_array, alpha: float
 ) -> np.ndarray:
     """A = V Ltilde V' - alpha C, symmetrized to kill roundoff.
 
@@ -450,8 +442,8 @@ def assemble_objective_matrix(
     dense n x n form is the reference that ``ReducedProblem`` is checked
     against.
     """
-    _check_dims(v, lap, c)
-    mat = v.matrix @ (lap.l_tilde @ v.matrix.T)
+    _check_dims(v, l_tilde, c)
+    mat = v.matrix @ (l_tilde @ v.matrix.T)
     if alpha != 0.0:
         mat = mat - alpha * c.toarray()
     return (mat + mat.T) / 2.0
@@ -468,8 +460,7 @@ def solve_spectral(
     largest-magnitude entry made positive.  ``alpha`` is only recorded on
     the model; it must match the absolute weight used to assemble ``a``.
     """
-    q = _whitening(basis)
-    reduced = q.T @ (a @ q)
+    reduced = basis.q.T @ (a @ basis.q)
     return _top_eigenpairs((reduced + reduced.T) / 2.0, basis, d, alpha)
 
 
@@ -481,6 +472,6 @@ def top_eigenpairs_by_full_solve(
     largest-magnitude entry of each column made positive: the oracle for
     the top-d solve of ``_top_eigenpairs``."""
     eigvals, eigvecs = np.linalg.eigh(reduced)
-    u = _whitening(basis) @ eigvecs[:, ::-1][:, :d]
+    u = basis.q @ eigvecs[:, ::-1][:, :d]
     u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(d)])
     return eigvals[::-1][:d], u

@@ -58,10 +58,10 @@ def desk_runs():
 def pipeline_fixture(rng, n, m, alpha):
     db = template_db(rng, n=n, m=m)
     v = StateMatrix(db.values)
-    lap = laplacians(db, 3)
+    d_plus, l_tilde = laplacians(db, 3)
     c = build_constraint_matrix(build_generalized_network(db))
-    a = assemble_objective_matrix(v, lap, c, alpha)
-    basis = truncated_svd_basis(v, lap.d_plus, 0.95)
+    a = assemble_objective_matrix(v, l_tilde, c, alpha)
+    basis = truncated_svd_basis(v, d_plus, 0.95)
     return a, basis
 
 

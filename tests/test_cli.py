@@ -132,7 +132,7 @@ def test_select_writes_ranking(dataset, tmp_path, capsys):
 def test_evaluate_fixed_alpha_with_auto_ground_truth(dataset, tmp_path, capsys):
     out = tmp_path / "eval"
     rc = cli.main([
-        "evaluate", str(dataset), "--alpha", "1.0", "--folds", "4",
+        "evaluate", str(dataset), "--alpha-grid", "1.0", "--folds", "4",
         "--out", str(out),
     ])
     assert rc == 0
@@ -156,7 +156,7 @@ def test_evaluate_without_ground_truth_file(dataset, tmp_path, capsys):
         (bare / name).write_bytes((dataset / name).read_bytes())
     out = tmp_path / "eval"
     rc = cli.main([
-        "evaluate", str(bare), "--alpha", "1.0", "--folds", "4", "--out", str(out)
+        "evaluate", str(bare), "--alpha-grid", "1.0", "--folds", "4", "--out", str(out)
     ])
     assert rc == 0
     assert "auc=" not in capsys.readouterr().out
@@ -165,18 +165,9 @@ def test_evaluate_without_ground_truth_file(dataset, tmp_path, capsys):
     assert not (out / "roc.tsv").exists()
 
 
-def test_evaluate_alpha_flags_conflict(dataset, tmp_path, capsys):
-    rc = cli.main([
-        "evaluate", str(dataset), "--alpha", "1.0", "--alpha-grid", "0.5,1",
-        "--out", str(tmp_path / "e"),
-    ])
-    assert rc == 2
-    assert "conflicts" in capsys.readouterr().err
-
-
 def test_evaluate_missing_dataset(tmp_path, capsys):
     rc = cli.main([
-        "evaluate", str(tmp_path / "nope"), "--alpha", "1.0",
+        "evaluate", str(tmp_path / "nope"), "--alpha-grid", "1.0",
         "--out", str(tmp_path / "e"),
     ])
     assert rc == 1
@@ -368,7 +359,7 @@ PINNED_ERRORS = {
     # an inner pair of 2 folds leaves no training instance
     (["evaluate", "{dataset}", "--folds", "2"], 2),
     (["evaluate", "{dataset}", "--folds", "2", "--alpha-grid", "1,2"], 2),
-    (["evaluate", "{dataset}", "--folds", "2", "--alpha", "1"], 0),
+    (["evaluate", "{dataset}", "--folds", "2", "--alpha-grid", "1"], 0),
     (["sweep-alpha", "{dataset}", "--folds", "2", "--alpha-grid", "1,2"], 0),
     (["select", "{dataset}", "--model", "{model}", "--min-edge-weight", "nan"], 2),
     (["select", "{dataset}", "--model", "{model}", "--min-edge-weight", "inf"], 2),

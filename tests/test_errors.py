@@ -23,7 +23,6 @@ from subnetmine.evaluation import (
     stratified_folds,
     train_linear_classifier,
 )
-from subnetmine.metagraph import LaplacianSet
 from subnetmine.selection import select_top_nodes
 from subnetmine.solver import (
     ReducedProblem,
@@ -65,15 +64,11 @@ def write(path, text):
     return path
 
 
-def laplacians(m):
-    return LaplacianSet(d_plus=np.ones(m), l_tilde=sparse.csr_array((m, m)))
-
-
 def reduced(n, m, c_size):
     """reduce_problem on an n x n state matrix, m x m Laplacians and a
     c_size x c_size constraint."""
     c = sparse.csr_array((c_size, c_size))
-    return reduce_problem(StateMatrix(np.eye(n)), laplacians(m), c, 1.0)
+    return reduce_problem(StateMatrix(np.eye(n)), np.ones(m), sparse.csr_array((m, m)), c, 1.0)
 
 
 def leave_one_out_of_three():
@@ -169,7 +164,8 @@ ROWS = {
     "training-set-of-one": (
         lambda tmp: leave_one_out_of_three(),
         SubnetmineError,
-        "training set has 1 instance, need 2 or more; use more instances or a fixed --alpha",
+        "training set has 1 instance, need 2 or more; "
+        "use more instances or a one-point --alpha-grid",
     ),
     "laplacian-size": (
         lambda tmp: reduced(3, 4, 3),
@@ -253,6 +249,16 @@ ROWS = {
         lambda tmp: EvalConfig(alpha_grid=()),
         ConfigInvalid,
         "alpha grid is empty",
+    ),
+    "nested-selection-with-two-folds": (
+        lambda tmp: evaluate_dataset(
+            random_db(np.random.default_rng(0), n=4, m=6),
+            EvalConfig(folds=2, alpha_grid=(1.0, 2.0), k=1),
+            SolverConfig(alpha=1.0),
+        ),
+        ConfigInvalid,
+        "nested alpha selection needs 3 or more folds, got 2; "
+        "use more folds or a one-point --alpha-grid",
     ),
 }
 

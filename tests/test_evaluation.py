@@ -212,7 +212,7 @@ def test_fitted_objects_compare_by_identity():
         model = problem.model(0.5, 2)
         embedded = model.u_matrix.T @ db.values
         return [
-            StateMatrix(db.values.copy()), laplacians(db, 3), g,
+            StateMatrix(db.values.copy()), g,
             problem, model.basis, model,
             build_report(model.u_matrix, g, 3),
             train_linear_classifier(embedded[np.newaxis], db.labels)[0],
@@ -230,8 +230,8 @@ def test_fit_model_shapes_and_normalization():
     assert model.u_matrix.shape[0] == db.n
     assert model.d == 2  # two observed global states
     # recompute B = V D+ V^T through the library's pieces
-    lap = laplacians(db, 3)
-    b = db.values @ np.diag(lap.d_plus) @ db.values.T
+    d_plus, _ = laplacians(db, 3)
+    b = db.values @ np.diag(d_plus) @ db.values.T
     for j in range(model.d):
         u = model.u_matrix[:, j]
         assert abs(u @ b @ u - 1.0) <= 1e-8

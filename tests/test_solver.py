@@ -46,40 +46,39 @@ def pipeline_pieces(seed, n=6, m=10, k=3, edge_prob=0.4, value_loc=4.0):
     rng = np.random.default_rng(seed)
     db = random_db(rng, n=n, m=m, edge_prob=edge_prob, value_loc=value_loc)
     v = StateMatrix(db.values)
-    lap = laplacians(db, k)
+    d_plus, l_tilde = laplacians(db, k)
     c = build_constraint_matrix(build_generalized_network(db))
-    return db, v, lap, c
+    return db, v, d_plus, l_tilde, c
 
 
 def test_objective_matches_dense_formula():
     for seed in range(4):
-        _, v, lap, c = pipeline_pieces(seed)
+        _, v, d_plus, l_tilde, c = pipeline_pieces(seed)
         for alpha in (0.0, 0.5, 2.0):
-            a = assemble_objective_matrix(v, lap, c, alpha)
-            raw = v.matrix @ lap.l_tilde.toarray() @ v.matrix.T - alpha * c.toarray()
+            a = assemble_objective_matrix(v, l_tilde, c, alpha)
+            raw = v.matrix @ l_tilde.toarray() @ v.matrix.T - alpha * c.toarray()
             assert np.allclose(a, (raw + raw.T) / 2.0, atol=1e-12)
             assert np.max(np.abs(a - a.T)) <= 1e-12
 
 
 def test_objective_zero_laplacian_gives_minus_c():
-    _, v, lap, c = pipeline_pieces(1)
+    _, v, _, _, c = pipeline_pieces(1)
     zero = sparse.csr_array((v.m_cols, v.m_cols))
-    lap_zero = type(lap)(d_plus=np.zeros(v.m_cols), l_tilde=zero)
-    a = assemble_objective_matrix(v, lap_zero, c, 1.0)
+    a = assemble_objective_matrix(v, zero, c, 1.0)
     assert np.allclose(a, -c.toarray(), atol=1e-15)
 
 
 def test_objective_dimension_checks():
-    _, v, lap, c = pipeline_pieces(2)
+    _, v, _, l_tilde, c = pipeline_pieces(2)
     bad_v = StateMatrix(np.zeros((v.n_rows, v.m_cols + 1)))
     m, n = v.m_cols, v.n_rows
     message = f"Laplacians are {m}x{m}, state matrix has {m + 1} columns"
     with pytest.raises(SubnetmineError, match=re.escape(message)):
-        assemble_objective_matrix(bad_v, lap, c, 1.0)
+        assemble_objective_matrix(bad_v, l_tilde, c, 1.0)
     bad_c = sparse.csr_array((n + 2, n + 2))
     message = f"constraint matrix is {n + 2}x{n + 2}, state matrix has {n} rows"
     with pytest.raises(SubnetmineError, match=re.escape(message)):
-        assemble_objective_matrix(v, lap, bad_c, 1.0)
+        assemble_objective_matrix(v, l_tilde, bad_c, 1.0)
 
 
 def diag_fixture(sigmas):
@@ -138,23 +137,47 @@ def test_truncation_orthonormal_columns():
         assert np.all(np.diff(basis.sigma_r) <= 0)
 
 
-@pytest.mark.parametrize("shape", [(40, 25), (25, 25), (25, 40), (12, 7), (7, 12)])
-@pytest.mark.parametrize("kind", ["full", "zero_degrees", "duplicated"])
+def planted_spectrum(rng, n, m, sigma, d_plus):
+    """V whose V (D+)^{1/2} has exactly the singular values ``sigma``
+    (length min(n, m)), with random singular vectors."""
+    p, _ = np.linalg.qr(rng.normal(size=(n, sigma.size)))
+    w, _ = np.linalg.qr(rng.normal(size=(m, sigma.size)))
+    return (p * sigma) @ w.T / np.sqrt(d_plus)
+
+
+@pytest.mark.parametrize(
+    "shape", [(40, 25), (25, 25), (25, 40), (12, 7), (7, 12), (300, 200), (200, 300)]
+)
+@pytest.mark.parametrize("kind", ["full", "zero_degrees", "duplicated", "floor", "flat"])
 def test_gram_basis_matches_svd(shape, kind):
     """Both sides of the m <= n switch against np.linalg.svd: the same r,
     singular values within 1e-12 and whitening columns P_r / sigma_r within
     1e-10 relative after aligning signs.  Duplicated columns make V rank
     deficient; there the Gram's null singular values are rounding noise near
-    1e-8 sigma_max, and the Kaiser rule must still cut at the SVD's r."""
+    1e-8 sigma_max, and the Kaiser rule must still cut at the SVD's r.
+
+    The oracle also drops singular values at or below 1e-12 sigma_max; the
+    library has no such floor, because Kaiser never keeps them.  "floor"
+    plants values just above, at and just below that floor under a decaying
+    spectrum, and "flat" gives every value sigma_max (Kaiser's loosest case,
+    which keeps all of them; its basis is unique only as a subspace).  The
+    same r on both sides shows the floor changes no rank."""
     n, m = shape
     rng = np.random.default_rng(n * m)
     values = rng.normal(size=(n, m)) + 1.5 * rng.normal(size=(n, 1))
     d_plus = rng.random(m) + 0.1
+    size = min(n, m)
     if kind == "zero_degrees":
         d_plus[::3] = 0.0
     if kind == "duplicated":
         values[:, m // 2 :] = values[:, : m - m // 2]
-        assert np.linalg.matrix_rank(values * np.sqrt(d_plus)) < min(n, m)
+        assert np.linalg.matrix_rank(values * np.sqrt(d_plus)) < size
+    if kind == "floor":
+        tiny = 1e-12 * np.array([1.01, 1.0, 0.99])
+        sigma = np.concatenate([np.logspace(0.0, -2.0, size - tiny.size), tiny])
+        values = planted_spectrum(rng, n, m, sigma, d_plus)
+    if kind == "flat":
+        values = planted_spectrum(rng, n, m, np.ones(size), d_plus)
     v = StateMatrix(values)
     for energy in (0.5, 0.95, 1.0):
         want = svd_basis(v, d_plus, energy)
@@ -163,7 +186,13 @@ def test_gram_basis_matches_svd(shape, kind):
         assert np.all(np.abs(got.sigma_r - want.sigma_r) <= 1e-12 * want.sigma_r)
         q_got = got.p_r / got.sigma_r
         q_want = want.p_r / want.sigma_r
-        q_got *= np.sign(np.sum(q_got * q_want, axis=0))
+        if kind == "flat":  # every value ties: only the span of all of them is fixed
+            if energy < 1.0:
+                continue
+            assert got.r == size
+            q_got, q_want = q_got @ q_got.T, q_want @ q_want.T
+        else:
+            q_got *= np.sign(np.sum(q_got * q_want, axis=0))
         assert np.max(np.abs(q_got - q_want)) <= 1e-10 * np.max(np.abs(q_want))
 
 
@@ -214,9 +243,9 @@ def test_solve_matches_independent_reduction():
     """Cross-check against a from-scratch dense computation of the reduced
     eigenproblem."""
     for seed in range(4):
-        _, v, lap, c = pipeline_pieces(seed)
-        a = assemble_objective_matrix(v, lap, c, 0.7)
-        basis = truncated_svd_basis(v, lap.d_plus, 0.95)
+        _, v, d_plus, l_tilde, c = pipeline_pieces(seed)
+        a = assemble_objective_matrix(v, l_tilde, c, 0.7)
+        basis = truncated_svd_basis(v, d_plus, 0.95)
         d = min(2, basis.r)
         model = solve_spectral(a, basis, d, alpha=0.7)
 
@@ -240,9 +269,9 @@ def test_solve_matches_independent_reduction():
 def test_solve_optimality_over_random_directions():
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        _, v, lap, c = pipeline_pieces(seed, n=5, m=9, k=3)
-        a = assemble_objective_matrix(v, lap, c, 0.5)
-        basis = truncated_svd_basis(v, lap.d_plus, 0.95)
+        _, v, d_plus, l_tilde, c = pipeline_pieces(seed, n=5, m=9, k=3)
+        a = assemble_objective_matrix(v, l_tilde, c, 0.5)
+        basis = truncated_svd_basis(v, d_plus, 0.95)
         model = solve_spectral(a, basis, 1, alpha=0.5)
         w = rng.normal(size=(basis.r, 20000))
         w /= np.linalg.norm(w, axis=0, keepdims=True)
@@ -253,11 +282,11 @@ def test_solve_optimality_over_random_directions():
 
 def test_solve_b_normalization_exact():
     for seed in range(5):
-        _, v, lap, c = pipeline_pieces(seed)
-        a = assemble_objective_matrix(v, lap, c, 1.0)
-        basis = truncated_svd_basis(v, lap.d_plus, 0.95)
+        _, v, d_plus, l_tilde, c = pipeline_pieces(seed)
+        a = assemble_objective_matrix(v, l_tilde, c, 1.0)
+        basis = truncated_svd_basis(v, d_plus, 0.95)
         model = solve_spectral(a, basis, min(2, basis.r), alpha=1.0)
-        b = b_matrix(v, lap.d_plus)
+        b = b_matrix(v, d_plus)
         for j in range(model.d):
             u = model.u_matrix[:, j]
             assert abs(u @ b @ u - 1.0) <= 1e-8
@@ -285,9 +314,9 @@ def test_solve_scaling_linearity():
 
 def test_solve_sign_convention():
     for seed in range(5):
-        _, v, lap, c = pipeline_pieces(seed)
-        a = assemble_objective_matrix(v, lap, c, 0.3)
-        basis = truncated_svd_basis(v, lap.d_plus, 0.95)
+        _, v, d_plus, l_tilde, c = pipeline_pieces(seed)
+        a = assemble_objective_matrix(v, l_tilde, c, 0.3)
+        basis = truncated_svd_basis(v, d_plus, 0.95)
         model = solve_spectral(a, basis, min(2, basis.r), alpha=0.3)
         for j in range(model.d):
             col = model.u_matrix[:, j]
@@ -413,9 +442,9 @@ def test_transform_duplicate_instances_map_identically(tmp_path):
     rng = np.random.default_rng(2)
     mat = rng.normal(size=(4, 3))
     mat[:, 2] = mat[:, 0]
-    db0, v, lap, c = pipeline_pieces(0, n=4, m=8)
-    a = assemble_objective_matrix(v, lap, c, 0.2)
-    basis = truncated_svd_basis(v, lap.d_plus, 0.95)
+    db0, v, d_plus, l_tilde, c = pipeline_pieces(0, n=4, m=8)
+    a = assemble_objective_matrix(v, l_tilde, c, 0.2)
+    basis = truncated_svd_basis(v, d_plus, 0.95)
     model = solve_spectral(a, basis, 1, alpha=0.2)
     db = build_db(mat, [0, 1, 0], [[]] * 3, node_ids=db0.node_ids)
     rc, out = cli_transform(model, db0.node_ids, db, tmp_path)
@@ -423,11 +452,11 @@ def test_transform_duplicate_instances_map_identically(tmp_path):
     assert np.array_equal(out[:, 0], out[:, 2])
 
 
-def relative_weight(v, lap, c, basis):
+def relative_weight(v, l_tilde, c, basis):
     """rho(M0) / rho(M1) from the dense whitened data and topology terms,
     or 1 when the topology term vanishes."""
     q = basis.p_r / basis.sigma_r[np.newaxis, :]
-    m0 = q.T @ assemble_objective_matrix(v, lap, c, 0.0) @ q
+    m0 = q.T @ assemble_objective_matrix(v, l_tilde, c, 0.0) @ q
     m1 = q.T @ c.toarray() @ q
     rho0 = np.max(np.abs(np.linalg.eigvalsh((m0 + m0.T) / 2.0)))
     rho1 = np.max(np.abs(np.linalg.eigvalsh((m1 + m1.T) / 2.0)))
@@ -440,23 +469,23 @@ def test_reduced_problem_matches_dense_oracle(edge_prob):
     assemble + solve at the matching absolute weight."""
     for seed in range(4):
         # values near zero keep several singular directions (r >= 3)
-        _, v, lap, c = pipeline_pieces(
+        _, v, d_plus, l_tilde, c = pipeline_pieces(
             seed, n=10, m=16, edge_prob=edge_prob, value_loc=0.5
         )
-        basis = truncated_svd_basis(v, lap.d_plus, 0.95)
+        basis = truncated_svd_basis(v, d_plus, 0.95)
         assert basis.r >= 3
         d = 2
-        ratio = relative_weight(v, lap, c, basis)
+        ratio = relative_weight(v, l_tilde, c, basis)
         assert (ratio == 1.0) == (edge_prob == 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            problem = reduce_problem(v, lap, c, 0.95)
+            problem = reduce_problem(v, d_plus, l_tilde, c, 0.95)
         assert problem.m0.shape == problem.m1.shape == (basis.r, basis.r)
         for alpha in (0.0, 0.5, 2.0, 6.5):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = problem.model(alpha, d)
-            a = assemble_objective_matrix(v, lap, c, alpha * ratio)
+            a = assemble_objective_matrix(v, l_tilde, c, alpha * ratio)
             ref = solve_spectral(a, basis, d, alpha=alpha)
             assert np.all(np.isfinite(got.u_matrix))
             assert np.all(np.isfinite(got.eigenvalues))
@@ -468,9 +497,9 @@ def test_reduced_problem_matches_dense_oracle(edge_prob):
 
 
 def test_reduce_problem_rank_and_dimension_errors():
-    _, v, lap, c = pipeline_pieces(0)
-    problem = reduce_problem(v, lap, c, 0.95)
-    r = truncated_svd_basis(v, lap.d_plus, 0.95).r
+    _, v, d_plus, l_tilde, c = pipeline_pieces(0)
+    problem = reduce_problem(v, d_plus, l_tilde, c, 0.95)
+    r = truncated_svd_basis(v, d_plus, 0.95).r
     assert problem.basis.r == r
     with pytest.raises(
         SubnetmineError, match=re.escape(f"requested d={r + 1} exceeds retained rank r={r}")
@@ -483,7 +512,7 @@ def test_reduce_problem_rank_and_dimension_errors():
     bad_c = sparse.csr_array((n + 2, n + 2))
     message = f"constraint matrix is {n + 2}x{n + 2}, state matrix has {n} rows"
     with pytest.raises(SubnetmineError, match=re.escape(message)):
-        reduce_problem(v, lap, bad_c, 0.95)
+        reduce_problem(v, d_plus, l_tilde, bad_c, 0.95)
 
 
 def test_model_save_load_round_trip(tmp_path):
