@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage error (bad flags or invalid configuration),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -29,11 +30,13 @@ def _alpha_list(text: str) -> tuple[float, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # flags must be spelled in full, and argparse reads allow_abbrev per parser
+    parser_class = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = parser_class(
         prog="subnetmine",
         description="Mine discriminative subnetworks from global-state network databases.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     # flag blocks that several subcommands share, each declared once
     dataset = argparse.ArgumentParser(add_help=False)

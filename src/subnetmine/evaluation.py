@@ -28,7 +28,6 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import NetworkDatabase, StateMatrix, write_json, write_tsv
 from .errors import ConfigInvalid, SubnetmineError
@@ -246,10 +245,14 @@ def _mean_sd(accuracies) -> tuple[float, float]:
 
 
 def ranking_auc(scores, gt_nodes) -> tuple[float, list[tuple[float, float]]]:
-    """Mann-Whitney AUC (ties count one half) of a node score vector against
-    a positive set, plus the ROC polyline from (0,0) to (1,1)."""
+    """Mann-Whitney AUC (ties count one half) of a finite node score vector
+    against a positive set, plus the ROC polyline from (0,0) to (1,1); the
+    AUC is exactly the trapezoid area under that polyline."""
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.shape[0]
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise SubnetmineError(f"scores must be finite, got {scores[bad[0]]} at node {bad[0]}")
     positive = np.zeros(n, dtype=bool)
     for p in gt_nodes:
         if not 0 <= int(p) < n:
@@ -261,15 +264,15 @@ def ranking_auc(scores, gt_nodes) -> tuple[float, list[tuple[float, float]]]:
         raise SubnetmineError(
             f"need 0 < |ground truth| < n, got {n_pos} of {n}"
         )
-    ranks = rankdata(scores)
-    auc = float((ranks[positive].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
-
     order = np.argsort(-scores, kind="stable")
     # one ROC point after the last node of each distinct score
     ends = np.append(np.flatnonzero(np.diff(scores[order]) != 0.0), n - 1)
-    fpr = np.cumsum(~positive[order])[ends] / n_neg
-    tpr = np.cumsum(positive[order])[ends] / n_pos
-    return auc, [(0.0, 0.0), *zip(fpr.tolist(), tpr.tolist())]
+    tp = np.cumsum(positive[order])[ends]
+    fp = ends + 1 - tp
+    # twice the trapezoid area in integer counts, so the division is the one rounding
+    twice_u = int(np.diff(fp, prepend=0) @ (tp + np.append(0, tp[:-1])))
+    auc = twice_u / (2 * n_pos * n_neg)
+    return auc, [(0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())]
 
 
 def evaluate_dataset(

@@ -55,8 +55,7 @@ def select_top_nodes(scores: np.ndarray, c: int) -> list[int]:
         raise SubnetmineError(f"c={c} exceeds node count {n}")
     if c < 1:
         raise ConfigInvalid(f"c must be positive, got {c}")
-    order = np.lexsort((np.arange(n), -scores))
-    return [int(p) for p in order[:c]]
+    return [int(p) for p in np.argsort(-scores, kind="stable")[:c]]
 
 
 def extract_subnetworks(

@@ -146,12 +146,9 @@ def sample_database(gt: GroundTruth, cfg: SynthConfig) -> NetworkDatabase:
     noise_rng = substream(cfg.seed, "noise")
     flips = noise_rng.random(m) < cfg.global_noise
     labels = np.where(flips, 1 - labels, labels)
-    if len(gt_idx) > 0:
-        replace = noise_rng.random((len(gt_idx), m)) < cfg.local_noise
-        fresh = noise_rng.normal(0.0, 1.0, size=(len(gt_idx), m))
-        block = values[gt_idx, :]
-        block[replace] = fresh[replace]
-        values[gt_idx, :] = block
+    replace = noise_rng.random((len(gt_idx), m)) < cfg.local_noise
+    fresh = noise_rng.normal(0.0, 1.0, size=(len(gt_idx), m))
+    values[gt_idx] = np.where(replace, fresh, values[gt_idx])
 
     width = max(4, len(str(n - 1)), len(str(m - 1)))
     # the backbone is sorted by (p, q), so row-major kept entries are

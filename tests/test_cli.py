@@ -215,6 +215,13 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:  # the energy rule is not a flag
         cli.main(["evaluate", str(tmp_path), "--energy", "0.5", "--out", "x"])
     assert exc.value.code == 2
+    for argv in (  # flags must be spelled in full, not as a unique prefix
+        ["fit", str(tmp_path), "--al", "2", "--out", "x"],
+        ["sweep-alpha", str(tmp_path), "--fold", "3", "--out", "x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.fixture(scope="module")

@@ -223,6 +223,11 @@ ROWS = {
         SubnetmineError,
         "ground-truth ordinal 4 out of range",
     ),
+    "non-finite-node-score": (
+        lambda tmp: ranking_auc(np.array([1.0, np.nan, 0.0]), [0]),
+        SubnetmineError,
+        "scores must be finite, got nan at node 1",
+    ),
     # bad settings
     "negative-alpha": (
         lambda tmp: SolverConfig(alpha=-1.0),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -496,17 +497,12 @@ def test_sweep_rows_match_fixed_alpha_cv():
 # ranking AUC
 
 
-def auc_pairwise_oracle(scores, positive):
-    total = 0.0
-    pos = np.flatnonzero(positive)
-    neg = np.flatnonzero(~positive)
-    for p in pos:
-        for q in neg:
-            if scores[p] > scores[q]:
-                total += 1.0
-            elif scores[p] == scores[q]:
-                total += 0.5
-    return total / (len(pos) * len(neg))
+def auc_pairwise_oracle(scores, positive) -> Fraction:
+    """The exact share of (positive, negative) pairs ranked right, a tied
+    pair counting one half."""
+    pos, neg = scores[positive, np.newaxis], scores[np.newaxis, ~positive]
+    twice_u = 2 * int(np.sum(pos > neg)) + int(np.sum(pos == neg))
+    return Fraction(twice_u, 2 * pos.size * neg.size)
 
 
 def roc_walk_oracle(scores, positive) -> list[tuple[float, float]]:
@@ -520,21 +516,38 @@ def roc_walk_oracle(scores, positive) -> list[tuple[float, float]]:
     return roc
 
 
-def test_auc_matches_pairwise_oracle_with_ties():
+def roc_area(roc, n_pos, n_neg) -> Fraction:
+    """The exact trapezoid area under an ROC polyline, from the counts its
+    points were divided from."""
+    counts = [(round(x * n_neg), round(y * n_pos)) for x, y in roc]
+    steps = zip(counts, counts[1:])
+    return sum(Fraction((f1 - f0) * (t0 + t1), 2 * n_pos * n_neg) for (f0, t0), (f1, t1) in steps)
+
+
+def auc_cases():
+    """Small quantized vectors, then a few thousand nodes with heavy ties."""
     rng = np.random.default_rng(0)
     for _ in range(15):
         n = int(rng.integers(5, 30))
-        scores = np.round(rng.random(n), 1)  # quantized: plenty of ties
+        yield n, np.round(rng.random(n), 1)
+    yield 1000, rng.integers(0, 3, size=1000).astype(float)
+    yield 2500, np.round(rng.normal(size=2500), 1)
+    yield 4000, rng.integers(0, 7, size=4000) / 7.0
+    continuous = rng.normal(size=3000)
+    yield 3000, continuous[rng.integers(0, 2000, size=3000)]  # a third repeated
+
+
+def test_auc_matches_pairwise_oracle_with_ties():
+    rng = np.random.default_rng(1)
+    for n, scores in auc_cases():
         n_pos = int(rng.integers(1, n))
         positive = np.zeros(n, dtype=bool)
         positive[rng.choice(n, size=n_pos, replace=False)] = True
         auc, roc = ranking_auc(scores, np.flatnonzero(positive))
-        assert auc == pytest.approx(auc_pairwise_oracle(scores, positive), abs=1e-12)
+        assert auc == float(auc_pairwise_oracle(scores, positive))
         assert roc == roc_walk_oracle(scores, positive)
         assert all(type(x) is float for point in roc for x in point)
-        fpr = [p[0] for p in roc]
-        tpr = [p[1] for p in roc]
-        assert np.trapezoid(tpr, fpr) == pytest.approx(auc, abs=1e-12)
+        assert float(roc_area(roc, n_pos, n - n_pos)) == auc
 
 
 def test_auc_extremes_and_flat():
@@ -559,14 +572,17 @@ def test_auc_roc_contract():
 def test_auc_degenerate_inputs():
     scores = np.arange(4.0)
     cases = [
-        ([], "need 0 < |ground truth| < n, got 0 of 4"),
-        ([0, 1, 2, 3], "need 0 < |ground truth| < n, got 4 of 4"),
-        ([4], "ground-truth ordinal 4 out of range"),
-        ([-1], "ground-truth ordinal -1 out of range"),
+        (scores, [], "need 0 < |ground truth| < n, got 0 of 4"),
+        (scores, [0, 1, 2, 3], "need 0 < |ground truth| < n, got 4 of 4"),
+        (scores, [4], "ground-truth ordinal 4 out of range"),
+        (scores, [-1], "ground-truth ordinal -1 out of range"),
+        ([0.5, np.nan, 1.0, 0.0], [0], "scores must be finite, got nan at node 1"),
+        ([np.inf, np.inf, 1.0, 0.0], [0, 2], "scores must be finite, got inf at node 0"),
+        ([1.0, 0.0, -np.inf], [0], "scores must be finite, got -inf at node 2"),
     ]
-    for gt, message in cases:
+    for values, gt, message in cases:
         with pytest.raises(SubnetmineError, match=re.escape(message)):
-            ranking_auc(scores, gt)
+            ranking_auc(values, gt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Every module in src/ and tests/ uses each name it imports, and only
-subnetmine.data opens, reads or writes files."""
+"""Every module in src/ and tests/ uses each name it imports, only
+subnetmine.data opens, reads or writes files, and the CLI does not load
+scipy.stats."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,11 @@ def test_only_data_touches_files(path):
     """The file formats live in data.py: no other package module opens,
     reads or writes a file."""
     assert file_access(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """scipy.stats costs most of the start-up time; a fresh process is needed
+    because other test modules import it."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import subnetmine.cli, sys; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
