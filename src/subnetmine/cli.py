@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 usage error (bad flags or invalid configuration),
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -29,14 +28,26 @@ def _alpha_list(text: str) -> tuple[float, ...]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags must be spelled in full, and a subcommand reports a flag it
+    does not know with its own usage, not the root parser's."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # flags must be spelled in full, and argparse reads allow_abbrev per parser
-    parser_class = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
-    parser = parser_class(
+    parser = _Parser(
         prog="subnetmine",
         description="Mine discriminative subnetworks from global-state network databases.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     # flag blocks that several subcommands share, each declared once
     dataset = argparse.ArgumentParser(add_help=False)

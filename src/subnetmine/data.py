@@ -22,6 +22,10 @@ non-blank line, lines ending in LF, CRLF or CR, blank lines skipped):
 No other module opens a file: ``TsvFile`` reads every TSV under these rules
 (the model file of ``solver.load_model`` too), and ``write_tsv`` and
 ``write_json`` write every output.
+
+The id columns of values.tsv and edges.tsv are matched to ordinals on their
+UTF-8 bytes, which is exactly text equality (see ``Ids``), so an edge field
+is never held as a Python string.
 """
 
 from __future__ import annotations
@@ -172,6 +176,13 @@ class StateMatrix:
 # dataset loading
 
 _BLOCK_ROWS = 1 << 14
+_TAB, _LF = ord("\t"), ord("\n")
+# the LF that ends the last line, then 8 zero bytes so that a word can be
+# read at any byte of a line
+_TAIL = b"\n" + bytes(8)
+# _KEEP[k] keeps the low k bytes of a little-endian 64-bit word
+_KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_MULTIPLIER, _SHIFT = np.uint64(0x9E3779B97F4A7C15), np.uint64(32)
 
 
 class TsvFile:
@@ -188,13 +199,15 @@ class TsvFile:
     def __init__(self, path: Path, header):
         if not path.is_file():
             raise SubnetmineError(f"required file not found: {path}")
-        # CR and CRLF end a line as LF does; the LF added ends the last line
-        raw = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n") + b"\n"
+        # CR and CRLF end a line as LF does
+        raw = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n") + _TAIL
         buf = np.frombuffer(raw, dtype=np.uint8)
-        ends = np.flatnonzero(buf == ord("\n"))
+        ends = np.flatnonzero(buf == _LF)
         starts = np.concatenate(([0], ends[:-1] + 1))
-        fields = np.diff(np.searchsorted(np.flatnonzero(buf == ord("\t")), ends), prepend=0) + 1
-        self.path, self.raw, self.starts, self.ends = path, raw, starts, ends
+        fields = np.diff(np.searchsorted(np.flatnonzero(buf == _TAB), ends), prepend=0) + 1
+        self.path, self.raw, self.buf, self.starts, self.ends = path, raw, buf, starts, ends
+        # the little-endian 64-bit word at each byte of the file
+        self._word_at = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
         stop, self.fault = len(ends), None
         try:
             if not raw.isascii():
@@ -220,18 +233,50 @@ class TsvFile:
     def _fields(self, line: int) -> list[str]:
         return self.raw[self.starts[line] : self.ends[line]].decode("utf-8").split("\t")
 
+    def _bounds(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """The bytes where each field of data rows a to b - 1 begins and
+        ends, as two (b - a) x width arrays.  Only blank lines lie between
+        rows, so the span of the rows holds exactly width - 1 tabs a row."""
+        rows = self.rows[a:b]
+        lo, hi = self.starts[rows[0]], self.ends[rows[-1]]
+        tabs = np.flatnonzero(self.buf[lo:hi] == _TAB).reshape(b - a, len(self.header) - 1)
+        tabs += lo
+        begins = np.column_stack((self.starts[rows], tabs + 1))
+        return begins, np.column_stack((tabs, self.ends[rows]))
+
+    def texts(self, begins: np.ndarray, ends: np.ndarray) -> list[str]:
+        """The text of each field, from byte ``begins[k]`` up to ``ends[k]``."""
+        sizes = ends - begins + 1  # each field with the tab or LF after it
+        stops = np.cumsum(sizes)
+        chunk = self.buf[np.repeat(begins - stops + sizes, sizes) + np.arange(sizes.sum())]
+        chunk[stops - 1] = _LF
+        return chunk.tobytes().decode("utf-8").split("\n")[:-1]
+
+    def words(self, begins: np.ndarray, ends: np.ndarray, count: int) -> list[np.ndarray]:
+        """Word k < ``count`` of each field: its bytes 8k to 8k + 7 as a
+        little-endian integer, the bytes past the field's end taken as 0."""
+        sizes = ends - begins
+        return [
+            self._word_at[begins + np.minimum(sizes, k)] & _KEEP[np.clip(sizes - k, 0, 8)]
+            for k in range(0, 8 * count, 8)
+        ]
+
+    def _column(self, convert, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        if isinstance(convert, Ids):
+            return convert.match(self, begins, ends)
+        return convert(self.texts(begins, ends))
+
     def columns(self, *converters) -> list[np.ndarray]:
-        """Column j of the data rows, as ``converters[j]`` turns a list of
-        str into an array: a block of rows at a time, so that a file is
-        never held as Python strings all at once."""
-        rows, parts = self.rows, [[convert([])] for convert in converters]
-        # a block is a run of consecutive lines, so one split finds its fields
-        cuts = np.flatnonzero(np.diff(rows) != 1) + 1
-        for a, b in pairwise(sorted({*range(0, len(rows), _BLOCK_ROWS), *cuts, len(rows)})):
-            text = self.raw[self.starts[rows[a]] : self.ends[rows[b - 1]]].decode("utf-8")
-            tokens = text.replace("\n", "\t").split("\t")
+        """Column j of the data rows, as ``converters[j]`` makes it: ``Ids``
+        match the fields' bytes, any other converter turns a list of str
+        into an array.  A block of rows at a time, so that a file is never
+        held as Python strings all at once, and an id column never is."""
+        empty = np.zeros(0, dtype=np.intp)
+        parts = [[self._column(convert, empty, empty)] for convert in converters]
+        for a in range(0, len(self.rows), _BLOCK_ROWS):
+            begins, ends = self._bounds(a, min(a + _BLOCK_ROWS, len(self.rows)))
             for j, (part, convert) in enumerate(zip(parts, converters)):
-                part.append(convert(tokens[j :: len(converters)]))
+                part.append(self._column(convert, begins[:, j], ends[:, j]))
         return [np.concatenate(part) for part in parts]
 
     def raise_first(self, masks: list[np.ndarray], errors) -> None:
@@ -247,6 +292,64 @@ class TsvFile:
             raise errors(err, *self._fields(line))[np.argmax(failed[:, row])]
         if self.fault is not None:
             raise self.fault
+
+
+def _id_hash(lengths: np.ndarray, words) -> np.ndarray:
+    """A 64-bit hash of each id from its byte length and its words."""
+    key = lengths.astype(np.uint64)
+    for word in words:
+        key = ((key * _MULTIPLIER) ^ word) * _MULTIPLIER
+        key ^= key >> _SHIFT
+    return key
+
+
+class Ids:
+    """Known ids and their ordinals, matched on their UTF-8 bytes, which is
+    exactly text equality: UTF-8 encodes each text as one byte string.
+
+    A field's bytes are read as its length and its zero-padded 64-bit words,
+    and looked up by their hash.  A field takes the ordinal of the known id
+    with its hash only if the length and every word are equal too; any
+    other field (an unknown id, a hash collision, an id longer than every
+    known id) is decoded and looked up in ``ordinal_of``.
+    """
+
+    def __init__(self, ordinal_of: dict[str, int]):
+        self.ordinal_of = ordinal_of
+        encoded = [key.encode("utf-8", "surrogatepass") for key in ordinal_of]
+        size = max(8, (max(map(len, encoded), default=0) + 7) // 8 * 8)
+        # a last entry that no field matches, with the largest hash, so
+        # that every search ends on an entry
+        lengths = np.array([*map(len, encoded), -1], dtype=np.intp)
+        padded = b"".join(key.ljust(size, b"\0") for key in encoded) + bytes(size)
+        words = np.frombuffer(padded, dtype="<u8").reshape(len(lengths), -1)
+        keys = _id_hash(lengths, words.T)
+        keys[-1] = np.iinfo(np.uint64).max
+        order = np.argsort(keys, kind="stable")
+        self.keys, self.lengths, self.words = keys[order], lengths[order], words[order]
+        self.values = np.array([*ordinal_of.values(), -1], dtype=np.intp)[order]
+        # the first entry of each bucket of hashes that share their top bits
+        bits = (2 * len(keys)).bit_length()
+        self.shift = np.uint64(64 - bits)
+        buckets = np.arange(1 << bits, dtype=np.uint64) << self.shift
+        self.first = np.searchsorted(self.keys, buckets)
+
+    def match(self, tsv: TsvFile, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The ordinal of each field of ``tsv``, -1 for unknown ids."""
+        lengths, words = ends - begins, tsv.words(begins, ends, self.words.shape[1])
+        key = _id_hash(lengths, words)
+        # searchsorted(self.keys, key), from the field's bucket on: a bucket
+        # holds few keys, and the last entry's key is never below a field's
+        at = self.first[key >> self.shift]
+        while (behind := np.flatnonzero(self.keys[at] < key)).size:
+            at[behind] += 1
+        hit = self.lengths[at] == lengths
+        for k, word in enumerate(words):
+            hit &= self.words[at, k] == word
+        found = np.where(hit, self.values[at], -1)
+        if (miss := np.flatnonzero(~hit)).size:
+            found[miss] = ordinals(self.ordinal_of, tsv.texts(begins[miss], ends[miss]))
+        return found
 
 
 def ordinals(ordinal_of: dict[str, int], ids) -> np.ndarray:
@@ -326,10 +429,10 @@ def load_database(path) -> NetworkDatabase:
         ),
     )
     m = len(inst_ids)
-    to_instance, to_node = partial(ordinals, instance_order), partial(ordinals, ordinal_of)
+    instances, nodes = Ids(instance_order), Ids(ordinal_of)
 
     values_tsv = TsvFile(root / "values.tsv", ["instance_id", "node_id", "value"])
-    i, p, x = values_tsv.columns(to_instance, to_node, floats)
+    i, p, x = values_tsv.columns(instances, nodes, floats)
     values_tsv.raise_first(
         [i < 0, p < 0, _sorted_repeats(i * n + p)[1], ~np.isfinite(x)],
         lambda err, inst, node, value: (
@@ -345,7 +448,7 @@ def load_database(path) -> NetworkDatabase:
     valid[p, i], values[p, i] = True, x
 
     edges_tsv = TsvFile(root / "edges.tsv", ["instance_id", "node_u", "node_v"])
-    i, u, v = edges_tsv.columns(to_instance, to_node, to_node)
+    i, u, v = edges_tsv.columns(instances, nodes, nodes)
     unknown_u, unknown_v, loop = u < 0, v < 0, u == v
     p, q = np.minimum(u, v), np.maximum(u, v)
     del u, v  # only their masks are needed from here on

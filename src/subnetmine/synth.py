@@ -10,12 +10,11 @@ a single seed, so identical configs produce byte-identical datasets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .data import NetworkDatabase, TsvFile, ordinals, write_database, write_tsv
+from .data import Ids, NetworkDatabase, TsvFile, write_database, write_tsv
 from .errors import ConfigInvalid
 from .seeds import substream
 
@@ -189,8 +188,7 @@ def generate_dataset(cfg: SynthConfig, path) -> tuple[NetworkDatabase, GroundTru
 
 def read_ground_truth(path, node_ids: tuple[str, ...]) -> set[int]:
     """Ordinals of the ground-truth nodes listed in a ground_truth.tsv."""
-    ordinal_of = {node_id: p for p, node_id in enumerate(node_ids)}
     tsv = TsvFile(Path(path), ["node_id"])
-    (found,) = tsv.columns(partial(ordinals, ordinal_of))
+    (found,) = tsv.columns(Ids({node_id: p for p, node_id in enumerate(node_ids)}))
     tsv.raise_first([found < 0], lambda err, node_id: (err(f"unknown node id: {node_id!r}"),))
     return set(found.tolist())

@@ -224,6 +224,25 @@ def test_usage_errors_exit_two(tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "ds", "--al", "2", "--out", "x"],
+        ["fit", "ds", "--out", "x", "extra"],
+        ["evaluate", "ds", "--bogus", "1", "--out", "x"],
+        ["sweep-alpha", "ds", "--fold", "3", "--out", "x"],
+        ["select", "ds", "--model", "m", "--top", "5", "--out", "x"],
+    ],
+)
+def test_unknown_flag_prints_the_subcommand_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: subnetmine {argv[0]} ")
+    assert f"subnetmine {argv[0]}: error: unrecognized arguments: " in err
+
+
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     """12 instances: the default k of 10 drives some same-state row sums of

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from helpers import edge_tuples, load_database_rows
 from subnetmine import data
-from subnetmine.data import build_generalized_network, load_database, write_database
+from subnetmine.data import TsvFile, build_generalized_network, load_database, write_database
 from subnetmine.errors import ParseError, SubnetmineError
-from subnetmine.synth import SynthConfig, generate_dataset
+from subnetmine.synth import SynthConfig, generate_dataset, read_ground_truth
 
 SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -30,8 +30,16 @@ HEADERS = {
     "values.tsv": ["instance_id", "node_id", "value"],
     "edges.tsv": ["instance_id", "node_u", "node_v"],
 }
-NODE_POOL = ["a", "b", "c", "node_id_longer_than_8", "ñandú", "日本語", "x y"]
-INSTANCE_POOL = ["i0", "i1", "instance_id_longer_than_8", "é"]
+# ids are matched on their bytes as 8-byte words: ids of 7, 8, 9, 16 and 17
+# bytes, prefixes of one another, and ids that differ by a trailing NUL
+NODE_POOL = [
+    "a", "a\x00", "b", "c", "n1", "n10", "abcdefg", "abcdefgh", "abcdefghi",
+    "node_id_longer_8", "node_id_longer_8\x00", "node_id_longer_than_8", "ñandú", "日本語", "x y",
+]
+INSTANCE_POOL = [
+    "i0", "i1", "i10", "i1\x00", "inst_07", "instance", "instance9", "instance_id_long",
+    "instance_id_long1", "instance_id_longer_than_8", "é",
+]
 # texts that Python's int() and float() accept, though a numpy cast would not;
 # a state must also fit in 64 bits
 ZERO_STATES = ["0", "+0", " 0", "-0"]
@@ -295,6 +303,69 @@ def valid_files(edges=("i0\ta\tb", "i1\tb\tc")) -> dict:
 
 
 LF = {"newline": "\n", "final_newline": True, "blanks": []}
+
+
+def constant_hash(lengths, words):
+    return np.zeros(len(lengths), dtype=np.uint64)
+
+
+@pytest.mark.parametrize("fault", [None, *sorted(SEMANTIC_FAULTS)])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(dataset=datasets(), layout=layouts(), where=st.integers(0, 50), draw=st.data())
+def test_ids_load_by_text_when_every_hash_collides(fault, dataset, layout, where, draw):
+    """With one hash for every id, a field matches the first known id's
+    bytes or goes through the text lookup: both paths load and raise as
+    the row-by-row oracle does."""
+    files, ds = dataset
+    if fault is not None:
+        name, make_row = SEMANTIC_FAULTS[fault]
+        insert_row(files[name], where, make_row(draw.draw, ds))
+    with mock.patch.object(data, "_id_hash", constant_hash):
+        want = same_outcome(files, layout)
+    assert isinstance(want, tuple) == (fault is not None)
+
+
+@pytest.mark.parametrize("id_hash", [data._id_hash, constant_hash])
+def test_ids_that_differ_past_a_word_or_by_a_trailing_nul(tmp_path, id_hash):
+    names = ["a", "a\x00", "abcdefgh", "abcdefgh\x00", "abcdefghi"]
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+    files = {
+        "nodes.tsv": ["node_id", *names],
+        "instances.tsv": ["instance_id\tglobal_state", "i0\t0", "i1\t1"],
+        "values.tsv": [
+            "instance_id\tnode_id\tvalue",
+            *(f"i{i}\t{name}\t{10 * p + i}" for i in (1, 0) for p, name in enumerate(names)),
+        ],
+        "edges.tsv": [
+            "instance_id\tnode_u\tnode_v",
+            *(f"i{k % 2}\t{names[q]}\t{names[p]}" for k, (p, q) in enumerate(pairs)),
+        ],
+        "ground_truth.tsv": ["node_id", "abcdefgh\x00", "a"],
+    }
+    write_files(tmp_path, files, LF)
+    with mock.patch.object(data, "_id_hash", id_hash):
+        db = load_database(tmp_path)
+        gt = read_ground_truth(tmp_path / "ground_truth.tsv", db.node_ids)
+    assert_same_database(db, load_database_rows(tmp_path))
+    assert db.node_ids == tuple(names)
+    assert db.values.tolist() == [[10 * p, 10 * p + 1] for p in range(5)]
+    assert [e.tolist() for e in db.instance_edges] == [[[0, 1], [0, 4], [2, 3]], [[1, 2], [3, 4]]]
+    assert gt == {0, 3}
+
+
+def test_field_words_read_at_every_byte_offset(tmp_path):
+    """The words of fields that begin at byte offsets 0 to 15, so at every
+    alignment of the 64-bit reads, against int.from_bytes of the bytes."""
+    line = "".join(chr(0x21 + 13 * k % 90) for k in range(48))
+    (tmp_path / "f.tsv").write_text(f"h\n{line}\n", encoding="utf-8")
+    tsv = TsvFile(tmp_path / "f.tsv", ["h"])
+    begins, ends = np.array(list(itertools.product(range(16), range(26)))).T
+    ends += begins
+    words = tsv.words(begins, ends, 4)
+    for k, (begin, end) in enumerate(zip(begins.tolist(), ends.tolist())):
+        field = tsv.raw[begin:end].ljust(32, b"\0")
+        want = [int.from_bytes(field[w : w + 8], "little") for w in range(0, 32, 8)]
+        assert [int(word[k]) for word in words] == want, (begin, end)
 
 
 def test_header_only_edges_file(tmp_path):
