@@ -13,8 +13,10 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluation, selection, solver, synth
-from .data import build_generalized_network, load_database, write_tsv
+from .data import load_database, write_tsv
 from .errors import ConfigInvalid, SubnetmineError
 
 
@@ -184,7 +186,7 @@ def _cmd_transform(args) -> int:
 def _cmd_select(args) -> int:
     db = load_database(args.dataset)
     report = selection.build_report(
-        _model_u(args.model, db), build_generalized_network(db), args.top_c,
+        _model_u(args.model, db), db.network(np.arange(db.m)), args.top_c,
         min_edge_weight=args.min_edge_weight,
     )
     selection.write_report(report, db.node_ids, args.out)

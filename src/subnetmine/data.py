@@ -105,6 +105,8 @@ class NetworkDatabase:
 
     @cached_property
     def instance_edges(self) -> tuple[np.ndarray, ...]:
+        """Kept only because ``perfbench/`` calls it, until ROADMAP items 1a
+        and 3; the library slices ``edges`` by ``offsets``."""
         return tuple(self.edges[a:b] for a, b in pairwise(self.offsets.tolist()))
 
     @cached_property
@@ -525,5 +527,6 @@ def write_database(db: NetworkDatabase, path) -> None:
 
 
 def build_generalized_network(db: NetworkDatabase) -> GeneralizedNetwork:
-    """Union of instance edges weighted by presence fraction count/m."""
+    """``db.network(np.arange(db.m))``, which the library calls instead; kept
+    only because ``perfbench/`` calls it, until ROADMAP items 1a and 3."""
     return db.network(np.arange(db.m))

@@ -9,8 +9,8 @@ curve of the scores against a ground-truth node set.  Accuracy is that of
 a linear discriminant analysis (LDA) classifier in the d-dimensional
 embedding.
 
-Per distinct training set, ``_reduce`` runs once: kNN affinities, Laplacians,
-subset network, constraint, SVD basis and whitened terms.  Per alpha there is
+Per distinct training set, ``_reduce`` runs once: kNN Laplacians, subset
+network, constraint, SVD basis and whitened terms.  Per alpha there is
 one eigensolve for the top d pairs of the r x r reduced matrix.  The
 classifiers of all alphas on one training set come from one call of
 ``train_linear_classifier``, one batched d x d solve over the stacked

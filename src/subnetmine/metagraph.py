@@ -5,11 +5,12 @@ A+ links neighbor pairs that share a global state, A- pairs whose states
 differ.  A pair is linked when either instance is among the other's k
 nearest, by descending cosine with ties to the lower instance index; one
 partition per row finds them, with no sort.  The solver needs only D+ (the
-row sums of A+) and L~ = L- - L+, so ``build_laplacian_set`` builds both
-straight from the linked pairs and returns them as a plain pair of arrays;
-neither affinity is formed.  The n x n constraint matrix is
-the Laplacian of the generalized network, returned as a plain CSR array; it
-penalizes projection vectors that vary across strongly shared edges.
+row sums of A+) and L~ = L- - L+, so ``build_laplacian_set`` writes both
+straight from the linked pairs, listed in CSR order by one scan, with
+``np.bincount`` degrees; neither affinity is formed.  The n x n constraint
+matrix is the Laplacian of the generalized network, returned as a plain CSR
+array; it penalizes projection vectors that vary across strongly shared
+edges.
 
 Cosine values are kept raw (negative entries are not clamped), so row sums
 of the affinities are not guaranteed nonnegative in pathological inputs;
@@ -40,16 +41,6 @@ def _cosine_matrix(v_matrix: StateMatrix) -> np.ndarray:
     return sims
 
 
-def _row_sums(rows: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
-    """Per-row sums of entries given in CSR order, added as scipy's
-    ``csr.sum(axis=1)`` adds them, so the result is bit-equal to it."""
-    counts = np.bincount(rows, minlength=m)
-    sums = np.zeros(m)
-    nonempty = counts > 0
-    sums[nonempty] = np.add.reduceat(vals, (np.cumsum(counts) - counts)[nonempty])
-    return sums
-
-
 def build_laplacian_set(
     sims: np.ndarray, labels, k: int
 ) -> tuple[np.ndarray, sparse.csr_array]:
@@ -62,7 +53,9 @@ def build_laplacian_set(
     Row i's k nearest are found without a sort: a partition gives the k-th
     largest similarity, every larger one is taken, and of the entries equal
     to it only the lowest-index ones up to k.  Pair (i, j), i < j, carries
-    sims[i, j] in both directions, so L~ is symmetric by construction.
+    sims[i, j] in both directions, so L~ is symmetric by construction.  One
+    scan lists L~'s entries in CSR order; ``np.bincount`` adds them into D+
+    and D- row by row in that order.
     """
     m = sims.shape[0]
     key = np.negative(sims)
@@ -79,25 +72,22 @@ def build_laplacian_set(
         short = k - (np.count_nonzero(block, axis=1) - np.count_nonzero(ties, axis=1))
         block &= ~ties | (np.cumsum(ties, axis=1) <= short[:, np.newaxis])
         member[over] = block
-    rows, cols = np.nonzero(member | member.T)  # CSR order
+    member |= member.T
+    np.fill_diagonal(member, True)
+    rows, cols = np.nonzero(member)  # CSR order, one diagonal entry per row
     del member
     vals = sims[np.minimum(rows, cols), np.maximum(rows, cols)]
     labels = np.asarray(labels)
     same = labels[rows] == labels[cols]
-    d_plus = _row_sums(rows[same], vals[same], m)
-    d_minus = _row_sums(rows[~same], vals[~same], m)
-    # L~ = (D- - D+) - A- + A+; the coo -> csr conversion keeps explicit zeros
-    diag = np.arange(m)
-    l_tilde = sparse.csr_array(
-        sparse.coo_array(
-            (
-                np.concatenate([np.where(same, vals, -vals), d_minus - d_plus]),
-                (np.concatenate([rows, diag]), np.concatenate([cols, diag])),
-            ),
-            shape=(m, m),
-        )
-    )
-    return d_plus, l_tilde
+    diag = rows == cols
+    plus = same & ~diag
+    d_plus = np.bincount(rows[plus], vals[plus], minlength=m)
+    d_minus = np.bincount(rows[~same], vals[~same], minlength=m)
+    # L~ = (D- - D+) - A- + A+
+    data = np.where(same, vals, -vals)
+    data[diag] = d_minus - d_plus
+    indptr = np.searchsorted(rows, np.arange(m + 1))
+    return d_plus, sparse.csr_array((data, cols, indptr), shape=(m, m))
 
 
 def build_constraint_matrix(g: GeneralizedNetwork) -> sparse.csr_array:

@@ -338,16 +338,26 @@ def affinity_pair_by_masks(sims: np.ndarray, labels, k: int) -> AffinityPair:
     return AffinityPair(a_plus=as_csr(linked & same), a_minus=as_csr(linked & ~same))
 
 
+def row_sums_in_order(a: sparse.csr_array) -> np.ndarray:
+    """Per-row sums of a CSR array, each row's stored entries added one
+    after another from 0.0 in CSR order."""
+    sums = np.zeros(a.shape[0])
+    for i in range(a.shape[0]):
+        for value in a.data[a.indptr[i] : a.indptr[i + 1]].tolist():
+            sums[i] += value
+    return sums
+
+
 def laplacian(a: sparse.csr_array) -> tuple[np.ndarray, sparse.csr_array]:
     """Degree diagonal and Laplacian L = D - A of a symmetric zero-diagonal
-    affinity, by sparse algebra."""
+    affinity, by sparse algebra; the degrees are ``row_sums_in_order``."""
     a = sparse.csr_array(a)
     diff = (a - a.T).tocoo()
     if diff.nnz and np.max(np.abs(diff.data)) != 0.0:
         raise ValueError("affinity matrix is not symmetric")
     if np.any(a.diagonal() != 0.0):
         raise ValueError("affinity matrix must have a zero diagonal")
-    degrees = np.asarray(a.sum(axis=1)).ravel()
+    degrees = row_sums_in_order(a)
     return degrees, sparse.csr_array(sparse.diags_array(degrees) - a)
 
 

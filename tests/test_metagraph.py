@@ -199,8 +199,9 @@ def test_l_tilde_is_symmetric_by_construction():
 def test_laplacian_set_is_bit_identical_to_the_oracle():
     """On every training set a 4-fold nested CV reduces, D+, L~ and L~ z
     equal the argsort / dense-mask / checked-Laplacian construction bit for
-    bit, and L~ stores exactly the symmetric kNN relation plus its diagonal,
-    explicit zeros included."""
+    bit, L~ is canonical CSR with the oracle's index arrays, and it stores
+    exactly the symmetric kNN relation plus its diagonal, explicit zeros
+    included."""
     cfg = SynthConfig(n=30, m=48, n_gt=6, global_noise=0.25, seed=4)
     db = sample_database(generate_backbone(cfg), cfg)
     seen = []
@@ -220,6 +221,10 @@ def test_laplacian_set_is_bit_identical_to_the_oracle():
         oracle_d_plus, oracle_l_tilde = laplacian_set_oracle(sims, labels, k)
         assert np.array_equal(d_plus, oracle_d_plus)
         assert np.array_equal(l_tilde.toarray(), oracle_l_tilde.toarray())
+        # scipy does not check a (data, indices, indptr) triple it is given
+        assert l_tilde.has_canonical_format
+        assert np.array_equal(l_tilde.indptr, oracle_l_tilde.indptr)
+        assert np.array_equal(l_tilde.indices, oracle_l_tilde.indices)
         z = rng.normal(size=(m, 3))
         assert np.array_equal(l_tilde @ z, oracle_l_tilde @ z)
         relation = symmetric_relation(nearest_by_argsort(sims, k).tolist())
