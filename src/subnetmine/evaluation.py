@@ -10,7 +10,7 @@ a linear discriminant analysis (LDA) classifier in the d-dimensional
 embedding.
 
 Per distinct training set, ``_reduce`` runs once: kNN Laplacians, subset
-network, constraint, SVD basis and whitened terms.  Per alpha there is
+network, SVD basis and whitened terms.  Per alpha there is
 one eigensolve for the top d pairs of the r x r reduced matrix.  The
 classifiers of all alphas on one training set come from one call of
 ``train_linear_classifier``, one batched d x d solve over the stacked
@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import NetworkDatabase, StateMatrix, write_json, write_tsv
 from .errors import ConfigInvalid, SubnetmineError
-from .metagraph import _cosine_matrix, build_constraint_matrix, build_laplacian_set
+from .metagraph import _cosine_matrix, build_laplacian_set
 from .seeds import substream
 from .selection import score_nodes
 from .solver import ReducedProblem, SolverConfig, SpectralModel, check_alpha, reduce_problem
@@ -174,8 +174,7 @@ def _reduce(
     k = min(k, idx.size - 1)
     v_train = StateMatrix(db.values[:, idx].copy())  # C order; the index alone gives F
     d_plus, l_tilde = build_laplacian_set(_cosine_matrix(v_train), db.labels[idx], k)
-    c = build_constraint_matrix(db.network(idx))
-    return reduce_problem(v_train, d_plus, l_tilde, c, energy_fraction)
+    return reduce_problem(v_train, d_plus, l_tilde, db.network(idx), energy_fraction)
 
 
 def reduce_database(
@@ -198,7 +197,7 @@ def fit_model(
     energy_fraction: float = 0.95,
     d: int | None = None,
 ) -> SpectralModel:
-    """Full pipeline on one database: affinities, Laplacians, constraint,
+    """Full pipeline on one database: Laplacians, generalized network,
     truncated basis, eigenvectors; ``reduce_database(...).model(alpha, d)``.
 
     alpha is the relative topology weight of ``ReducedProblem.model``, so

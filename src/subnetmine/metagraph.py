@@ -1,4 +1,4 @@
-"""Instance-level neighborhood graphs and node-level topology constraint.
+"""Instance-level neighborhood graphs: the kNN Laplacians of the data term.
 
 Two m x m affinities over the instances come from one cosine kNN relation:
 A+ links neighbor pairs that share a global state, A- pairs whose states
@@ -7,10 +7,9 @@ nearest, by descending cosine with ties to the lower instance index; one
 partition per row finds them, with no sort.  The solver needs only D+ (the
 row sums of A+) and L~ = L- - L+, so ``build_laplacian_set`` writes both
 straight from the linked pairs, listed in CSR order by one scan, with
-``np.bincount`` degrees; neither affinity is formed.  The n x n constraint
-matrix is the Laplacian of the generalized network, returned as a plain CSR
-array; it penalizes projection vectors that vary across strongly shared
-edges.
+``np.bincount`` degrees; neither affinity is formed.  The node-level
+topology term comes from the generalized network in
+``solver.topology_term``.
 
 Cosine values are kept raw (negative entries are not clamped), so row sums
 of the affinities are not guaranteed nonnegative in pathological inputs;
@@ -22,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .data import GeneralizedNetwork, StateMatrix
+from .data import StateMatrix
 
 
 def _cosine_matrix(v_matrix: StateMatrix) -> np.ndarray:
@@ -89,14 +88,3 @@ def build_laplacian_set(
     indptr = np.searchsorted(rows, np.arange(m + 1))
     return d_plus, sparse.csr_array((data, cols, indptr), shape=(m, m))
 
-
-def build_constraint_matrix(g: GeneralizedNetwork) -> sparse.csr_array:
-    """Laplacian of the generalized network, n x n CSR and PSD: the diagonal
-    holds weighted degrees, off-diagonal entries are minus the shared-edge
-    weights."""
-    (p, q), w = g.edges.T, g.weights
-    # per edge: (p, q) and (q, p) at -w, then w onto both degrees
-    rows = np.column_stack((p, q, p, q)).ravel()
-    cols = np.column_stack((q, p, p, q)).ravel()
-    vals = np.column_stack((-w, -w, w, w)).ravel()
-    return sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(g.n, g.n)))

@@ -14,20 +14,20 @@ symmetric reduced form instead of the non-symmetric product keeps the
 spectrum real and the normalization u'Bu = ||w||^2 = 1 exact.
 
 With Q = P S^{-1} the reduced matrix splits into a data term and a topology
-term, M = M0 - alpha M1 with M0 = (V'Q)' Ltilde (V'Q) and M1 = Q' C Q.
-Only the final r x r eigensolve depends on alpha, so a fit runs in two
-steps: ``reduce_problem`` takes the D+ diagonal and L~ that
-``metagraph.build_laplacian_set`` returns, does the alpha-invariant work
-once per training set (SVD basis, Q, M0, M1 and their spectral radii) and
-returns a ``ReducedProblem``; ``ReducedProblem.model(alpha, d)`` then costs
-one eigensolve per alpha for the top d eigenpairs of the r x r matrix, and
-maps only those d columns back to node space through the same Q.  Within
-an exactly tied eigenvalue group any orthonormal basis is equally optimal;
-U holds the one the solver returns.  Multiplying every node value by s
-leaves M0 unchanged but scales M1 by 1/s^2, so an absolute alpha would mean
-something different in every unit system.  Alpha is therefore relative to
-the data term: the topology weight actually used is alpha * rho(M0) /
-rho(M1), rho being the largest absolute eigenvalue.
+term, M = M0 - alpha M1 with M0 = (V'Q)' Ltilde (V'Q) and M1 = Q' C Q
+(``topology_term``).  Only the final r x r eigensolve depends on alpha, so
+a fit runs in two steps: ``reduce_problem`` takes the D+ diagonal and L~ of
+``metagraph.build_laplacian_set`` and the generalized network, does the
+alpha-invariant work once per training set (SVD basis, Q, M0, M1 and their
+spectral radii) and returns a ``ReducedProblem``; ``model(alpha, d)`` then
+costs one eigensolve per alpha for the top d eigenpairs of the r x r
+matrix, and maps only those d columns back to node space through the same
+Q.  Within an exactly tied eigenvalue group any orthonormal basis is
+equally optimal; U holds the one the solver returns.  Multiplying every
+node value by s leaves M0 unchanged but scales M1 by 1/s^2, so an absolute
+alpha would mean something different in every unit system.  Alpha is
+therefore relative to the data term: the topology weight actually used is
+alpha * rho(M0) / rho(M1), rho being the largest absolute eigenvalue.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ from pathlib import Path
 import numpy as np
 from scipy import linalg, sparse
 
-from .data import StateMatrix, TsvFile, floats, value_error, write_json, write_tsv
+from .data import (
+    GeneralizedNetwork, StateMatrix, TsvFile, floats, value_error, write_json, write_tsv,
+)
 from .errors import ConfigInvalid, SubnetmineError
 
 # rounding tolerance of both truncation rules (energy and Kaiser), as a
@@ -113,16 +115,15 @@ class SpectralModel:
         return self.u_matrix.shape[1]
 
 
-def _check_dims(v: StateMatrix, l_tilde: sparse.csr_array, c: sparse.csr_array) -> None:
+def _check_dims(v: StateMatrix, l_tilde: sparse.csr_array, n: int) -> None:
     if l_tilde.shape[0] != v.m_cols:
         raise SubnetmineError(
             f"Laplacians are {l_tilde.shape[0]}x{l_tilde.shape[0]}, "
             f"state matrix has {v.m_cols} columns"
         )
-    if c.shape[0] != v.n_rows:
+    if n != v.n_rows:
         raise SubnetmineError(
-            f"constraint matrix is {c.shape[0]}x{c.shape[0]}, "
-            f"state matrix has {v.n_rows} rows"
+            f"constraint matrix is {n}x{n}, state matrix has {v.n_rows} rows"
         )
 
 
@@ -243,20 +244,31 @@ class ReducedProblem:
         return _top_eigenpairs(reduced, self.basis, d, alpha)
 
 
+def topology_term(g: GeneralizedNetwork, q: np.ndarray) -> np.ndarray:
+    """M1 = Q'CQ, r x r, for q n x r and C the network's Laplacian, never
+    formed; ``topology_term(g, np.eye(g.n))`` is C.  ``g.edges`` is documented
+    sorted with p < q, so it is the upper triangle W of the adjacency in CSR
+    order; CQ = deg Q - WQ - W'Q cancels per node, before Q', as C @ Q did."""
+    (rows, cols), w, n = g.edges.T, g.weights, g.n
+    upper = sparse.csr_array((w, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    deg = np.bincount(rows, w, minlength=n) + np.bincount(cols, w, minlength=n)
+    m1 = q.T @ (deg[:, np.newaxis] * q - upper @ q - upper.T @ q)
+    return (m1 + m1.T) / 2.0
+
+
 def reduce_problem(
-    v: StateMatrix, d_plus: np.ndarray, l_tilde: sparse.csr_array, c: sparse.csr_array,
+    v: StateMatrix, d_plus: np.ndarray, l_tilde: sparse.csr_array, g: GeneralizedNetwork,
     energy_fraction: float,
 ) -> ReducedProblem:
-    """Truncated basis of V (D+)^{1/2} plus the whitened terms M0 and M1;
-    ``d_plus`` is the diagonal of D+ and ``l_tilde`` is L~, m x m."""
-    _check_dims(v, l_tilde, c)
+    """Truncated basis of V (D+)^{1/2} plus the whitened terms M0 and M1 of
+    the D+ diagonal ``d_plus``, the m x m L~ and the generalized network."""
+    _check_dims(v, l_tilde, g.n)
     basis = truncated_svd_basis(v, d_plus, energy_fraction)
     q = basis.q
     z = v.matrix.T @ q
     m0 = z.T @ (l_tilde @ z)
-    m1 = q.T @ (c @ q)
     m0 = (m0 + m0.T) / 2.0
-    m1 = (m1 + m1.T) / 2.0
+    m1 = topology_term(g, q)
     rho0 = float(np.abs(np.linalg.eigvalsh(m0)).max())
     rho1 = float(np.abs(np.linalg.eigvalsh(m1)).max())
     return ReducedProblem(basis=basis, m0=m0, m1=m1, rho0=rho0, rho1=rho1)

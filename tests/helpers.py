@@ -267,8 +267,10 @@ def network_by_counting(db, indices) -> tuple[tuple[int, int, float], ...]:
 
 
 def constraint_from_tuples(n: int, edges) -> sparse.csr_array:
-    """C built from (p, q, w) tuples through one flat float64 buffer: the
-    oracle whose CSR ``build_constraint_matrix`` must match bit for bit."""
+    """C, the Laplacian of a network, built from (p, q, w) tuples through
+    one flat float64 buffer and a COO sum: the oracle that
+    ``solver.topology_term`` is checked against, and the dense C of the
+    whitened objective that ``assemble_objective_matrix`` builds."""
     edges = tuple(edges)
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.float64, count=3 * len(edges))
     flat = flat.reshape(-1, 3)
@@ -452,7 +454,7 @@ def assemble_objective_matrix(
     dense n x n form is the reference that ``ReducedProblem`` is checked
     against.
     """
-    _check_dims(v, l_tilde, c)
+    _check_dims(v, l_tilde, c.shape[0])
     mat = v.matrix @ (l_tilde @ v.matrix.T)
     if alpha != 0.0:
         mat = mat - alpha * c.toarray()

@@ -14,7 +14,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import assemble_objective_matrix, laplacians, network, solve_spectral, template_db
+from helpers import (
+    assemble_objective_matrix,
+    constraint_from_tuples,
+    edge_tuples,
+    laplacians,
+    network,
+    solve_spectral,
+    template_db,
+)
 from subnetmine import cli
 from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_network
 from subnetmine.evaluation import (
@@ -24,8 +32,7 @@ from subnetmine.evaluation import (
     fit_model,
     sweep_alpha,
 )
-from subnetmine.metagraph import build_constraint_matrix
-from subnetmine.solver import SolverConfig, truncated_svd_basis
+from subnetmine.solver import SolverConfig, topology_term, truncated_svd_basis
 from subnetmine.synth import SynthConfig, generate_backbone, sample_database
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -59,7 +66,7 @@ def pipeline_fixture(rng, n, m, alpha):
     db = template_db(rng, n=n, m=m)
     v = StateMatrix(db.values)
     d_plus, l_tilde = laplacians(db, 3)
-    c = build_constraint_matrix(build_generalized_network(db))
+    c = constraint_from_tuples(n, edge_tuples(build_generalized_network(db)))
     a = assemble_objective_matrix(v, l_tilde, c, alpha)
     basis = truncated_svd_basis(v, d_plus, 0.95)
     return a, basis
@@ -107,7 +114,7 @@ def test_criterion_2_constraint_quadratic_identity(capsys):
                     count = int(rng.integers(1, denominator + 1))
                     edges.append((p, q, count / denominator))
         g = network(n, edges)
-        c = build_constraint_matrix(g)
+        c = topology_term(g, np.eye(n))
         u = rng.normal(size=n)
         quad = float(u @ (c @ u))
         # half the ordered-pair sum is one term per stored undirected edge

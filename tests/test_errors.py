@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import random_db
+from helpers import network, random_db
 from subnetmine import cli
 from subnetmine.data import StateMatrix, load_database
 from subnetmine.errors import ConfigInvalid, ParseError, SubnetmineError
@@ -66,9 +66,9 @@ def write(path, text):
 
 def reduced(n, m, c_size):
     """reduce_problem on an n x n state matrix, m x m Laplacians and a
-    c_size x c_size constraint."""
-    c = sparse.csr_array((c_size, c_size))
-    return reduce_problem(StateMatrix(np.eye(n)), np.ones(m), sparse.csr_array((m, m)), c, 1.0)
+    c_size-node network, so a c_size x c_size constraint."""
+    g = network(c_size, ())
+    return reduce_problem(StateMatrix(np.eye(n)), np.ones(m), sparse.csr_array((m, m)), g, 1.0)
 
 
 def leave_one_out_of_three():

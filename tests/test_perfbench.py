@@ -31,6 +31,7 @@ ABSENT = {
         "run_cv",
         "_fit_subset",
         "_fit_and_score",
+        "build_constraint_matrix",
     )
 }
 

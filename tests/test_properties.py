@@ -32,9 +32,9 @@ from helpers import (
 )
 from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_network
 from subnetmine.evaluation import EvalConfig, evaluate_dataset, fit_model, train_linear_classifier
-from subnetmine.metagraph import _cosine_matrix, build_constraint_matrix, build_laplacian_set
+from subnetmine.metagraph import _cosine_matrix, build_laplacian_set
 from subnetmine.selection import score_nodes
-from subnetmine.solver import SolverConfig, truncated_svd_basis
+from subnetmine.solver import SolverConfig, topology_term, truncated_svd_basis
 
 SETTINGS = settings(max_examples=12, derandomize=True, deadline=None)
 K = 4
@@ -142,8 +142,9 @@ def test_network_and_constraint_match_the_tuple_oracles(seed, n, m, edge_prob, p
     """NetworkDatabase.network equals the counting loop on a random pick of
     instances (in drawn order, repeats kept), on one instance, on all but
     one, on every instance and on every instance plus the pick, and the
-    constraint built from the arrays has the CSR arrays of the one built
-    from (p, q, w) tuples.  An index one past the last instance raises."""
+    topology term Q'CQ built from the arrays matches the one of C built
+    from (p, q, w) tuples, for a random n x 3 Q.  An index one past the last
+    instance raises."""
     db = random_db(np.random.default_rng(seed), n=n, m=m, edge_prob=edge_prob)
     subset = [p % m for p in picks]
     everyone = list(range(m))
@@ -154,10 +155,9 @@ def test_network_and_constraint_match_the_tuple_oracles(seed, n, m, edge_prob, p
         assert edge_tuples(g) == expected
         assert g.edges.dtype == np.intp and g.edges.shape == (len(expected), 2)
         assert g.weights.dtype == np.float64
-        got, want = build_constraint_matrix(g), constraint_from_tuples(n, expected)
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        q = np.random.default_rng(seed).normal(size=(n, 3))
+        got, want = topology_term(g, q), q.T @ (constraint_from_tuples(n, expected) @ q)
+        assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1e-300)
     for indices in (everyone[1:] + [m], subset + [m]):
         with pytest.raises(ValueError, match="^instance index out of range$"):
             db.network(indices)

@@ -14,7 +14,10 @@ from scipy import linalg, sparse
 from helpers import (
     assemble_objective_matrix,
     build_db,
+    constraint_from_tuples,
+    edge_tuples,
     laplacians,
+    network,
     random_db,
     solve_spectral,
     svd_basis,
@@ -23,7 +26,6 @@ from helpers import (
 from subnetmine import cli
 from subnetmine.data import StateMatrix, build_generalized_network, write_database
 from subnetmine.errors import ConfigInvalid, ParseError, SubnetmineError
-from subnetmine.metagraph import build_constraint_matrix
 from subnetmine.solver import (
     ReducedProblem,
     SolverConfig,
@@ -33,6 +35,7 @@ from subnetmine.solver import (
     model_meta_path,
     reduce_problem,
     save_model,
+    topology_term,
     truncated_svd_basis,
 )
 
@@ -47,7 +50,7 @@ def pipeline_pieces(seed, n=6, m=10, k=3, edge_prob=0.4, value_loc=4.0):
     db = random_db(rng, n=n, m=m, edge_prob=edge_prob, value_loc=value_loc)
     v = StateMatrix(db.values)
     d_plus, l_tilde = laplacians(db, k)
-    c = build_constraint_matrix(build_generalized_network(db))
+    c = constraint_from_tuples(n, edge_tuples(build_generalized_network(db)))
     return db, v, d_plus, l_tilde, c
 
 
@@ -469,7 +472,7 @@ def test_reduced_problem_matches_dense_oracle(edge_prob):
     assemble + solve at the matching absolute weight."""
     for seed in range(4):
         # values near zero keep several singular directions (r >= 3)
-        _, v, d_plus, l_tilde, c = pipeline_pieces(
+        db, v, d_plus, l_tilde, c = pipeline_pieces(
             seed, n=10, m=16, edge_prob=edge_prob, value_loc=0.5
         )
         basis = truncated_svd_basis(v, d_plus, 0.95)
@@ -479,7 +482,7 @@ def test_reduced_problem_matches_dense_oracle(edge_prob):
         assert (ratio == 1.0) == (edge_prob == 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            problem = reduce_problem(v, d_plus, l_tilde, c, 0.95)
+            problem = reduce_problem(v, d_plus, l_tilde, build_generalized_network(db), 0.95)
         assert problem.m0.shape == problem.m1.shape == (basis.r, basis.r)
         for alpha in (0.0, 0.5, 2.0, 6.5):
             with warnings.catch_warnings():
@@ -497,8 +500,8 @@ def test_reduced_problem_matches_dense_oracle(edge_prob):
 
 
 def test_reduce_problem_rank_and_dimension_errors():
-    _, v, d_plus, l_tilde, c = pipeline_pieces(0)
-    problem = reduce_problem(v, d_plus, l_tilde, c, 0.95)
+    db, v, d_plus, l_tilde, _ = pipeline_pieces(0)
+    problem = reduce_problem(v, d_plus, l_tilde, build_generalized_network(db), 0.95)
     r = truncated_svd_basis(v, d_plus, 0.95).r
     assert problem.basis.r == r
     with pytest.raises(
@@ -509,10 +512,72 @@ def test_reduce_problem_rank_and_dimension_errors():
         with pytest.raises(ConfigInvalid):
             problem.model(alpha, 1)
     n = v.n_rows
-    bad_c = sparse.csr_array((n + 2, n + 2))
+    bad_g = network(n + 2, ())
     message = f"constraint matrix is {n + 2}x{n + 2}, state matrix has {n} rows"
     with pytest.raises(SubnetmineError, match=re.escape(message)):
-        reduce_problem(v, d_plus, l_tilde, bad_c, 0.95)
+        reduce_problem(v, d_plus, l_tilde, bad_g, 0.95)
+
+
+def test_topology_term_without_edges_is_zero_and_alpha_is_used_as_is():
+    assert np.array_equal(topology_term(network(5, ()), np.ones((5, 2))), np.zeros((2, 2)))
+    db, v, d_plus, l_tilde, _ = pipeline_pieces(0, edge_prob=0.0)
+    problem = reduce_problem(v, d_plus, l_tilde, build_generalized_network(db), 0.95)
+    assert problem.rho1 == 0.0 and not problem.m1.any()
+    base = problem.model(0.0, 1)
+    for alpha in (0.5, 6.5):
+        got = problem.model(alpha, 1)
+        assert got.alpha == alpha
+        assert np.array_equal(got.u_matrix, base.u_matrix)
+
+
+def test_topology_term_isolated_nodes_rank_one_and_psd():
+    """Q'CQ against the tuple oracle on graphs whose nodes 0 and n - 1 have
+    no edge, for r = 1 and r = 4; M1 stays PSD to 1e-12 rho1."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 30))
+        edges = tuple(
+            (p, q, float(rng.random()))
+            for p in range(1, n - 1)
+            for q in range(p + 1, n - 1)
+            if rng.random() < 0.3
+        )
+        g = network(n, edges)
+        c = constraint_from_tuples(n, edges)
+        assert not topology_term(g, np.eye(n))[[0, -1]].any()
+        for r in (1, 4):
+            q = rng.normal(size=(n, r))
+            got = topology_term(g, q)
+            want = q.T @ (c @ q)
+            assert got.shape == (r, r) and np.array_equal(got, got.T)
+            assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1e-300)
+            direct = sum(w * np.outer(q[a] - q[b], q[a] - q[b]) for a, b, w in edges)
+            assert np.allclose(got, direct, rtol=0.0, atol=1e-12 * np.abs(direct).max(initial=0.0))
+            eigs = np.linalg.eigvalsh(got)
+            assert eigs.min() >= -1e-12 * np.abs(eigs).max()
+
+
+def test_topology_term_cancellation_and_psd_after_reduction():
+    """Near-constant columns of Q make deg Q and WQ + W'Q cancel: the error
+    stays at rounding of the cancelled terms.  On the Q of real reductions
+    M1 is PSD to 1e-12 rho1."""
+    rng = np.random.default_rng(7)
+    n = 40
+    edges = tuple(
+        (p, q, float(rng.random())) for p in range(n) for q in range(p + 1, n) if rng.random() < 0.3
+    )
+    g = network(n, edges)
+    deg = np.abs(constraint_from_tuples(n, edges).diagonal()).max()
+    for eps in (1e-2, 1e-4, 1e-6):
+        q = 1.0 + eps * rng.normal(size=(n, 3))
+        b = np.array([q[a] - q[c] for a, c, _ in edges])
+        exact = b.T @ (np.array([w for _, _, w in edges])[:, np.newaxis] * b)
+        err = np.linalg.norm(topology_term(g, q) - exact)
+        assert err <= 1e-12 * deg * np.linalg.norm(q) ** 2
+    for seed in range(6):
+        db, v, d_plus, l_tilde, _ = pipeline_pieces(seed, n=10, m=16, edge_prob=0.6)
+        problem = reduce_problem(v, d_plus, l_tilde, build_generalized_network(db), 0.95)
+        assert np.linalg.eigvalsh(problem.m1).min() >= -1e-12 * problem.rho1
 
 
 def test_model_save_load_round_trip(tmp_path):
