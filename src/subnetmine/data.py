@@ -23,14 +23,19 @@ No other module opens a file: ``TsvFile`` reads every TSV under these rules
 (the model file of ``solver.load_model`` too), and ``write_tsv`` and
 ``write_json`` write every output.
 
-The id columns of values.tsv and edges.tsv are matched to ordinals on their
-UTF-8 bytes, which is exactly text equality (see ``Ids``), so an edge field
-is never held as a Python string.
+``TsvFile`` reads a file in blocks of about ``_BLOCK_BYTES`` of whole lines
+and converts each block's rows before it reads the next, so a load holds
+the loaded columns and one block, never the whole file.  The id columns of
+values.tsv and edges.tsv are matched to ordinals on their UTF-8 bytes,
+which is exactly text equality (see ``Ids``), so an edge field is never
+held as a Python string, and a run of equal ids is looked up once.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, pairwise, repeat
@@ -177,109 +182,162 @@ class StateMatrix:
 # ---------------------------------------------------------------------------
 # dataset loading
 
-_BLOCK_ROWS = 1 << 14
+_BLOCK_BYTES = 1 << 20
 _TAB, _LF = ord("\t"), ord("\n")
-# the LF that ends the last line, then 8 zero bytes so that a word can be
-# read at any byte of a line
-_TAIL = b"\n" + bytes(8)
+# after a block's last LF, so that a word can be read at any byte of a line
+_PAD = bytes(8)
 # _KEEP[k] keeps the low k bytes of a little-endian 64-bit word
 _KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _MULTIPLIER, _SHIFT = np.uint64(0x9E3779B97F4A7C15), np.uint64(32)
 
 
+def _blocks(path: Path, offset: int = 0):
+    """Yield the file from byte ``offset`` on as (offset, block) pairs, read
+    about ``_BLOCK_BYTES`` at a time.  ``block`` is an LF, then whole lines,
+    each ending in one LF, then ``_PAD``; ``offset`` is the byte of the file
+    where its first line begins."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        data = b""
+        while True:
+            # a line longer than a block doubles the next read
+            if chunk := fh.read(max(_BLOCK_BYTES, len(data))):
+                data += chunk
+                # a CR that ends a read may be the first half of a CRLF
+                end = len(data) - data.endswith(b"\r")
+                cut = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
+            elif not (cut := len(data)):
+                return
+            if cut:
+                lines = data[:cut]
+                if b"\r" in lines:  # CR and CRLF end a line as LF does
+                    lines = lines.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                last = b"" if lines.endswith(b"\n") else b"\n"
+                yield offset, b"".join((b"\n", lines, last, _PAD))
+                offset, data = offset + cut, data[cut:]
+
+
+def _words(block: bytes, begins: np.ndarray, ends: np.ndarray, count: int) -> list[np.ndarray]:
+    """Word k < ``count`` of each field of a block: its bytes 8k to 8k + 7 as
+    a little-endian integer, the bytes past the field's end taken as 0."""
+    word_at = np.ndarray((len(block) - 7,), dtype="<u8", buffer=block, strides=(1,))
+    sizes = ends - begins
+    return [
+        word_at[begins + np.minimum(sizes, k)] & _KEEP[np.clip(sizes - k, 0, 8)]
+        for k in range(0, 8 * count, 8)
+    ]
+
+
+def _texts(block: bytes, begins: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The text of each field of a block, from byte ``begins[k]`` up to ``ends[k]``."""
+    sizes = ends - begins + 1  # each field with the tab or LF after it
+    stops = np.cumsum(sizes)
+    chunk = np.frombuffer(block, dtype=np.uint8)[
+        np.repeat(begins - stops + sizes, sizes) + np.arange(sizes.sum())
+    ]
+    chunk[stops - 1] = _LF
+    return chunk.tobytes().decode("utf-8").split("\n")[:-1]
+
+
 class TsvFile:
-    """The data rows of a tab-separated file, found in its bytes with numpy.
+    """The data rows of a tab-separated file, read in blocks of whole lines
+    and split with numpy.
 
     ``header`` lists the expected field names, or is a function of the header
-    line's field count (0 if none) that returns them; ``self.header`` is the list.
-    ``rows`` holds the 0-based line of each data row: the non-blank lines
-    after the first (the header), up to the first line with a wrong field
-    count or bytes that are not UTF-8.  ``raise_first`` raises for that line
-    only if no row before it breaks a contract, so the first bad line wins.
+    line's field count (0 if none) that returns them; ``self.header`` is the
+    list.  The header is read on construction and the data rows by
+    ``columns``: the non-blank lines after the header, up to the first line
+    with a wrong field count or bytes that are not UTF-8, which ends the
+    reading.  Of each row only its 0-based line is kept, in ``rows``, and of
+    each block the byte where it begins, so that the line of a bad row can be
+    read again for its error.  ``raise_first`` raises for the line that ended
+    the reading only if no row before it breaks a contract, so the first bad
+    line wins.
     """
 
     def __init__(self, path: Path, header):
         if not path.is_file():
             raise SubnetmineError(f"required file not found: {path}")
-        # CR and CRLF end a line as LF does
-        raw = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n") + _TAIL
-        buf = np.frombuffer(raw, dtype=np.uint8)
-        ends = np.flatnonzero(buf == _LF)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        fields = np.diff(np.searchsorted(np.flatnonzero(buf == _TAB), ends), prepend=0) + 1
-        self.path, self.raw, self.buf, self.starts, self.ends = path, raw, buf, starts, ends
-        # the little-endian 64-bit word at each byte of the file
-        self._word_at = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
-        stop, self.fault = len(ends), None
-        try:
-            if not raw.isascii():
-                raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            stop = int(np.searchsorted(ends, exc.start))
-            at = exc.start - starts[stop] + 1
-            self.fault = ParseError(path, stop + 1, f"not valid UTF-8 at byte {at}")
-        lines, got = np.flatnonzero(starts < ends), []
-        if lines.size:  # the first non-blank line is the header
-            if stop == (first := int(lines[0])):
-                raise self.fault
-            got, lines = self._fields(first), lines[1:]
+        self.path, self.fault, self.rows = path, None, np.zeros(0, dtype=np.intp)
+        self._marks: list[tuple[int, int]] = []  # (first line, offset) of each block
+        self._head, got = -1, []
+        with closing(_blocks(path)) as blocks:
+            line = 0
+            for _, block in blocks:
+                if (text := block.lstrip(b"\n")) != _PAD:
+                    # the first non-blank line is the header
+                    self._head = line + len(block) - len(text) - 1
+                    try:
+                        got = text[: text.index(b"\n")].decode("utf-8").split("\t")
+                    except UnicodeDecodeError as exc:
+                        message = f"not valid UTF-8 at byte {exc.start + 1}"
+                        raise ParseError(path, self._head + 1, message) from None
+                    break
+                line += block.count(b"\n") - 1
         self.header = header = header(len(got)) if callable(header) else header
         if got and got != header:
-            raise ParseError(path, first + 1, f"expected header {header}, got {got}")
-        if (wrong := lines[fields[lines] != len(header)]).size and wrong[0] < stop:
-            stop = int(wrong[0])
-            message = f"expected {len(header)} fields, got {fields[stop]}"
-            self.fault = ParseError(path, stop + 1, message)
-        self.rows = lines[lines < stop]
+            raise ParseError(path, self._head + 1, f"expected header {header}, got {got}")
 
     def _fields(self, line: int) -> list[str]:
-        return self.raw[self.starts[line] : self.ends[line]].decode("utf-8").split("\t")
+        """The fields of a line, read again from the block it is in."""
+        first, offset = self._marks[bisect_right(self._marks, (line, np.inf)) - 1]
+        for _, block in _blocks(self.path, offset):
+            lines = block.split(b"\n")[1:-1]
+            if line - first < len(lines):
+                return lines[line - first].decode("utf-8").split("\t")
+            first += len(lines)
+        raise AssertionError(f"{self.path} has no line {line + 1}")
 
-    def _bounds(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """The bytes where each field of data rows a to b - 1 begins and
-        ends, as two (b - a) x width arrays.  Only blank lines lie between
-        rows, so the span of the rows holds exactly width - 1 tabs a row."""
-        rows = self.rows[a:b]
-        lo, hi = self.starts[rows[0]], self.ends[rows[-1]]
-        tabs = np.flatnonzero(self.buf[lo:hi] == _TAB).reshape(b - a, len(self.header) - 1)
-        tabs += lo
-        begins = np.column_stack((self.starts[rows], tabs + 1))
-        return begins, np.column_stack((tabs, self.ends[rows]))
-
-    def texts(self, begins: np.ndarray, ends: np.ndarray) -> list[str]:
-        """The text of each field, from byte ``begins[k]`` up to ``ends[k]``."""
-        sizes = ends - begins + 1  # each field with the tab or LF after it
-        stops = np.cumsum(sizes)
-        chunk = self.buf[np.repeat(begins - stops + sizes, sizes) + np.arange(sizes.sum())]
-        chunk[stops - 1] = _LF
-        return chunk.tobytes().decode("utf-8").split("\n")[:-1]
-
-    def words(self, begins: np.ndarray, ends: np.ndarray, count: int) -> list[np.ndarray]:
-        """Word k < ``count`` of each field: its bytes 8k to 8k + 7 as a
-        little-endian integer, the bytes past the field's end taken as 0."""
-        sizes = ends - begins
-        return [
-            self._word_at[begins + np.minimum(sizes, k)] & _KEEP[np.clip(sizes - k, 0, 8)]
-            for k in range(0, 8 * count, 8)
-        ]
-
-    def _column(self, convert, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _column(convert, block: bytes, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
         if isinstance(convert, Ids):
-            return convert.match(self, begins, ends)
-        return convert(self.texts(begins, ends))
+            return convert.match(block, begins, ends)
+        return convert(_texts(block, begins, ends))
 
     def columns(self, *converters) -> list[np.ndarray]:
         """Column j of the data rows, as ``converters[j]`` makes it: ``Ids``
         match the fields' bytes, any other converter turns a list of str
-        into an array.  A block of rows at a time, so that a file is never
-        held as Python strings all at once, and an id column never is."""
-        empty = np.zeros(0, dtype=np.intp)
-        parts = [[self._column(convert, empty, empty)] for convert in converters]
-        for a in range(0, len(self.rows), _BLOCK_ROWS):
-            begins, ends = self._bounds(a, min(a + _BLOCK_ROWS, len(self.rows)))
+        into an array.  A block at a time, so that besides the columns only
+        one block is held, and an id column is never held as text."""
+        width, empty = len(self.header), np.zeros(0, dtype=np.intp)
+        parts = [[self._column(convert, _PAD, empty, empty)] for convert in converters]
+        rows, line = [self.rows], 0
+        for offset, block in _blocks(self.path):
+            self._marks.append((line, offset))
+            buf = np.frombuffer(block, dtype=np.uint8)
+            bounds = np.flatnonzero((buf == _TAB) | (buf == _LF))
+            # index in bounds of each LF: line k ends at bounds[lf[k + 1]]
+            lf = np.flatnonzero(buf[bounds] == _LF)
+            fields = np.diff(lf)
+            starts, ends = bounds[lf[:-1]] + 1, bounds[lf[1:]]
+            lines = np.flatnonzero(starts < ends)
+            lines, stop = lines[lines + line > self._head], len(fields)
+            try:
+                if not block.isascii():
+                    block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                stop = int(np.searchsorted(ends, exc.start))
+                message = f"not valid UTF-8 at byte {exc.start - starts[stop] + 1}"
+                self.fault = ParseError(self.path, line + stop + 1, message)
+            if (wrong := lines[fields[lines] != width]).size and wrong[0] < stop:
+                stop = int(wrong[0])
+                message = f"expected {width} fields, got {fields[stop]}"
+                self.fault = ParseError(self.path, line + stop + 1, message)
+            lines = lines[lines < stop]
+            rows.append(lines + line)
+            # the LF of each row, as an index in bounds: the row's fields end
+            # at its last width separators
+            last = lf[lines + 1]
             for j, (part, convert) in enumerate(zip(parts, converters)):
-                part.append(self._column(convert, begins[:, j], ends[:, j]))
-        return [np.concatenate(part) for part in parts]
+                lo, hi = bounds[last + j - width] + 1, bounds[last + j + 1 - width]
+                part.append(self._column(convert, block, lo, hi))
+            if self.fault is not None:
+                break
+            line += len(fields)
+        self.rows = np.concatenate(rows)
+        del rows
+        # one column at a time, so that only one is ever held twice
+        return [np.concatenate(parts.pop(0)) for _ in converters]
 
     def raise_first(self, masks: list[np.ndarray], errors) -> None:
         """Raise for the first row failing a check, else for the line that
@@ -310,8 +368,10 @@ class Ids:
     exactly text equality: UTF-8 encodes each text as one byte string.
 
     A field's bytes are read as its length and its zero-padded 64-bit words,
-    and looked up by their hash.  A field takes the ordinal of the known id
-    with its hash only if the length and every word are equal too; any
+    as many as the longest known id needs.  Of a run of fields with equal
+    lengths and words, as the rows of one instance repeat its id, only the
+    first is looked up, by its hash.  A field takes the ordinal of the known
+    id with its hash only if the length and every word are equal too; any
     other field (an unknown id, a hash collision, an id longer than every
     known id) is decoded and looked up in ``ordinal_of``.
     """
@@ -336,9 +396,23 @@ class Ids:
         buckets = np.arange(1 << bits, dtype=np.uint64) << self.shift
         self.first = np.searchsorted(self.keys, buckets)
 
-    def match(self, tsv: TsvFile, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """The ordinal of each field of ``tsv``, -1 for unknown ids."""
-        lengths, words = ends - begins, tsv.words(begins, ends, self.words.shape[1])
+    def match(self, block: bytes, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The ordinal of each field of a block, -1 for unknown ids.
+
+        Only the first field of each run of equal fields (same length and
+        words as the field before) is looked up: fields of equal length
+        and words are identical, or longer than every known id and so all
+        unknown."""
+        lengths = ends - begins
+        words = _words(block, begins, ends, self.words.shape[1])
+        head = np.ones(lengths.size, dtype=bool)
+        head[1:] = lengths[1:] != lengths[:-1]
+        for word in words:
+            head[1:] |= word[1:] != word[:-1]
+        heads = np.flatnonzero(head)
+        if runs := heads.size < head.size:  # else every field is looked up as it is
+            begins, ends, lengths = begins[heads], ends[heads], lengths[heads]
+            words = [word[heads] for word in words]
         key = _id_hash(lengths, words)
         # searchsorted(self.keys, key), from the field's bucket on: a bucket
         # holds few keys, and the last entry's key is never below a field's
@@ -350,8 +424,8 @@ class Ids:
             hit &= self.words[at, k] == word
         found = np.where(hit, self.values[at], -1)
         if (miss := np.flatnonzero(~hit)).size:
-            found[miss] = ordinals(self.ordinal_of, tsv.texts(begins[miss], ends[miss]))
-        return found
+            found[miss] = ordinals(self.ordinal_of, _texts(block, begins[miss], ends[miss]))
+        return np.repeat(found, np.diff(heads, append=head.size)) if runs else found
 
 
 def ordinals(ordinal_of: dict[str, int], ids) -> np.ndarray:
@@ -386,7 +460,10 @@ def _number(convert, text: str):
 def floats(col) -> np.ndarray:
     """Column converter: the float of each text, NaN where float rejects it,
     so ``~np.isfinite`` marks every cell that ``value_error`` reports."""
-    return np.fromiter(map(_number, repeat(float), col), float)
+    try:
+        return np.fromiter(map(float, col), float, len(col))
+    except ValueError:
+        return np.fromiter(map(_number, repeat(float), col), float, len(col))
 
 
 def value_error(err, text: str) -> ParseError:

@@ -18,8 +18,11 @@ from hypothesis import strategies as st
 
 from helpers import edge_tuples, load_database_rows
 from subnetmine import data
-from subnetmine.data import TsvFile, build_generalized_network, load_database, write_database
+from subnetmine.data import (
+    TsvFile, build_generalized_network, load_database, write_database, write_tsv,
+)
 from subnetmine.errors import ParseError, SubnetmineError
+from subnetmine.solver import load_model
 from subnetmine.synth import SynthConfig, generate_dataset, read_ground_truth
 
 SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
@@ -53,12 +56,14 @@ VALUE_TEXTS = st.one_of(
 @st.composite
 def datasets(draw):
     """The lines of a valid dataset directory, header first, and the ids,
-    values and edges they hold; value and edge rows come in random order,
-    edges in random orientation."""
+    values and edges they hold.  Value and edge rows come in random order,
+    edges in random orientation, or grouped by instance as write_database
+    writes them, so that runs of equal ids cross the reader's blocks."""
     node_ids = draw(st.lists(st.sampled_from(NODE_POOL), min_size=1, max_size=5, unique=True))
     inst_ids = draw(
         st.lists(st.sampled_from(INSTANCE_POOL), min_size=2, max_size=4, unique=True)
     )
+    grouped = draw(st.booleans())
     states = [draw(st.sampled_from(ZERO_STATES)), draw(st.sampled_from(ONE_STATES))]
     states += [draw(st.sampled_from(ZERO_STATES + ONE_STATES)) for _ in inst_ids[2:]]
     values, edges, valid = [], [], {}
@@ -67,12 +72,14 @@ def datasets(draw):
         values += [f"{inst}\t{node}\t{draw(VALUE_TEXTS)}" for node in valid[inst]]
         for a, b in itertools.combinations(valid[inst], 2):
             if draw(st.booleans()):
-                edges.append((inst, *((a, b) if draw(st.booleans()) else (b, a))))
+                edges.append((inst, *((a, b) if grouped or draw(st.booleans()) else (b, a))))
+    if not grouped:
+        values, edges = draw(st.permutations(values)), draw(st.permutations(edges))
     rows = {
         "nodes.tsv": list(node_ids),
         "instances.tsv": [f"{inst}\t{s}" for inst, s in zip(inst_ids, states)],
-        "values.tsv": draw(st.permutations(values)),
-        "edges.tsv": ["\t".join(e) for e in draw(st.permutations(edges))],
+        "values.tsv": values,
+        "edges.tsv": ["\t".join(e) for e in edges],
     }
     files = {name: ["\t".join(HEADERS[name]), *rows[name]] for name in HEADERS}
     return files, {"nodes": node_ids, "instances": inst_ids, "valid": valid, "edges": edges}
@@ -81,12 +88,14 @@ def datasets(draw):
 @st.composite
 def layouts(draw):
     """How the lines become bytes: line ending, final newline, blank lines
-    (before the header too) and the block size of the columnar reader."""
+    (before the header too), and the bytes the reader reads at a time: so
+    few that lines, CRLF pairs and multi-byte characters straddle reads,
+    a few lines, or the default."""
     return {
         "newline": draw(st.sampled_from(["\n", "\r\n", "\r"])),
         "final_newline": draw(st.booleans()),
         "blanks": draw(st.lists(st.integers(0, 40), max_size=3)),
-        "block": draw(st.sampled_from([1, 2, 3, 1 << 14])),
+        "block": draw(st.sampled_from([1, 2, 3, 7, 64, data._BLOCK_BYTES])),
     }
 
 
@@ -134,7 +143,7 @@ def same_outcome(files: dict, layout: dict):
     """Write the files, load them with both loaders, require the same
     database or the same error, and return the oracle's outcome."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        data, "_BLOCK_ROWS", layout["block"]
+        data, "_BLOCK_BYTES", layout["block"]
     ):
         root = Path(tmp)
         write_files(root, files, layout)
@@ -354,16 +363,17 @@ def test_ids_that_differ_past_a_word_or_by_a_trailing_nul(tmp_path, id_hash):
 
 
 def test_field_words_read_at_every_byte_offset(tmp_path):
-    """The words of fields that begin at byte offsets 0 to 15, so at every
-    alignment of the 64-bit reads, against int.from_bytes of the bytes."""
+    """The words of fields that begin at byte offsets 0 to 15 of a block the
+    reader yields, so at every alignment of the 64-bit reads, against
+    int.from_bytes of the bytes."""
     line = "".join(chr(0x21 + 13 * k % 90) for k in range(48))
     (tmp_path / "f.tsv").write_text(f"h\n{line}\n", encoding="utf-8")
-    tsv = TsvFile(tmp_path / "f.tsv", ["h"])
+    ((_, block),) = data._blocks(tmp_path / "f.tsv")
     begins, ends = np.array(list(itertools.product(range(16), range(26)))).T
     ends += begins
-    words = tsv.words(begins, ends, 4)
+    words = data._words(block, begins, ends, 4)
     for k, (begin, end) in enumerate(zip(begins.tolist(), ends.tolist())):
-        field = tsv.raw[begin:end].ljust(32, b"\0")
+        field = block[begin:end].ljust(32, b"\0")
         want = [int.from_bytes(field[w : w + 8], "little") for w in range(0, 32, 8)]
         assert [int(word[k]) for word in words] == want, (begin, end)
 
@@ -444,6 +454,31 @@ def test_blank_lines_before_the_header(tmp_path, leading):
         assert exc.value.path == tmp_path / "nodes.tsv" and exc.value.line == leading + 1
 
 
+@pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
+def test_model_and_ground_truth_longer_than_a_block_load_like_lf(tmp_path, newline):
+    """A model file and a ground-truth file of more than one block, with CR
+    (or CRLF) line ends, so that reads end inside lines and on CRs: both
+    load like their LF copies."""
+    node_ids = tuple(f"ground_truth_node_{p:012d}" for p in range(50_000))
+    u = np.random.default_rng(0).standard_normal((len(node_ids), 2))
+    for name, header, rows in (
+        ("model.tsv", ["node_id", "u_1", "u_2"], ([p, *x] for p, x in zip(node_ids, u.tolist()))),
+        ("ground_truth.tsv", ["node_id"], ([p] for p in node_ids[::-5] + node_ids[:40_000])),
+    ):
+        write_tsv(tmp_path / "lf" / name, header, rows)
+        text = (tmp_path / "lf" / name).read_bytes()
+        assert len(text) > data._BLOCK_BYTES
+        (tmp_path / "cr").mkdir(exist_ok=True)
+        (tmp_path / "cr" / name).write_bytes(text.replace(b"\n", newline))
+    (lf_ids, lf_u), (ids, got_u) = (load_model(tmp_path / d / "model.tsv") for d in ("lf", "cr"))
+    assert ids == lf_ids == list(node_ids)
+    assert got_u.tobytes() == lf_u.tobytes() == u.tobytes()
+    lf_gt, gt = (
+        read_ground_truth(tmp_path / d / "ground_truth.tsv", node_ids) for d in ("lf", "cr")
+    )
+    assert gt == lf_gt == set(range(40_000)) | set(range(49_999, -1, -5))
+
+
 def test_errors_count_blank_lines_and_name_bad_utf8(tmp_path):
     files = valid_files()
     files["values.tsv"].append("i0\ta\tbogus")  # a duplicate value, line 8 of 8
@@ -485,3 +520,71 @@ def test_load_memory_per_edge_row(tmp_path):
     assert len(db.edges) == rows
     assert (retained - base) / rows <= RETAINED_BYTES_PER_ROW
     assert (peak - base) / rows <= PEAK_BYTES_PER_ROW
+
+
+def write_wide_dataset(root: Path, rows: int, n: int = 1000, m: int = 50) -> None:
+    """A valid dataset of ``rows`` edge rows, written with numpy: every node
+    has a value in every instance, and each instance carries the first
+    rows / m pairs (p, q), p < q, grouped by instance as write_database
+    writes them.  Ids are six bytes, so an edge row is 21."""
+    nodes = [f"n{p:05d}" for p in range(n)]
+    files = {
+        "nodes.tsv": ["node_id", *nodes],
+        "instances.tsv": ["instance_id\tglobal_state", *(f"i{i:05d}\t{i % 2}" for i in range(m))],
+        "values.tsv": [
+            "instance_id\tnode_id\tvalue",
+            *(f"i{i:05d}\t{node}\t{p % 7}.5" for i in range(m) for p, node in enumerate(nodes)),
+        ],
+    }
+    write_files(root, files, LF)
+    per = rows // m
+    columns = (np.repeat(np.arange(m), per), *(np.tile(a[:per], m) for a in np.triu_indices(n, 1)))
+    line = np.zeros((rows, 21), dtype=np.uint8)
+    for k, (letter, column) in enumerate(zip("inn", columns)):
+        line[:, 7 * k] = ord(letter)
+        line[:, 7 * k + 1 : 7 * k + 6] = column[:, None] // 10 ** np.arange(4, -1, -1) % 10 + 48
+        line[:, 7 * k + 6] = ord("\t") if k < 2 else ord("\n")
+    (root / "edges.tsv").write_bytes(b"instance_id\tnode_u\tnode_v\n" + line.tobytes())
+
+
+def traced(call):
+    """What ``call()`` returns, the bytes tracemalloc sees it keep, and its
+    peak above those."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained - base, peak - retained
+
+
+def test_load_memory_does_not_grow_with_the_file(tmp_path):
+    """The reader holds one block of the file at a time.  At 250k and at 1M
+    edge rows its peak above the columns it returns is one column (joined
+    from its blocks) and a fixed amount, not a share of the file's bytes;
+    and the peak of the whole load above what it keeps, per edge row, does
+    not grow with the row count."""
+    instances = data.Ids({f"i{i:05d}": i for i in range(50)})
+    nodes = data.Ids({f"n{p:05d}": p for p in range(1000)})
+    over, load_over = {}, {}
+    for rows in (250_000, 1_000_000):
+        root = tmp_path / str(rows)
+        root.mkdir()
+        write_wide_dataset(root, rows)
+        tsv = TsvFile(root / "edges.tsv", HEADERS["edges.tsv"])
+        columns, _, over[rows] = traced(lambda: tsv.columns(instances, nodes, nodes))
+        assert [len(column) for column in columns] == [rows] * 3 and tsv.fault is None
+        assert (columns[0] >= 0).all() and (columns[1] < columns[2]).all()
+        del columns, tsv
+        db, retained, load_over[rows] = traced(lambda: load_database(root))
+        assert len(db.edges) == rows
+        assert retained / rows <= RETAINED_BYTES_PER_ROW
+        assert (retained + load_over[rows]) / rows <= PEAK_BYTES_PER_ROW
+        del db
+    column = np.dtype(np.intp).itemsize  # bytes per row of one joined column
+    assert over[1_000_000] - over[250_000] <= column * 750_000 + data._BLOCK_BYTES
+    assert over[1_000_000] <= column * 1_000_000 + 16 * data._BLOCK_BYTES
+    assert load_over[1_000_000] / 1_000_000 <= load_over[250_000] / 250_000
