@@ -24,11 +24,11 @@ No other module opens a file: ``TsvFile`` reads every TSV under these rules
 ``write_json`` write every output.
 
 ``TsvFile`` reads a file in blocks of about ``_BLOCK_BYTES`` of whole lines
-and converts each block's rows before it reads the next, so a load holds
-the loaded columns and one block, never the whole file.  The id columns of
-values.tsv and edges.tsv are matched to ordinals on their UTF-8 bytes,
-which is exactly text equality (see ``Ids``), so an edge field is never
-held as a Python string, and a run of equal ids is looked up once.
+and converts each block's rows before it reads the next, so the reader
+holds the loaded columns and one block, never the whole file.  The id
+columns of values.tsv and edges.tsv are matched to ordinals on their UTF-8
+bytes, which is exactly text equality (see ``Ids``), so an edge field is
+never held as a Python string, and a run of equal ids is looked up once.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from bisect import bisect_right
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, pairwise, repeat
+from itertools import chain, islice, pairwise, repeat
 from pathlib import Path
 
 import numpy as np
@@ -248,18 +248,18 @@ class TsvFile:
     list.  The header is read on construction and the data rows by
     ``columns``: the non-blank lines after the header, up to the first line
     with a wrong field count or bytes that are not UTF-8, which ends the
-    reading.  Of each row only its 0-based line is kept, in ``rows``, and of
-    each block the byte where it begins, so that the line of a bad row can be
-    read again for its error.  ``raise_first`` raises for the line that ended
-    the reading only if no row before it breaks a contract, so the first bad
+    reading.  Of each block only its first row, its first line and the byte
+    where it begins are kept, so that a bad row and its line can be read
+    again for its error.  ``raise_first`` raises for the line that ended the
+    reading only if no row before it breaks a contract, so the first bad
     line wins.
     """
 
     def __init__(self, path: Path, header):
         if not path.is_file():
             raise SubnetmineError(f"required file not found: {path}")
-        self.path, self.fault, self.rows = path, None, np.zeros(0, dtype=np.intp)
-        self._marks: list[tuple[int, int]] = []  # (first line, offset) of each block
+        self.path, self.fault = path, None
+        self._marks: list[tuple[int, int, int]] = []  # first row, line, offset per block
         self._head, got = -1, []
         with closing(_blocks(path)) as blocks:
             line = 0
@@ -278,15 +278,15 @@ class TsvFile:
         if got and got != header:
             raise ParseError(path, self._head + 1, f"expected header {header}, got {got}")
 
-    def _fields(self, line: int) -> list[str]:
-        """The fields of a line, read again from the block it is in."""
-        first, offset = self._marks[bisect_right(self._marks, (line, np.inf)) - 1]
-        for _, block in _blocks(self.path, offset):
-            lines = block.split(b"\n")[1:-1]
-            if line - first < len(lines):
-                return lines[line - first].decode("utf-8").split("\t")
-            first += len(lines)
-        raise AssertionError(f"{self.path} has no line {line + 1}")
+    def _row(self, row: int) -> tuple[int, list[str]]:
+        """The 0-based line and the fields of data row ``row``, read again
+        from its block's offset on, past the first read: a block that began
+        with a carried-over partial line is longer than a fresh read."""
+        first, line, offset = self._marks[bisect_right(self._marks, (row, np.inf)) - 1]
+        lines = chain.from_iterable(b.split(b"\n")[1:-1] for _, b in _blocks(self.path, offset))
+        rows = ((k, text) for k, text in enumerate(lines, line) if text and k > self._head)
+        line, text = next(islice(rows, row - first, None))
+        return line, text.decode("utf-8").split("\t")
 
     @staticmethod
     def _column(convert, block: bytes, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -301,9 +301,9 @@ class TsvFile:
         one block is held, and an id column is never held as text."""
         width, empty = len(self.header), np.zeros(0, dtype=np.intp)
         parts = [[self._column(convert, _PAD, empty, empty)] for convert in converters]
-        rows, line = [self.rows], 0
+        row = line = 0
         for offset, block in _blocks(self.path):
-            self._marks.append((line, offset))
+            self._marks.append((row, line, offset))
             buf = np.frombuffer(block, dtype=np.uint8)
             bounds = np.flatnonzero((buf == _TAB) | (buf == _LF))
             # index in bounds of each LF: line k ends at bounds[lf[k + 1]]
@@ -324,7 +324,7 @@ class TsvFile:
                 message = f"expected {width} fields, got {fields[stop]}"
                 self.fault = ParseError(self.path, line + stop + 1, message)
             lines = lines[lines < stop]
-            rows.append(lines + line)
+            row += len(lines)
             # the LF of each row, as an index in bounds: the row's fields end
             # at its last width separators
             last = lf[lines + 1]
@@ -334,22 +334,20 @@ class TsvFile:
             if self.fault is not None:
                 break
             line += len(fields)
-        self.rows = np.concatenate(rows)
-        del rows
         # one column at a time, so that only one is ever held twice
         return [np.concatenate(parts.pop(0)) for _ in converters]
 
     def raise_first(self, masks: list[np.ndarray], errors) -> None:
-        """Raise for the first row failing a check, else for the line that
-        ended the rows, if any.  ``masks[c]`` marks the rows failing check
-        c, in the order a line is checked; ``errors(err, *fields)`` gives
-        each check's exception, ``err(message)`` a ParseError at the line."""
-        failed = np.array(masks)
-        if failed.any():
-            row = np.argmax(failed.any(axis=0))
-            line = int(self.rows[row])
-            err = partial(ParseError, self.path, line + 1)
-            raise errors(err, *self._fields(line))[np.argmax(failed[:, row])]
+        """Raise for the earliest data row failing a check, with the first
+        check it fails, else for the line that ended the reading, if any.
+        ``masks[c]`` marks the rows failing check c, in the order a line is
+        checked; ``errors(err, *fields)`` gives each check's exception,
+        ``err(message)`` a ParseError at the row's line."""
+        failed = [(int(np.argmax(mask)), check) for check, mask in enumerate(masks) if mask.any()]
+        if failed:
+            row, check = min(failed)
+            line, fields = self._row(row)
+            raise errors(partial(ParseError, self.path, line + 1), *fields)[check]
         if self.fault is not None:
             raise self.fault
 
@@ -410,9 +408,8 @@ class Ids:
         for word in words:
             head[1:] |= word[1:] != word[:-1]
         heads = np.flatnonzero(head)
-        if runs := heads.size < head.size:  # else every field is looked up as it is
-            begins, ends, lengths = begins[heads], ends[heads], lengths[heads]
-            words = [word[heads] for word in words]
+        begins, ends, lengths = begins[heads], ends[heads], lengths[heads]
+        words = [word[heads] for word in words]
         key = _id_hash(lengths, words)
         # searchsorted(self.keys, key), from the field's bucket on: a bucket
         # holds few keys, and the last entry's key is never below a field's
@@ -425,7 +422,7 @@ class Ids:
         found = np.where(hit, self.values[at], -1)
         if (miss := np.flatnonzero(~hit)).size:
             found[miss] = ordinals(self.ordinal_of, _texts(block, begins[miss], ends[miss]))
-        return np.repeat(found, np.diff(heads, append=head.size)) if runs else found
+        return np.repeat(found, np.diff(heads, append=head.size))
 
 
 def ordinals(ordinal_of: dict[str, int], ids) -> np.ndarray:

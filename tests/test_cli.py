@@ -202,13 +202,14 @@ def test_sweep_alpha_grid_rows_are_sorted_without_repeats(dataset, tmp_path):
     assert [ln.split("\t")[0] for ln in out.read_text().splitlines()[1:]] == ["1.0", "2.0"]
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["fit", str(tmp_path)])  # missing --out
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["evaluate", str(tmp_path), "--alpha-grid", "abc", "--out", "x"])
-    assert exc.value.code == 2
+    for grid, message in (("abc", "bad alpha list: 'abc'"), (",", "alpha list is empty")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", str(tmp_path), "--alpha-grid", grid, "--out", "x"])
+        assert exc.value.code == 2 and message in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2

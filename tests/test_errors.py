@@ -106,6 +106,11 @@ ROWS = {
         ParseError,
         "{tmp}/edges.tsv:4: expected 3 fields, got 2",
     ),
+    "no-nodes": (
+        lambda tmp: load(tmp, "nodes.tsv", replace=[]),
+        ParseError,
+        "{tmp}/nodes.tsv:1: no nodes defined",
+    ),
     "duplicate-node": (
         lambda tmp: load(tmp, "nodes.tsv", "b"),
         ParseError,
@@ -229,6 +234,11 @@ ROWS = {
         "scores must be finite, got nan at node 1",
     ),
     # bad settings
+    "edges-per-node-not-below-n": (
+        lambda tmp: SynthConfig(n=4, m=2, n_gt=2, edges_per_node=4),
+        ConfigInvalid,
+        "need n > edges_per_node, got n=4, edges_per_node=4",
+    ),
     "negative-alpha": (
         lambda tmp: SolverConfig(alpha=-1.0),
         ConfigInvalid,

@@ -496,6 +496,17 @@ def test_errors_count_blank_lines_and_name_bad_utf8(tmp_path):
     assert exc.value.path == tmp_path / "edges.tsv" and exc.value.line == 5
     assert "not valid UTF-8" in str(exc.value)
 
+    # a bad row at each position among four valid ones, read in blocks of 4
+    # to 47 bytes: a block that begins with a line carried over from the
+    # read before it is longer than a fresh read from its offset, so the
+    # row's line is read again across more than one read
+    edges = ["i0\ta\tb", "i0\tb\tc", "i1\ta\tc", "i1\tb\tc"]
+    for block, at in itertools.product(range(4, 48), range(len(edges) + 1)):
+        write_files(tmp_path, valid_files(edges=[*edges[:at], "i1\ta\tzz", *edges[at:]]), LF)
+        with mock.patch.object(data, "_BLOCK_BYTES", block), pytest.raises(ParseError) as exc:
+            load_database(tmp_path)
+        assert str(exc.value) == f"{tmp_path}/edges.tsv:{at + 2}: unknown node id: 'zz'"
+
 
 # Bytes that tracemalloc sees per edge row of a generated dataset, measured
 # at 17.2 retained and 134 at the peak (181,803 rows in 21 bytes of text

@@ -34,7 +34,7 @@ def test_config_validation():
     for bad in (
         {"n_gt": 31},
         {"n_gt": 0},
-        {"n": 4, "edges_per_node": 4},
+        {"n": 4, "n_gt": 2, "edges_per_node": 4},
         {"global_noise": 1.2},
         {"local_noise": -0.1},
         {"local_noise": np.nan},
