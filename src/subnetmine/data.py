@@ -25,16 +25,16 @@ No other module opens a file: ``TsvFile`` reads every TSV under these rules
 
 ``TsvFile`` reads a file in blocks of about ``_BLOCK_BYTES`` of whole lines
 and converts each block's rows before it reads the next, so the reader
-holds the loaded columns and one block, never the whole file.  The id
-columns of values.tsv and edges.tsv are matched to ordinals on their UTF-8
-bytes, which is exactly text equality (see ``Ids``), so an edge field is
-never held as a Python string, and a run of equal ids is looked up once.
+holds the loaded columns and one block, never the whole file; a bad row
+is read again from the file's start for its error.  The id columns of
+values.tsv and edges.tsv are matched to ordinals on their UTF-8 bytes,
+which is exactly text equality (see ``Ids``), so an edge field is never
+held as a Python string, and a run of equal ids is looked up once.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -191,13 +191,10 @@ _KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _MULTIPLIER, _SHIFT = np.uint64(0x9E3779B97F4A7C15), np.uint64(32)
 
 
-def _blocks(path: Path, offset: int = 0):
-    """Yield the file from byte ``offset`` on as (offset, block) pairs, read
-    about ``_BLOCK_BYTES`` at a time.  ``block`` is an LF, then whole lines,
-    each ending in one LF, then ``_PAD``; ``offset`` is the byte of the file
-    where its first line begins."""
+def _blocks(path: Path):
+    """Yield the file in blocks read about ``_BLOCK_BYTES`` at a time: an LF,
+    then whole lines, each ending in one LF, then ``_PAD``."""
     with open(path, "rb") as fh:
-        fh.seek(offset)
         data = b""
         while True:
             # a line longer than a block doubles the next read
@@ -213,8 +210,8 @@ def _blocks(path: Path, offset: int = 0):
                 if b"\r" in lines:  # CR and CRLF end a line as LF does
                     lines = lines.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
                 last = b"" if lines.endswith(b"\n") else b"\n"
-                yield offset, b"".join((b"\n", lines, last, _PAD))
-                offset, data = offset + cut, data[cut:]
+                yield b"".join((b"\n", lines, last, _PAD))
+                data = data[cut:]
 
 
 def _words(block: bytes, begins: np.ndarray, ends: np.ndarray, count: int) -> list[np.ndarray]:
@@ -248,22 +245,20 @@ class TsvFile:
     list.  The header is read on construction and the data rows by
     ``columns``: the non-blank lines after the header, up to the first line
     with a wrong field count or bytes that are not UTF-8, which ends the
-    reading.  Of each block only its first row, its first line and the byte
-    where it begins are kept, so that a bad row and its line can be read
-    again for its error.  ``raise_first`` raises for the line that ended the
-    reading only if no row before it breaks a contract, so the first bad
-    line wins.
+    reading.  Nothing of a block is kept once its rows are converted: the
+    line and fields of a bad row are read again from the file's start for
+    its error.  ``raise_first`` raises for the line that ended the reading
+    only if no row before it breaks a contract, so the first bad line wins.
     """
 
     def __init__(self, path: Path, header):
         if not path.is_file():
             raise SubnetmineError(f"required file not found: {path}")
         self.path, self.fault = path, None
-        self._marks: list[tuple[int, int, int]] = []  # first row, line, offset per block
         self._head, got = -1, []
         with closing(_blocks(path)) as blocks:
             line = 0
-            for _, block in blocks:
+            for block in blocks:
                 if (text := block.lstrip(b"\n")) != _PAD:
                     # the first non-blank line is the header
                     self._head = line + len(block) - len(text) - 1
@@ -280,12 +275,12 @@ class TsvFile:
 
     def _row(self, row: int) -> tuple[int, list[str]]:
         """The 0-based line and the fields of data row ``row``, read again
-        from its block's offset on, past the first read: a block that began
-        with a carried-over partial line is longer than a fresh read."""
-        first, line, offset = self._marks[bisect_right(self._marks, (row, np.inf)) - 1]
-        lines = chain.from_iterable(b.split(b"\n")[1:-1] for _, b in _blocks(self.path, offset))
-        rows = ((k, text) for k, text in enumerate(lines, line) if text and k > self._head)
-        line, text = next(islice(rows, row - first, None))
+        from the file's start: the data rows are the non-blank lines after
+        the header, as ``columns`` counts them."""
+        with closing(_blocks(self.path)) as blocks:
+            lines = chain.from_iterable(block.split(b"\n")[1:-1] for block in blocks)
+            rows = ((k, text) for k, text in enumerate(lines) if text and k > self._head)
+            line, text = next(islice(rows, row, None))
         return line, text.decode("utf-8").split("\t")
 
     @staticmethod
@@ -301,9 +296,8 @@ class TsvFile:
         one block is held, and an id column is never held as text."""
         width, empty = len(self.header), np.zeros(0, dtype=np.intp)
         parts = [[self._column(convert, _PAD, empty, empty)] for convert in converters]
-        row = line = 0
-        for offset, block in _blocks(self.path):
-            self._marks.append((row, line, offset))
+        line = 0
+        for block in _blocks(self.path):
             buf = np.frombuffer(block, dtype=np.uint8)
             bounds = np.flatnonzero((buf == _TAB) | (buf == _LF))
             # index in bounds of each LF: line k ends at bounds[lf[k + 1]]
@@ -324,7 +318,6 @@ class TsvFile:
                 message = f"expected {width} fields, got {fields[stop]}"
                 self.fault = ParseError(self.path, line + stop + 1, message)
             lines = lines[lines < stop]
-            row += len(lines)
             # the LF of each row, as an index in bounds: the row's fields end
             # at its last width separators
             last = lf[lines + 1]
@@ -541,6 +534,7 @@ def load_database(path) -> NetworkDatabase:
             err(f"instance {inst!r}: duplicate edge ({node_u!r}, {node_v!r})"),
         ),
     )
+    del i, p, q  # the sorted keys hold every edge row
 
     return NetworkDatabase(
         node_ids=tuple(node_ids),

@@ -65,12 +65,10 @@ def extract_subnetworks(
     selected nodes.
 
     Edges with weight below ``min_edge_weight`` are ignored (default keeps
-    everything); a non-finite threshold raises ConfigInvalid.  Components are
+    everything; ``build_report`` checks that it is finite).  Components are
     ordered by size descending, then by their smallest node ordinal; isolated
     selected nodes come out as singletons.
     """
-    if not np.isfinite(min_edge_weight):
-        raise ConfigInvalid(f"min edge weight must be finite, got {min_edge_weight}")
     nodes = np.unique(np.asarray(selected, dtype=np.intp))
     if nodes.size and not 0 <= nodes[0] <= nodes[-1] < g.n:
         raise ValueError("selected node ordinal out of range")
@@ -99,6 +97,9 @@ def build_report(
     c: int,
     min_edge_weight: float = 0.0,
 ) -> SubnetworkReport:
+    # a bad threshold is a usage error even where c would fail first
+    if not np.isfinite(min_edge_weight):
+        raise ConfigInvalid(f"min edge weight must be finite, got {min_edge_weight}")
     scores = score_nodes(u_matrix)
     selected = select_top_nodes(scores, c)
     components = extract_subnetworks(selected, g, min_edge_weight)

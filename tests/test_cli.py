@@ -353,6 +353,8 @@ PINNED_ERRORS = {
     "transform {dataset} --model {renamed_model}": "model nodes do not match the dataset",
     "generate --nodes 10 --instances 2 --gt 2 --edges-per-node 2 --global-noise 0.5":
         "database must contain at least two distinct global states",
+    "select {dataset} --model {model} --top-c 61 --min-edge-weight nan":
+        "min edge weight must be finite, got nan",
 }
 
 
@@ -401,6 +403,8 @@ PINNED_ERRORS = {
       "--global-noise", "0.5"], 1),
     # alpha * rho0 / rho1 overflows to inf
     (["fit", "{dataset}", "--alpha", "1e308"], 2),
+    # a bad flag is a usage error even where c exceeds the 60 nodes
+    (["select", "{dataset}", "--model", "{model}", "--top-c", "61", "--min-edge-weight", "nan"], 2),
 ])
 def test_contract_errors_exit_with_one_line(
     argv,

@@ -23,7 +23,7 @@ from subnetmine.evaluation import (
     stratified_folds,
     train_linear_classifier,
 )
-from subnetmine.selection import select_top_nodes
+from subnetmine.selection import build_report, select_top_nodes
 from subnetmine.solver import (
     ReducedProblem,
     SolverConfig,
@@ -234,6 +234,11 @@ ROWS = {
         "scores must be finite, got nan at node 1",
     ),
     # bad settings
+    "non-finite-min-edge-weight": (  # checked before c, which exceeds n here
+        lambda tmp: build_report(np.ones((3, 1)), network(3, []), 4, min_edge_weight=np.nan),
+        ConfigInvalid,
+        "min edge weight must be finite, got nan",
+    ),
     "edges-per-node-not-below-n": (
         lambda tmp: SynthConfig(n=4, m=2, n_gt=2, edges_per_node=4),
         ConfigInvalid,

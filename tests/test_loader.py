@@ -368,7 +368,7 @@ def test_field_words_read_at_every_byte_offset(tmp_path):
     int.from_bytes of the bytes."""
     line = "".join(chr(0x21 + 13 * k % 90) for k in range(48))
     (tmp_path / "f.tsv").write_text(f"h\n{line}\n", encoding="utf-8")
-    ((_, block),) = data._blocks(tmp_path / "f.tsv")
+    (block,) = data._blocks(tmp_path / "f.tsv")
     begins, ends = np.array(list(itertools.product(range(16), range(26)))).T
     ends += begins
     words = data._words(block, begins, ends, 4)
@@ -497,9 +497,8 @@ def test_errors_count_blank_lines_and_name_bad_utf8(tmp_path):
     assert "not valid UTF-8" in str(exc.value)
 
     # a bad row at each position among four valid ones, read in blocks of 4
-    # to 47 bytes: a block that begins with a line carried over from the
-    # read before it is longer than a fresh read from its offset, so the
-    # row's line is read again across more than one read
+    # to 47 bytes, so that the row is found again across reads that carry
+    # a partial line over to the next
     edges = ["i0\ta\tb", "i0\tb\tc", "i1\ta\tc", "i1\tb\tc"]
     for block, at in itertools.product(range(4, 48), range(len(edges) + 1)):
         write_files(tmp_path, valid_files(edges=[*edges[:at], "i1\ta\tzz", *edges[at:]]), LF)
@@ -509,11 +508,14 @@ def test_errors_count_blank_lines_and_name_bad_utf8(tmp_path):
 
 
 # Bytes that tracemalloc sees per edge row of a generated dataset, measured
-# at 17.2 retained and 134 at the peak (181,803 rows in 21 bytes of text
+# at 16.9 retained and 90.4 at the peak (181,803 rows in 21 bytes of text
 # each).  The loaded edges need 16 bytes a row as one intp array; a tuple
 # of Python (p, q) tuples needs about 66.
 RETAINED_BYTES_PER_ROW = 24
 PEAK_BYTES_PER_ROW = 160
+# The peak of the 1M-row wide load below, which the edge step sets:
+# measured at 54.0, and at 69.1 if i, p and q outlive the edge checks.
+EDGE_STEP_PEAK_BYTES_PER_ROW = 62
 
 
 def test_load_memory_per_edge_row(tmp_path):
@@ -577,7 +579,7 @@ def test_load_memory_does_not_grow_with_the_file(tmp_path):
     edge rows its peak above the columns it returns is one column (joined
     from its blocks) and a fixed amount, not a share of the file's bytes;
     and the peak of the whole load above what it keeps, per edge row, does
-    not grow with the row count."""
+    not grow with the row count.  At 1M rows the edge step sets that peak."""
     instances = data.Ids({f"i{i:05d}": i for i in range(50)})
     nodes = data.Ids({f"n{p:05d}": p for p in range(1000)})
     over, load_over = {}, {}
@@ -595,6 +597,7 @@ def test_load_memory_does_not_grow_with_the_file(tmp_path):
         assert retained / rows <= RETAINED_BYTES_PER_ROW
         assert (retained + load_over[rows]) / rows <= PEAK_BYTES_PER_ROW
         del db
+    assert (retained + load_over[rows]) / rows <= EDGE_STEP_PEAK_BYTES_PER_ROW
     column = np.dtype(np.intp).itemsize  # bytes per row of one joined column
     assert over[1_000_000] - over[250_000] <= column * 750_000 + data._BLOCK_BYTES
     assert over[1_000_000] <= column * 1_000_000 + 16 * data._BLOCK_BYTES
