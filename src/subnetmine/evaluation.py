@@ -9,10 +9,17 @@ curve of the scores against a ground-truth node set.  Accuracy is that of
 a linear discriminant analysis (LDA) classifier in the d-dimensional
 embedding.
 
-Per distinct training set, ``_reduce`` runs once: kNN Laplacians, subset
-network, SVD basis and whitened terms.  Per alpha there is
-one eigensolve for the top d pairs of the r x r reduced matrix.  The
-classifiers of all alphas on one training set come from one call of
+One ranking of neighbours serves a whole cross-validation run: the
+database's cosine and its ``neighbour_table`` are computed once, and every
+training set reads its kNN meta-graphs from that table, so a fold's cosine
+is a slice of the database's and no fold forms an m x m array.  The table
+ranks a fold's test instances too, but a training set keeps only its own
+entries, and the cosine of two instances depends on those two alone, so
+no test information reaches a fold's meta-graphs.  Per distinct training
+set, ``_reduce`` runs once: kNN Laplacians, subset network, SVD basis and
+whitened terms.  Per alpha there is one eigensolve for the top d pairs of
+the r x r reduced matrix.  The classifiers of all alphas on one training
+set come from one call of
 ``train_linear_classifier``, one batched d x d solve over the stacked
 embeddings.  Inner splits (f, g) and (g, f) share their training set, so
 F-fold ``evaluate_dataset`` reduces and trains on F + F(F-1)/2 sets and
@@ -31,7 +38,7 @@ import numpy as np
 
 from .data import NetworkDatabase, StateMatrix, write_json, write_tsv
 from .errors import ConfigInvalid, SubnetmineError
-from .metagraph import _cosine_matrix, build_laplacian_set
+from .metagraph import _cosine_matrix, build_laplacian_set, laplacians, neighbour_table
 from .seeds import substream
 from .selection import score_nodes
 from .solver import ReducedProblem, SolverConfig, SpectralModel, check_alpha, reduce_problem
@@ -50,6 +57,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_k(self.k)
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be nonnegative, got {self.seed}")
         grid = tuple(sorted(set(self.alpha_grid)))
@@ -158,14 +166,24 @@ def train_linear_classifier(embedded: np.ndarray, labels):
 # model fitting
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ConfigInvalid(f"k must be positive, got {k}")
+
+
 def _reduce(
-    db: NetworkDatabase, idx: np.ndarray, k: int, energy_fraction: float
+    db: NetworkDatabase,
+    idx: np.ndarray,
+    k: int,
+    energy_fraction: float,
+    table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ReducedProblem:
     """The alpha-invariant part of every fit: meta-graphs, Laplacians,
     generalized network and reduced problem over the instances at ``idx``
-    only; k >= 1 is clamped to |idx| - 1."""
-    if k < 1:
-        raise ConfigInvalid(f"k must be positive, got {k}")
+    only; k >= 1 is clamped to |idx| - 1.  The meta-graphs are read from
+    ``table``, a ``neighbour_table`` of the database's cosine deep enough
+    for ``idx``, or else from a k-column table of the training set's own."""
+    _check_k(k)
     if idx.size < 2:
         raise SubnetmineError(
             f"training set has {idx.size} instance, need 2 or more; "
@@ -173,7 +191,10 @@ def _reduce(
         )
     k = min(k, idx.size - 1)
     v_train = StateMatrix(db.values[:, idx].copy())  # C order; the index alone gives F
-    d_plus, l_tilde = build_laplacian_set(_cosine_matrix(v_train), db.labels[idx], k)
+    if table is None:
+        d_plus, l_tilde = build_laplacian_set(_cosine_matrix(v_train), db.labels[idx], k)
+    else:
+        d_plus, l_tilde = laplacians(table, db.labels, idx, k)
     return reduce_problem(v_train, d_plus, l_tilde, db.network(idx), energy_fraction)
 
 
@@ -208,20 +229,34 @@ def fit_model(
     return reduce_database(db, k, energy_fraction).model(alpha, _dimension(d, db.labels))
 
 
-def _cv_scorer(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig):
-    """Fold count, plus ``score(left_out, held_out, alphas)``: reduce once on
-    the instances outside the folds ``left_out``, solve once per alpha, train
-    the classifiers of all alphas in one stacked run, and score each on every
-    fold in ``held_out``.  ``score`` returns the len(alphas) x len(held_out)
-    accuracies."""
+def _cv_scorer(
+    db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig, most_left_out: int
+):
+    """Fold count, ``score(left_out, held_out, alphas)`` and ``reduce(train)``.
+    ``score`` reduces once on the instances outside the folds ``left_out``
+    (at most ``most_left_out`` of them), solves once per alpha, trains the
+    classifiers of all alphas in one stacked run, and scores each on every
+    fold in ``held_out``; it returns the len(alphas) x len(held_out)
+    accuracies.  ``reduce`` is the reduction on the instances ``train``.
+
+    Every reduction reads its meta-graphs from one neighbour table of the
+    database's cosine.  A training set leaves out at most the
+    ``most_left_out`` largest folds, so a row's first k training neighbours
+    lie within its first k plus that many."""
     labels, v = db.labels, db.values
     d = _dimension(solver_cfg.d, labels)
     assignment = stratified_folds(labels, eval_cfg.folds, eval_cfg.seed)
+    sizes = np.sort(np.bincount(assignment))
+    depth = min(db.m - 1, eval_cfg.k + int(sizes[-most_left_out:].sum()))
+    table = neighbour_table(_cosine_matrix(StateMatrix(v)), depth)
+
+    def reduce(train: np.ndarray) -> ReducedProblem:
+        return _reduce(db, train, eval_cfg.k, solver_cfg.energy_fraction, table)
 
     def score(left_out, held_out, alphas) -> np.ndarray:
         train = np.flatnonzero(~np.isin(assignment, left_out))
         held = [np.flatnonzero(assignment == fold) for fold in held_out]
-        problem = _reduce(db, train, eval_cfg.k, solver_cfg.energy_fraction)
+        problem = reduce(train)
         v_train = v[:, train]
         us = [problem.model(alpha, d).u_matrix for alpha in alphas]
         clfs = train_linear_classifier(np.stack([u.T @ v_train for u in us]), labels[train])
@@ -230,7 +265,7 @@ def _cv_scorer(db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConf
             for u, clf in zip(us, clfs)
         ])
 
-    return int(assignment.max()) + 1, score
+    return int(assignment.max()) + 1, score, reduce
 
 
 def _mean_sd(accuracies) -> tuple[float, float]:
@@ -292,7 +327,8 @@ def evaluate_dataset(
     ``energy_fraction`` are read, never its ``alpha``.
     """
     grid = eval_cfg.alpha_grid
-    folds, score = _cv_scorer(db, eval_cfg, solver_cfg)
+    # an inner pair leaves out two folds
+    folds, score, reduce = _cv_scorer(db, eval_cfg, solver_cfg, 2 if len(grid) > 1 else 1)
     alphas = [grid[0]] * folds
     if len(grid) > 1:
         if folds < 3:  # an inner pair would leave out both folds and train on nothing
@@ -313,8 +349,7 @@ def evaluate_dataset(
     best_alpha = min(counts, key=lambda a: (-counts[a], a))
     auc = roc = None
     if gt_nodes is not None:
-        full = reduce_database(db, eval_cfg.k, solver_cfg.energy_fraction)
-        model = full.model(best_alpha, _dimension(solver_cfg.d, db.labels))
+        model = reduce(np.arange(db.m)).model(best_alpha, _dimension(solver_cfg.d, db.labels))
         auc, roc = ranking_auc(score_nodes(model.u_matrix), gt_nodes)
         roc = tuple(roc)
     mean, sd = _mean_sd(accuracies)
@@ -348,12 +383,12 @@ def sweep_alpha(
     ``evaluate_dataset``, the alphas are ``eval_cfg.alpha_grid`` and of
     ``solver_cfg`` only ``d`` and ``energy_fraction`` are read."""
     grid = eval_cfg.alpha_grid
-    folds, score = _cv_scorer(db, eval_cfg, solver_cfg)
+    folds, score, reduce = _cv_scorer(db, eval_cfg, solver_cfg, 1)
     # accuracies[a, f]: accuracy at grid[a] on outer fold f
     accuracies = np.hstack([score((f,), (f,), grid) for f in range(folds)])
     aucs = [None] * len(grid)
     if gt_nodes is not None:
-        full = reduce_database(db, eval_cfg.k, solver_cfg.energy_fraction)
+        full = reduce(np.arange(db.m))
         d = _dimension(solver_cfg.d, db.labels)
         aucs = [
             ranking_auc(score_nodes(full.model(alpha, d).u_matrix), gt_nodes)[0]

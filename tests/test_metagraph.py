@@ -3,7 +3,9 @@
 
 from __future__ import annotations
 
+import gc
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,11 +25,11 @@ from helpers import (
     split_affinities,
     symmetric_relation,
 )
-from subnetmine import evaluation
+from subnetmine import evaluation, metagraph
 from subnetmine.data import StateMatrix
 from subnetmine.errors import ConfigInvalid, SubnetmineError
 from subnetmine.evaluation import EvalConfig, evaluate_dataset, reduce_database
-from subnetmine.metagraph import _cosine_matrix, build_laplacian_set
+from subnetmine.metagraph import _cosine_matrix, build_laplacian_set, neighbour_table
 from subnetmine.solver import SolverConfig, topology_term
 from subnetmine.synth import SynthConfig, generate_backbone, sample_database
 
@@ -198,27 +200,31 @@ def test_l_tilde_is_symmetric_by_construction():
 
 
 def test_laplacian_set_is_bit_identical_to_the_oracle():
-    """On every training set a 4-fold nested CV reduces, D+, L~ and L~ z
-    equal the argsort / dense-mask / checked-Laplacian construction bit for
-    bit, L~ is canonical CSR with the oracle's index arrays, and it stores
-    exactly the symmetric kNN relation plus its diagonal, explicit zeros
-    included."""
+    """On every training set a 4-fold nested CV reduces, D+, L~ and L~ z,
+    read from the run's shared neighbour table, equal the argsort /
+    dense-mask / checked-Laplacian construction on the training slice of
+    the database's cosine bit for bit, L~ is canonical CSR with the
+    oracle's index arrays, and it stores exactly the symmetric kNN relation
+    plus its diagonal, explicit zeros included."""
     cfg = SynthConfig(n=30, m=48, n_gt=6, global_noise=0.25, seed=4)
     db = sample_database(generate_backbone(cfg), cfg)
     seen = []
 
-    def record(sims, labels, k):
-        seen.append((sims, labels, k))
-        return build_laplacian_set(sims, labels, k)
+    def record(table, labels, idx, k):
+        seen.append((table, idx, k))
+        return metagraph.laplacians(table, labels, idx, k)
 
-    with mock.patch.object(evaluation, "build_laplacian_set", record):
+    with mock.patch.object(evaluation, "laplacians", record):
         eval_cfg = EvalConfig(folds=4, alpha_grid=(0.1, 1.0), seed=3)
         evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1))
     assert len(seen) == 4 + 6  # outer folds, then the distinct inner pairs
+    sims_full = _cosine_matrix(StateMatrix(db.values))
     rng = np.random.default_rng(0)
-    for sims, labels, k in seen:
-        m = sims.shape[0]
-        d_plus, l_tilde = build_laplacian_set(sims, labels, k)
+    for table, idx, k in seen:
+        m = idx.size
+        sims = sims_full[np.ix_(idx, idx)]
+        labels = db.labels[idx]
+        d_plus, l_tilde = metagraph.laplacians(table, db.labels, idx, k)
         oracle_d_plus, oracle_l_tilde = laplacian_set_oracle(sims, labels, k)
         assert np.array_equal(d_plus, oracle_d_plus)
         assert np.array_equal(l_tilde.toarray(), oracle_l_tilde.toarray())
@@ -233,6 +239,29 @@ def test_laplacian_set_is_bit_identical_to_the_oracle():
         stored = set(zip(coo.coords[0].tolist(), coo.coords[1].tolist()))
         assert len(stored) == coo.nnz
         assert stored == {(i, j) for i in range(m) for j in relation[i] | {i}}
+
+
+def test_a_training_set_reads_its_laplacians_in_table_sized_memory():
+    """One training set's Laplacians, read from a shared neighbour table at
+    m = 3000, peak in tracemalloc at a few dozen bytes per table entry:
+    O(m t), far below the m^2 * 8 bytes of one m x m float array."""
+    m, k, left_out = 3000, 10, 60
+    t = k + left_out
+    rng = np.random.default_rng(0)
+    table = neighbour_table(_cosine_matrix(StateMatrix(rng.normal(size=(4, m)))), t)
+    labels = rng.integers(0, 2, size=m)
+    idx = np.sort(rng.permutation(m)[left_out:])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        d_plus, _ = metagraph.laplacians(table, labels, idx, k)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert d_plus.shape == (m - left_out,)
+    assert peak <= 32 * m * t  # measured at 24.6
+    assert peak <= m * m * 8 / 10
 
 
 def test_constraint_matrix_hand_oracle():

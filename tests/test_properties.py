@@ -1,12 +1,14 @@
 """Property tests: invariants of the fit under reordering, tied
 eigenvalues included, reuse of the per-database edge index, the array
 network and constraint against their tuple oracles, the kNN Laplacians
-against their argsort oracle on tied similarities, independence of the
+against their argsort oracle on tied similarities, every training set's
+Laplacians read from a shared neighbour table, independence of the
 rows of a stacked classifier fit, and the classifier's invariance under
 invertible maps of the embedding."""
 
 from __future__ import annotations
 
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -31,6 +33,7 @@ from helpers import (
     template_db,
 )
 from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_network
+from subnetmine import evaluation
 from subnetmine.evaluation import EvalConfig, evaluate_dataset, fit_model, train_linear_classifier
 from subnetmine.metagraph import _cosine_matrix, build_laplacian_set
 from subnetmine.selection import score_nodes
@@ -195,6 +198,61 @@ def test_knn_laplacians_match_the_argsort_oracle_on_ties(seed, n, m, copies, zer
     oracle_d_plus, oracle_l_tilde = laplacian_set_oracle(sims, labels, k)
     assert np.array_equal(d_plus, oracle_d_plus)
     assert np.array_equal(dense, oracle_l_tilde.toarray())
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 5),
+    m=st.integers(4, 13),
+    copies=st.integers(0, 6),
+    zeros=st.integers(0, 3),
+    folds_pick=st.integers(0, 12),
+    k_pick=st.integers(1, 12),
+)
+@example(seed=0, n=2, m=6, copies=0, zeros=6, folds_pick=1, k_pick=12)  # all similarities 0
+# leave-one-out folds and k = t = m - 1
+@example(seed=3, n=3, m=12, copies=6, zeros=0, folds_pick=12, k_pick=12)
+def test_shared_neighbour_table_matches_each_training_sets_own(
+    seed, n, m, copies, zeros, folds_pick, k_pick
+):
+    """Small-integer values, duplicated and zero-norm columns and null
+    nodes tie many similarities.  Every training set that nested CV and the
+    sweep reduce, and the full set, reads from its run's one neighbour table
+    the D+ and L~ that ``build_laplacian_set`` gives on its slice of the
+    database's cosine, bit for bit; k runs up to m - 1."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-2, 3, size=(n, m)).astype(np.float64)
+    values[:, rng.integers(0, m, size=copies)] = values[:, rng.integers(0, m, size=copies)]
+    values[:, rng.integers(0, m, size=zeros)] = 0.0
+    valid = rng.random((n, m)) > 0.3
+    labels = rng.permutation(np.arange(m) % 2)
+    db = build_db(values, labels, [()] * m, valid=valid)
+    choices = [*range(2, m // 2 + 1), m]  # each class has m // 2 or more members
+    folds = choices[folds_pick % len(choices)]
+    k = min(k_pick, m - 1)
+    eval_cfg = EvalConfig(folds=folds, k=k, seed=seed)
+    sims = _cosine_matrix(StateMatrix(db.values))
+    assignment = evaluation.stratified_folds(labels, folds, seed)
+
+    def laplacian_set(v, d_plus, l_tilde, *rest):  # in place of the rest of the reduction
+        return d_plus, l_tilde
+
+    for most_left_out in (1, 2):  # the sweep, then nested CV
+        _, _, reduce = evaluation._cv_scorer(db, eval_cfg, SolverConfig(alpha=1.0), most_left_out)
+        for left_out in [*combinations(range(folds), most_left_out), ()]:
+            train = np.flatnonzero(~np.isin(assignment, left_out))
+            if train.size < 2:
+                continue
+            with mock.patch.object(evaluation, "reduce_problem", laplacian_set):
+                d_plus, l_tilde = reduce(train)
+            own_d_plus, own_l_tilde = build_laplacian_set(
+                sims[np.ix_(train, train)], labels[train], min(k, train.size - 1)
+            )
+            assert np.array_equal(d_plus.view(np.uint64), own_d_plus.view(np.uint64))
+            assert np.array_equal(l_tilde.indptr, own_l_tilde.indptr)
+            assert np.array_equal(l_tilde.indices, own_l_tilde.indices)
+            assert np.array_equal(l_tilde.data.view(np.uint64), own_l_tilde.data.view(np.uint64))
 
 
 @SETTINGS
