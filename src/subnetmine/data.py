@@ -429,14 +429,14 @@ def _first_rows(ids) -> tuple[dict[str, int], np.ndarray]:
     return first, ordinals(first, ids) != np.arange(len(ids))
 
 
-def _sort_repeats(keys: np.ndarray) -> np.ndarray:
-    """Sort ``keys`` in place, and return the mask of the entries whose key
-    occurs at an earlier entry of the unsorted ``keys``."""
+def _sorted_repeats(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` in ascending order, and the mask of entries whose key occurs
+    at an earlier entry."""
     order = np.argsort(keys, kind="stable")
-    keys.sort()  # in place: no second copy of the keys
+    ordered = keys[order]
     repeats = np.zeros(keys.size, dtype=bool)
-    repeats[order[1:]] = keys[1:] == keys[:-1]
-    return repeats
+    repeats[order[1:]] = ordered[1:] == ordered[:-1]
+    return ordered, repeats
 
 
 def _number(convert, text: str):
@@ -503,7 +503,7 @@ def load_database(path) -> NetworkDatabase:
     values_tsv = TsvFile(root / "values.tsv", ["instance_id", "node_id", "value"])
     i, p, x = values_tsv.columns(instances, nodes, floats)
     values_tsv.raise_first(
-        [i < 0, p < 0, _sort_repeats(i * n + p), ~np.isfinite(x)],
+        [i < 0, p < 0, _sorted_repeats(i * n + p)[1], ~np.isfinite(x)],
         lambda err, inst, node, value: (
             err(f"unknown instance id {inst!r}"),
             err(f"unknown node id: {node!r}"),
@@ -521,13 +521,10 @@ def load_database(path) -> NetworkDatabase:
     unknown_u, unknown_v, loop = u < 0, v < 0, u == v
     p, q = np.minimum(u, v), np.maximum(u, v)
     del u, v  # only their masks are needed from here on
-    unknown_i, null = i < 0, ~(valid[p, i] & valid[q, i])
     # (i, p, q) as one integer, which fits in int64 while the n x m values do in memory
-    keys = (i * n + p) * n + q
-    del i, p, q  # the keys hold every edge row, sorted in place below
-    repeated = _sort_repeats(keys)
+    keys, repeated = _sorted_repeats((i * n + p) * n + q)
     edges_tsv.raise_first(
-        [unknown_i, unknown_u, unknown_v, loop, null, repeated],
+        [i < 0, unknown_u, unknown_v, loop, ~(valid[p, i] & valid[q, i]), repeated],
         lambda err, inst, node_u, node_v: (
             err(f"unknown instance id {inst!r}"),
             err(f"unknown node id: {node_u!r}"),
@@ -537,6 +534,7 @@ def load_database(path) -> NetworkDatabase:
             err(f"instance {inst!r}: duplicate edge ({node_u!r}, {node_v!r})"),
         ),
     )
+    del i, p, q  # the sorted keys hold every edge row
 
     return NetworkDatabase(
         node_ids=tuple(node_ids),
