@@ -8,8 +8,8 @@ mask, the m global states, and every instance edge in one sorted array.
 The union of instance edges, weighted by the fraction of instances carrying
 each edge, forms the generalized network used downstream as the topology
 regularizer.  The per-edge counts of the whole database are kept, so the
-network of a training set (a fold) is the full counts minus the edge rows
-of the instances it leaves out.
+network of a training set is the full counts minus the edge counts of the
+folds it leaves out, which ``group_counts`` counts in one pass.
 
 Dataset directory format (UTF-8, tab-separated, header on the first
 non-blank line, lines ending in LF, CRLF or CR, blank lines skipped):
@@ -66,8 +66,9 @@ class NetworkDatabase:
     ordinal pairs (p, q), p < q, both endpoints valid in their instance,
     sorted by (instance, p, q) with no repeats, and the rows of instance i
     are ``offsets[i]:offsets[i + 1]``.  ``instance_edges[i]`` is that block
-    as a read-only k_i x 2 view, and ``network(indices)`` the generalized
-    network of the instances at ``indices``.
+    as a read-only k_i x 2 view, ``network(indices)`` the generalized
+    network of the instances at ``indices``, and ``group_counts(groups)``
+    the edge counts of each group of a partition of the instances.
 
     The labels must hold two or more distinct global states.
     """
@@ -136,7 +137,9 @@ class NetworkDatabase:
 
         The counts are the full database's, corrected by the presence rows
         of the instances whose multiplicity in ``indices`` is not 1, so a
-        training set reads only the rows of the instances it leaves out."""
+        training set reads only the rows of the instances it leaves out.
+        Every instance once is the whole union, so that network shares its
+        edge pairs with the database."""
         pairs, presence, counts = self._union
         indices = np.asarray(indices, dtype=np.intp)
         multiplicity = np.bincount(indices, minlength=self.m)
@@ -144,8 +147,23 @@ class NetworkDatabase:
             raise ValueError("instance index out of range")
         if (changed := np.flatnonzero(multiplicity != 1)).size:
             counts = counts + (multiplicity[changed] - 1) @ presence[changed]
-        kept = np.flatnonzero(counts)
-        return GeneralizedNetwork(self.n, pairs[kept], counts[kept] / indices.size)
+            return GeneralizedNetwork.counted(self.n, pairs, counts, indices.size)
+        return GeneralizedNetwork(self.n, pairs, counts / self.m)
+
+    def group_counts(self, groups) -> tuple[np.ndarray, np.ndarray, sparse.csr_array]:
+        """Edge counts of a partition of the instances, instance i in group
+        ``groups[i]`` of 0 .. G - 1: the distinct edges, E x 2 and sorted,
+        the number of instances that carry each, and the G x E sparse table
+        whose row g counts the instances of group g that carry each edge.
+        The table comes from one product with the presence rows and holds
+        at most min(G E, R) entries, R the number of edge rows."""
+        pairs, presence, counts = self._union
+        groups = np.asarray(groups, dtype=np.intp)
+        members = sparse.csr_array(
+            (np.ones(self.m, dtype=np.intp), (groups, np.arange(self.m))),
+            shape=(int(groups.max()) + 1, self.m),
+        )
+        return pairs, counts, members @ presence
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +174,13 @@ class GeneralizedNetwork:
     n: int
     edges: np.ndarray
     weights: np.ndarray
+
+    @classmethod
+    def counted(cls, n: int, pairs: np.ndarray, counts: np.ndarray, size: int):
+        """The ``pairs`` whose instance count is positive, each weighted by
+        its count over the ``size`` instances counted."""
+        kept = np.flatnonzero(counts)
+        return cls(n, pairs[kept], counts[kept] / size)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,17 +9,22 @@ curve of the scores against a ground-truth node set.  Accuracy is that of
 a linear discriminant analysis (LDA) classifier in the d-dimensional
 embedding.
 
-One ranking of neighbours serves a whole cross-validation run: the
-database's cosine and its ``neighbour_table`` are computed once, and every
-training set reads its kNN meta-graphs from that table, so a fold's cosine
-is a slice of the database's and no fold forms an m x m array.  The table
-ranks a fold's test instances too, but a training set keeps only its own
-entries, and the cosine of two instances depends on those two alone, so
-no test information reaches a fold's meta-graphs.  Per distinct training
-set, ``_reduce`` runs once: kNN Laplacians, subset network, SVD basis and
-whitened terms.  Per alpha there is one eigensolve for the top d pairs of
-the r x r reduced matrix.  The classifiers of all alphas on one training
-set come from one call of
+One ranking of neighbours and one edge count per fold serve a
+cross-validation run.  The database's cosine and its ``neighbour_table``
+are computed once, and every training set reads its kNN meta-graphs from
+that table, so a fold's cosine is a slice of the database's and no fold
+forms an m x m array.  The table ranks a fold's test instances too, but a
+training set keeps only its own entries, and the cosine of two instances
+depends on those two alone, so no test information reaches a fold's
+meta-graphs.  Likewise each fold's union edges are counted once, in one
+pass over the edge rows (``NetworkDatabase.group_counts``), and a training
+set's generalized network is the database's counts minus those of the
+folds it leaves out: the same integers that ``NetworkDatabase.network``
+counts on its instances, so no training set reads an edge row.  Per
+distinct training set, ``_reduce`` runs once: kNN Laplacians, SVD basis
+and whitened terms over its network.  Per alpha there is one eigensolve
+for the top d pairs of the r x r reduced matrix.  The classifiers of all
+alphas on one training set come from one call of
 ``train_linear_classifier``, one batched d x d solve over the stacked
 embeddings.  Inner splits (f, g) and (g, f) share their training set, so
 F-fold ``evaluate_dataset`` reduces and trains on F + F(F-1)/2 sets and
@@ -36,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NetworkDatabase, StateMatrix, write_json, write_tsv
+from .data import GeneralizedNetwork, NetworkDatabase, StateMatrix, write_json, write_tsv
 from .errors import ConfigInvalid, SubnetmineError
 from .metagraph import _cosine_matrix, build_laplacian_set, laplacians, neighbour_table
 from .seeds import substream
@@ -174,15 +179,17 @@ def _check_k(k: int) -> None:
 def _reduce(
     db: NetworkDatabase,
     idx: np.ndarray,
+    network: GeneralizedNetwork,
     k: int,
     energy_fraction: float,
     table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ReducedProblem:
-    """The alpha-invariant part of every fit: meta-graphs, Laplacians,
-    generalized network and reduced problem over the instances at ``idx``
-    only; k >= 1 is clamped to |idx| - 1.  The meta-graphs are read from
-    ``table``, a ``neighbour_table`` of the database's cosine deep enough
-    for ``idx``, or else from a k-column table of the training set's own."""
+    """The alpha-invariant part of every fit: meta-graphs, Laplacians and
+    reduced problem over the instances at ``idx`` only, with ``network``
+    their generalized network; k >= 1 is clamped to |idx| - 1.  The
+    meta-graphs are read from ``table``, a ``neighbour_table`` of the
+    database's cosine deep enough for ``idx``, or else from a k-column
+    table of the training set's own."""
     _check_k(k)
     if idx.size < 2:
         raise SubnetmineError(
@@ -190,12 +197,12 @@ def _reduce(
             "use more instances or a one-point --alpha-grid"
         )
     k = min(k, idx.size - 1)
-    v_train = StateMatrix(db.values[:, idx].copy())  # C order; the index alone gives F
+    v_train = StateMatrix(np.take(db.values, idx, axis=1))  # C order, as an index is not
     if table is None:
         d_plus, l_tilde = build_laplacian_set(_cosine_matrix(v_train), db.labels[idx], k)
     else:
         d_plus, l_tilde = laplacians(table, db.labels, idx, k)
-    return reduce_problem(v_train, d_plus, l_tilde, db.network(idx), energy_fraction)
+    return reduce_problem(v_train, d_plus, l_tilde, network, energy_fraction)
 
 
 def reduce_database(
@@ -203,7 +210,8 @@ def reduce_database(
 ) -> ReducedProblem:
     """The alpha-invariant part of a fit on every instance of ``db``: to fit
     at several alphas, reduce once and call ``model(alpha, d)`` per alpha."""
-    return _reduce(db, np.arange(db.m), k, energy_fraction)
+    everyone = np.arange(db.m)
+    return _reduce(db, everyone, db.network(everyone), k, energy_fraction)
 
 
 def _dimension(d: int | None, labels: np.ndarray) -> int:
@@ -232,36 +240,52 @@ def fit_model(
 def _cv_scorer(
     db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig, most_left_out: int
 ):
-    """Fold count, ``score(left_out, held_out, alphas)`` and ``reduce(train)``.
-    ``score`` reduces once on the instances outside the folds ``left_out``
-    (at most ``most_left_out`` of them), solves once per alpha, trains the
-    classifiers of all alphas in one stacked run, and scores each on every
-    fold in ``held_out``; it returns the len(alphas) x len(held_out)
-    accuracies.  ``reduce`` is the reduction on the instances ``train``.
+    """Fold count, ``score(left_out, held_out, alphas)`` and
+    ``reduce(left_out)``.  ``reduce`` is the reduction on the instances
+    outside the folds ``left_out`` (at most ``most_left_out`` of them; none
+    for the full database).  ``score`` reduces once on those instances,
+    solves once per alpha, trains the classifiers of all alphas in one
+    stacked run, and scores each on every fold in ``held_out``; it returns
+    the len(alphas) x len(held_out) accuracies.
 
+    One ranking of neighbours and one edge count per fold serve a run.
     Every reduction reads its meta-graphs from one neighbour table of the
-    database's cosine.  A training set leaves out at most the
+    database's cosine: a training set leaves out at most the
     ``most_left_out`` largest folds, so a row's first k training neighbours
-    lie within its first k plus that many."""
+    lie within its first k plus that many.  Its generalized network is the
+    database's edge counts minus those of the folds it leaves out, so no
+    training set reads the edge rows of its instances."""
     labels, v = db.labels, db.values
     d = _dimension(solver_cfg.d, labels)
     assignment = stratified_folds(labels, eval_cfg.folds, eval_cfg.seed)
     sizes = np.sort(np.bincount(assignment))
     depth = min(db.m - 1, eval_cfg.k + int(sizes[-most_left_out:].sum()))
     table = neighbour_table(_cosine_matrix(StateMatrix(v)), depth)
+    pairs, total, by_fold = db.group_counts(assignment)
 
-    def reduce(train: np.ndarray) -> ReducedProblem:
-        return _reduce(db, train, eval_cfg.k, solver_cfg.energy_fraction, table)
+    def training_set(left_out) -> np.ndarray:
+        return np.flatnonzero(~np.isin(assignment, left_out))
+
+    def reduce(left_out) -> ReducedProblem:
+        train = training_set(left_out)
+        counts = total.copy()
+        for fold in left_out:
+            # a row of the table names each edge at most once
+            row = slice(by_fold.indptr[fold], by_fold.indptr[fold + 1])
+            counts[by_fold.indices[row]] -= by_fold.data[row]
+        network = GeneralizedNetwork.counted(db.n, pairs, counts, train.size)
+        return _reduce(db, train, network, eval_cfg.k, solver_cfg.energy_fraction, table)
 
     def score(left_out, held_out, alphas) -> np.ndarray:
-        train = np.flatnonzero(~np.isin(assignment, left_out))
+        train = training_set(left_out)
         held = [np.flatnonzero(assignment == fold) for fold in held_out]
-        problem = reduce(train)
+        held = [(v[:, idx], labels[idx]) for idx in held]
+        problem = reduce(left_out)
         v_train = v[:, train]
         us = [problem.model(alpha, d).u_matrix for alpha in alphas]
         clfs = train_linear_classifier(np.stack([u.T @ v_train for u in us]), labels[train])
         return np.array([
-            [np.mean(clf.predict(u.T @ v[:, idx]) == labels[idx]) for idx in held]
+            [np.mean(clf.predict(u.T @ v_held) == y_held) for v_held, y_held in held]
             for u, clf in zip(us, clfs)
         ])
 
@@ -349,7 +373,7 @@ def evaluate_dataset(
     best_alpha = min(counts, key=lambda a: (-counts[a], a))
     auc = roc = None
     if gt_nodes is not None:
-        model = reduce(np.arange(db.m)).model(best_alpha, _dimension(solver_cfg.d, db.labels))
+        model = reduce(()).model(best_alpha, _dimension(solver_cfg.d, db.labels))
         auc, roc = ranking_auc(score_nodes(model.u_matrix), gt_nodes)
         roc = tuple(roc)
     mean, sd = _mean_sd(accuracies)
@@ -388,7 +412,7 @@ def sweep_alpha(
     accuracies = np.hstack([score((f,), (f,), grid) for f in range(folds)])
     aucs = [None] * len(grid)
     if gt_nodes is not None:
-        full = reduce(np.arange(db.m))
+        full = reduce(())
         d = _dimension(solver_cfg.d, db.labels)
         aucs = [
             ranking_auc(score_nodes(full.model(alpha, d).u_matrix), gt_nodes)[0]

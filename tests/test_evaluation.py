@@ -11,7 +11,7 @@ import pytest
 
 from helpers import build_db, laplacians, restrict_instances, template_db
 from subnetmine import evaluation, solver
-from subnetmine.data import StateMatrix, build_generalized_network
+from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_network
 from subnetmine.errors import ConfigInvalid, SubnetmineError
 from subnetmine.evaluation import (
     DEFAULT_ALPHA_GRID,
@@ -356,6 +356,32 @@ def test_each_training_set_is_reduced_once(monkeypatch):
     calls.update(svd=0, classifier=0)
     sweep_alpha(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1, 2])
     assert calls == {"svd": folds + 1, "classifier": folds}
+
+
+def test_cv_runs_read_no_training_set_edge_rows(monkeypatch):
+    """Nested CV and the sweep with ground truth get every training set's
+    generalized network from one fold table per run: neither calls
+    NetworkDatabase.network on a proper subset of the instances, and each
+    counts the folds' edges in one call."""
+    db = class_db(6, n=8, m=24)
+    subsets, tables = [], []
+    network, group_counts = NetworkDatabase.network, NetworkDatabase.group_counts
+
+    def counted_network(self, indices):
+        if sorted(np.asarray(indices).tolist()) != list(range(self.m)):
+            subsets.append(indices)
+        return network(self, indices)
+
+    def counted_group_counts(self, groups):
+        tables.append(groups)
+        return group_counts(self, groups)
+
+    monkeypatch.setattr(NetworkDatabase, "network", counted_network)
+    monkeypatch.setattr(NetworkDatabase, "group_counts", counted_group_counts)
+    eval_cfg = EvalConfig(folds=4, alpha_grid=(0.1, 1.0, 4.0), k=3, seed=8)
+    evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1, 2])
+    sweep_alpha(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1, 2])
+    assert subsets == [] and len(tables) == 2
 
 
 def test_one_reduction_serves_the_whole_grid(monkeypatch):

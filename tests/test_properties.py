@@ -2,7 +2,8 @@
 eigenvalues included, reuse of the per-database edge index, the array
 network and constraint against their tuple oracles, the kNN Laplacians
 against their argsort oracle on tied similarities, every training set's
-Laplacians read from a shared neighbour table, independence of the
+Laplacians read from a shared neighbour table, every training set's
+generalized network read from a shared fold table, independence of the
 rows of a stacked classifier fit, and the classifier's invariance under
 invertible maps of the embedding."""
 
@@ -245,7 +246,7 @@ def test_shared_neighbour_table_matches_each_training_sets_own(
             if train.size < 2:
                 continue
             with mock.patch.object(evaluation, "reduce_problem", laplacian_set):
-                d_plus, l_tilde = reduce(train)
+                d_plus, l_tilde = reduce(left_out)
             own_d_plus, own_l_tilde = build_laplacian_set(
                 sims[np.ix_(train, train)], labels[train], min(k, train.size - 1)
             )
@@ -253,6 +254,64 @@ def test_shared_neighbour_table_matches_each_training_sets_own(
             assert np.array_equal(l_tilde.indptr, own_l_tilde.indptr)
             assert np.array_equal(l_tilde.indices, own_l_tilde.indices)
             assert np.array_equal(l_tilde.data.view(np.uint64), own_l_tilde.data.view(np.uint64))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 7),
+    m=st.integers(4, 13),
+    edge_prob=st.sampled_from([0.0, 0.2, 0.6]),
+    bare=st.integers(0, 4),
+    folds_pick=st.integers(0, 12),
+)
+@example(seed=0, n=3, m=6, edge_prob=0.0, bare=0, folds_pick=1)  # one edge in all
+# leave-one-out folds, dense edges, some instances without any
+@example(seed=3, n=6, m=12, edge_prob=0.6, bare=3, folds_pick=12)
+def test_fold_table_networks_match_each_training_sets_own(
+    seed, n, m, edge_prob, bare, folds_pick
+):
+    """Null nodes, instances with no edges, and an edge that one instance
+    alone carries, so that leaving its fold out drops the edge.  Every
+    training set that nested CV and the sweep reduce, and the full set,
+    gets from its run's one fold table the generalized network that
+    ``NetworkDatabase.network`` gives on its instances, bit for bit."""
+    rng = np.random.default_rng(seed)
+    valid = rng.random((n, m)) > 0.3
+    lone = int(rng.integers(m))
+    valid[:2, lone] = True
+    edge_lists = [
+        [(p, q) for p, q in combinations(np.flatnonzero(valid[:, i]).tolist(), 2)
+         if rng.random() < edge_prob and (p, q) != (0, 1)]
+        for i in range(m)
+    ]
+    for i in rng.choice(m, size=bare, replace=False):
+        edge_lists[i] = []
+    edge_lists[lone].append((0, 1))
+    labels = rng.permutation(np.arange(m) % 2)
+    db = build_db(rng.normal(size=(n, m)), labels, edge_lists, valid=valid)
+    choices = [*range(2, m // 2 + 1), m]  # each class has m // 2 or more members
+    folds = choices[folds_pick % len(choices)]
+    eval_cfg = EvalConfig(folds=folds, k=K, seed=seed)
+    assignment = evaluation.stratified_folds(labels, folds, seed)
+
+    def generalized_network(v, d_plus, l_tilde, g, *rest):  # in place of the reduction
+        return g
+
+    for most_left_out in (1, 2):  # the sweep, then nested CV
+        _, _, reduce = evaluation._cv_scorer(db, eval_cfg, SolverConfig(alpha=1.0), most_left_out)
+        for left_out in [*combinations(range(folds), most_left_out), ()]:
+            train = np.flatnonzero(~np.isin(assignment, left_out))
+            if train.size < 2:
+                continue
+            with mock.patch.object(evaluation, "reduce_problem", generalized_network):
+                g = reduce(left_out)
+            own = db.network(train)
+            assert g.n == own.n == n
+            assert g.edges.dtype == own.edges.dtype and g.weights.dtype == own.weights.dtype
+            assert np.array_equal(g.edges, own.edges)
+            assert np.array_equal(g.weights.view(np.uint64), own.weights.view(np.uint64))
+            assert ((0, 1) in map(tuple, g.edges.tolist())) == (lone in train)
 
 
 @SETTINGS
