@@ -187,13 +187,18 @@ class GeneralizedNetwork:
 class StateMatrix:
     """n x m matrix whose column i holds the local states of instance i.
 
-    Null nodes contribute exactly 0 to their column.
-    """
+    Null nodes contribute exactly 0 to their column.  ``gram`` is V'V if
+    the caller has it."""
 
     matrix: np.ndarray
+    gram: np.ndarray | None = None
 
     def __post_init__(self):
         _freeze(self.matrix)
+
+    def inner_products(self) -> np.ndarray:
+        """V'V: ``gram``, else one product, exactly symmetric (BLAS syrk)."""
+        return self.matrix.T @ self.matrix if self.gram is None else self.gram
 
     @property
     def n_rows(self) -> int:

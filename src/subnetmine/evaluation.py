@@ -9,11 +9,11 @@ curve of the scores against a ground-truth node set.  Accuracy is that of
 a linear discriminant analysis (LDA) classifier in the d-dimensional
 embedding.
 
-One ranking of neighbours and one edge count per fold serve a
-cross-validation run.  The database's cosine and its ``neighbour_table``
-are computed once, and every training set reads its kNN meta-graphs from
-that table, so a fold's cosine is a slice of the database's and no fold
-forms an m x m array.  The table ranks a fold's test instances too, but a
+One Gram, one ranking of neighbours and one edge count per fold serve a
+cross-validation run.  The database's V'V, cosine and ``neighbour_table``
+are computed once; every training set reads its basis from its slice of
+V'V (kept if m <= n, so no larger than V) and its kNN meta-graphs from
+the table.  The table ranks a fold's test instances too, but a
 training set keeps only its own entries, and the cosine of two instances
 depends on those two alone, so no test information reaches a fold's
 meta-graphs.  Likewise each fold's union edges are counted once, in one
@@ -183,13 +183,15 @@ def _reduce(
     k: int,
     energy_fraction: float,
     table: tuple[np.ndarray, np.ndarray] | None = None,
+    gram: np.ndarray | None = None,
 ) -> ReducedProblem:
     """The alpha-invariant part of every fit: meta-graphs, Laplacians and
     reduced problem over the instances at ``idx`` only, with ``network``
     their generalized network; k >= 1 is clamped to |idx| - 1.  The
     meta-graphs are read from ``table``, a ``neighbour_table`` of the
     database's cosine deep enough for ``idx``, or else from a k-column
-    table of the training set's own."""
+    table of the training set's own.  Its cosine and basis read their slice
+    of ``gram``, the database's V'V, when it is kept."""
     _check_k(k)
     if idx.size < 2:
         raise SubnetmineError(
@@ -197,12 +199,18 @@ def _reduce(
             "use more instances or a one-point --alpha-grid"
         )
     k = min(k, idx.size - 1)
-    v_train = StateMatrix(np.take(db.values, idx, axis=1))  # C order, as an index is not
+    gram = None if gram is None else gram[np.ix_(idx, idx)]
+    v_train = StateMatrix(np.take(db.values, idx, axis=1), gram)  # C order, as an index is not
     if table is None:
         d_plus, l_tilde = build_laplacian_set(_cosine_matrix(v_train), db.labels[idx], k)
     else:
         d_plus, l_tilde = laplacians(table, db.labels, idx, k)
     return reduce_problem(v_train, d_plus, l_tilde, network, energy_fraction)
+
+
+def _gram(db: NetworkDatabase) -> np.ndarray | None:
+    """The database's V'V to keep: only if m <= n, so no larger than V."""
+    return StateMatrix(db.values).inner_products() if db.m <= db.n else None
 
 
 def reduce_database(
@@ -211,7 +219,7 @@ def reduce_database(
     """The alpha-invariant part of a fit on every instance of ``db``: to fit
     at several alphas, reduce once and call ``model(alpha, d)`` per alpha."""
     everyone = np.arange(db.m)
-    return _reduce(db, everyone, db.network(everyone), k, energy_fraction)
+    return _reduce(db, everyone, db.network(everyone), k, energy_fraction, gram=_gram(db))
 
 
 def _dimension(d: int | None, labels: np.ndarray) -> int:
@@ -248,19 +256,20 @@ def _cv_scorer(
     stacked run, and scores each on every fold in ``held_out``; it returns
     the len(alphas) x len(held_out) accuracies.
 
-    One ranking of neighbours and one edge count per fold serve a run.
-    Every reduction reads its meta-graphs from one neighbour table of the
-    database's cosine: a training set leaves out at most the
-    ``most_left_out`` largest folds, so a row's first k training neighbours
-    lie within its first k plus that many.  Its generalized network is the
-    database's edge counts minus those of the folds it leaves out, so no
-    training set reads the edge rows of its instances."""
+    One Gram, one ranking of neighbours and one edge count per fold serve a
+    run.  A reduction reads its basis from a slice of ``_gram`` and its
+    meta-graphs from one neighbour table of the database's cosine: a
+    training set leaves out at most the ``most_left_out`` largest folds, so
+    a row's first k training neighbours lie within its first k plus that
+    many.  Its generalized network is the database's edge counts minus
+    those of the folds it leaves out, so no training set reads an edge row."""
     labels, v = db.labels, db.values
     d = _dimension(solver_cfg.d, labels)
     assignment = stratified_folds(labels, eval_cfg.folds, eval_cfg.seed)
     sizes = np.sort(np.bincount(assignment))
     depth = min(db.m - 1, eval_cfg.k + int(sizes[-most_left_out:].sum()))
-    table = neighbour_table(_cosine_matrix(StateMatrix(v)), depth)
+    gram = _gram(db)
+    table = neighbour_table(_cosine_matrix(StateMatrix(v, gram)), depth)
     pairs, total, by_fold = db.group_counts(assignment)
 
     def training_set(left_out) -> np.ndarray:
@@ -274,7 +283,7 @@ def _cv_scorer(
             row = slice(by_fold.indptr[fold], by_fold.indptr[fold + 1])
             counts[by_fold.indices[row]] -= by_fold.data[row]
         network = GeneralizedNetwork.counted(db.n, pairs, counts, train.size)
-        return _reduce(db, train, network, eval_cfg.k, solver_cfg.energy_fraction, table)
+        return _reduce(db, train, network, eval_cfg.k, solver_cfg.energy_fraction, table, gram)
 
     def score(left_out, held_out, alphas) -> np.ndarray:
         train = training_set(left_out)

@@ -19,9 +19,9 @@ the two steps over all instances of one similarity matrix.  The node-level
 topology term comes from the generalized network in
 ``solver.topology_term``.
 
-Cosine values are kept raw (negative entries are not clamped), so row sums
-of the affinities are not guaranteed nonnegative in pathological inputs;
-downstream whitening checks for that.
+Cosines, V'V scaled by inverse column norms, are kept raw (negative
+entries are not clamped), so row sums of the affinities are not guaranteed
+nonnegative in pathological inputs; downstream whitening checks for that.
 """
 
 from __future__ import annotations
@@ -35,15 +35,17 @@ from .data import StateMatrix
 def _cosine_matrix(v_matrix: StateMatrix) -> np.ndarray:
     """Exactly symmetric m x m cosine similarity matrix of the columns.
 
-    Zero-norm columns get similarity 0 with everything.
+    Zero-norm columns get similarity 0 with everything.  Each entry of V'V
+    is scaled by one product of inverse norms: in place, 256 rows at a time,
+    unless ``v_matrix`` carries its V'V, which is kept.
     """
-    v = v_matrix.matrix
-    norms = np.linalg.norm(v, axis=0)
-    scale = np.where(norms > 0.0, norms, 1.0)
-    unit = v / scale
-    unit[:, norms == 0.0] = 0.0
-    sims = unit.T @ unit
-    sims = (sims + sims.T) / 2.0
+    gram = v_matrix.inner_products()
+    sims = gram if v_matrix.gram is None else np.empty_like(gram)
+    norms = np.sqrt(gram.diagonal())
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    for start in range(0, scale.size, 256):
+        rows = slice(start, start + 256)
+        np.multiply(gram[rows], np.multiply.outer(scale[rows], scale), out=sims[rows])
     np.fill_diagonal(sims, 0.0)
     return sims
 

@@ -3,9 +3,9 @@
 Maximizes u' (V Ltilde V' - alpha C) u subject to u' (V D+ V') u = 1.
 The n x n right-hand matrix has rank at most min(n, m), so it is inverted
 through a truncated SVD V (D+)^{1/2} = P S W' from one Gram eigensolve, cut
-by the energy and Kaiser rules (see ``truncated_svd_basis``): the retained
-left singular vectors span the working space and the problem reduces to an
-ordinary symmetric eigenproblem
+by the energy and Kaiser rules (``truncated_svd_basis``, from the cosine's
+V'V if m <= n): the retained left singular vectors span the working space
+and the problem reduces to an ordinary symmetric eigenproblem
 
     M = S^{-1} P' A P S^{-1},    u = P S^{-1} w,
 
@@ -81,10 +81,12 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedBasis:
-    """Retained left singular vectors and singular values of V (D+)^{1/2}."""
+    """Retained left singular vectors and singular values of V (D+)^{1/2};
+    ``vq`` is V'Q if the basis came from V'V."""
 
     p_r: np.ndarray
     sigma_r: np.ndarray
+    vq: np.ndarray | None = None
 
     @property
     def r(self) -> int:
@@ -145,7 +147,10 @@ def truncated_svd_basis(
 
     No SVD runs, as nothing needs its right singular vectors: for X n x m,
     m <= n takes eigh(X'X) = W S^2 W' and P_r = X W_r / sigma_r for the kept
-    columns only, m > n takes eigh(XX'), whose eigenvectors are P.  Then
+    columns only, m > n takes eigh(XX'), whose eigenvectors are P.  For
+    m <= n no X is formed: X'X = D K D, D = (D+)^{1/2}, K = V'V
+    (``StateMatrix.inner_products``), P_r = V (D W_r / sigma_r), and the
+    data term's V'Q = K D W_r / sigma_r^2 is kept.  Then
     sigma = sqrt(max(lambda, 0)) is within about eps sigma_max^2 / sigma_i^2
     relative, at most N eps where Kaiser keeps.  Null directions read near
     1e-8 sigma_max, far below the mean; the Kaiser rule drops them.
@@ -161,9 +166,10 @@ def truncated_svd_basis(
             "D+ has negative diagonal entries; same-state affinity row sums "
             "must be >= 0 (reduce k or use more training instances)"
         )
-    x = v.matrix * np.sqrt(d_plus)[np.newaxis, :]
-    wide = x.shape[1] > x.shape[0]
-    eigvals, eigvecs = np.linalg.eigh(x @ x.T if wide else x.T @ x)
+    s = np.sqrt(d_plus)
+    x = v.matrix * s[np.newaxis, :] if v.m_cols > v.n_rows else None
+    k = v.inner_products() if x is None else None
+    eigvals, eigvecs = np.linalg.eigh(x @ x.T if k is None else k * np.multiply.outer(s, s))
     sigma = np.sqrt(np.maximum(eigvals[::-1], 0.0))
     eigvecs = eigvecs[:, ::-1]
     if sigma.size == 0 or sigma[0] <= 0.0:
@@ -177,8 +183,10 @@ def truncated_svd_basis(
     power = sigma**2
     n_kaiser = int(np.count_nonzero(power >= power.mean() - _SIGMA_RTOL * power[0]))
     r = min(r_energy, n_kaiser)
-    p_r = eigvecs[:, :r].copy() if wide else x @ eigvecs[:, :r] / sigma[:r]
-    return TruncatedBasis(p_r=p_r, sigma_r=sigma[:r].copy())
+    if k is None:
+        return TruncatedBasis(p_r=eigvecs[:, :r].copy(), sigma_r=sigma[:r].copy())
+    w = eigvecs[:, :r] * (s[:, np.newaxis] / sigma[:r])  # D W_r / sigma_r, D = diag(s)
+    return TruncatedBasis(p_r=v.matrix @ w, sigma_r=sigma[:r].copy(), vq=k @ w / sigma[:r])
 
 
 def _top_eigenpairs(
@@ -265,7 +273,7 @@ def reduce_problem(
     _check_dims(v, l_tilde, g.n)
     basis = truncated_svd_basis(v, d_plus, energy_fraction)
     q = basis.q
-    z = v.matrix.T @ q
+    z = v.matrix.T @ q if basis.vq is None else basis.vq
     m0 = z.T @ (l_tilde @ z)
     m0 = (m0 + m0.T) / 2.0
     m1 = topology_term(g, q)

@@ -13,7 +13,9 @@ from scipy import sparse
 from subnetmine.data import GeneralizedNetwork, NetworkDatabase, StateMatrix
 from subnetmine.errors import ParseError, SubnetmineError
 from subnetmine.metagraph import _cosine_matrix, build_laplacian_set
-from subnetmine.solver import SpectralModel, TruncatedBasis, _check_dims, _top_eigenpairs
+from subnetmine.solver import (
+    ReducedProblem, SpectralModel, TruncatedBasis, _check_dims, _top_eigenpairs, topology_term,
+)
 
 
 def build_db(values, labels, edge_lists, valid=None, node_ids=None) -> NetworkDatabase:
@@ -443,6 +445,57 @@ def svd_basis(v: StateMatrix, d_plus: np.ndarray, energy_fraction: float) -> Tru
     n_kaiser = int(np.count_nonzero(power >= power.mean() - 1e-12 * power[0]))
     r = min(r_energy, n_kaiser, n_above)
     return TruncatedBasis(p_r=p[:, :r], sigma_r=sigma[:r])
+
+
+def unit_cosine(values: np.ndarray) -> np.ndarray:
+    """The m x m cosine of the columns as the product of their unit vectors,
+    symmetrized, with a zero diagonal and zero rows for zero-norm columns:
+    the oracle for ``_cosine_matrix``, which scales V'V instead."""
+    norms = np.linalg.norm(values, axis=0)
+    unit = values / np.where(norms > 0.0, norms, 1.0)
+    unit[:, norms == 0.0] = 0.0
+    sims = unit.T @ unit
+    sims = (sims + sims.T) / 2.0
+    np.fill_diagonal(sims, 0.0)
+    return sims
+
+
+def explicit_x_basis(v: StateMatrix, d_plus: np.ndarray, energy_fraction: float) -> TruncatedBasis:
+    """The truncated basis from X = V (D+)^{1/2} formed explicitly: eigh of
+    X'X (m <= n) or XX' (m > n), cut by the energy, Kaiser and 1e-12 rules,
+    and P_r = X W_r / sigma_r or the eigenvectors of XX'; SubnetmineError
+    if every singular value vanishes: the oracle for
+    ``truncated_svd_basis``, which reads D K D, D = (D+)^{1/2}, K = V'V, for
+    m <= n."""
+    x = v.matrix * np.sqrt(d_plus)[np.newaxis, :]
+    wide = x.shape[1] > x.shape[0]
+    eigvals, eigvecs = np.linalg.eigh(x @ x.T if wide else x.T @ x)
+    sigma = np.sqrt(np.maximum(eigvals[::-1], 0.0))
+    eigvecs = eigvecs[:, ::-1]
+    if sigma[0] <= 0.0:
+        raise SubnetmineError("all singular values vanish")
+    total = sigma.sum()
+    r_energy = int(np.argmax(np.cumsum(sigma) >= energy_fraction * total - 1e-12 * total)) + 1
+    power = sigma**2
+    r = min(r_energy, int(np.count_nonzero(power >= power.mean() - 1e-12 * power[0])))
+    p_r = eigvecs[:, :r] if wide else x @ eigvecs[:, :r] / sigma[:r]
+    return TruncatedBasis(p_r=p_r, sigma_r=sigma[:r])
+
+
+def explicit_x_reduction(
+    v: StateMatrix, d_plus: np.ndarray, l_tilde: sparse.csr_array, g: GeneralizedNetwork,
+    energy_fraction: float,
+) -> ReducedProblem:
+    """The reduction over the basis of ``explicit_x_basis``, with the data
+    term's V'Q as one product over the n rows: the oracle for
+    ``reduce_problem``, whose V'Q for m <= n is K D W_r / sigma_r^2."""
+    basis = explicit_x_basis(v, d_plus, energy_fraction)
+    z = v.matrix.T @ basis.q
+    m0 = z.T @ (l_tilde @ z)
+    m0 = (m0 + m0.T) / 2.0
+    m1 = topology_term(g, basis.q)
+    rho0, rho1 = (float(np.abs(np.linalg.eigvalsh(m)).max()) for m in (m0, m1))
+    return ReducedProblem(basis=basis, m0=m0, m1=m1, rho0=rho0, rho1=rho1)
 
 
 def assemble_objective_matrix(

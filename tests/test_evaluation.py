@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -356,6 +357,86 @@ def test_each_training_set_is_reduced_once(monkeypatch):
     calls.update(svd=0, classifier=0)
     sweep_alpha(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1, 2])
     assert calls == {"svd": folds + 1, "classifier": folds}
+
+
+@pytest.mark.parametrize("n", [30, 8])  # m = 24 <= n: K is sliced; m > n: the XX' path
+def test_one_gram_product_per_fit_and_per_cv_run(monkeypatch, n):
+    """fit_model, nested CV and the sweep with ground truth each form V'V
+    over the n rows once, for all m columns: the cosine, and where m <= n
+    every training set's SVD basis and data term, read that one product."""
+    products = []
+    inner_products = StateMatrix.inner_products
+
+    def counted(self):
+        if self.gram is None:
+            products.append(self.matrix.shape)
+        return inner_products(self)
+
+    monkeypatch.setattr(StateMatrix, "inner_products", counted)
+    db = class_db(5, n=n, m=24)
+    eval_cfg = EvalConfig(folds=4, alpha_grid=(0.1, 1.0), k=3, seed=8)
+    runs = (
+        lambda: fit_model(db, k=3),
+        lambda: evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1]),
+        lambda: sweep_alpha(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1]),
+    )
+    for run in runs:
+        products.clear()
+        run()
+        assert products == [(n, 24)]
+
+
+def test_kept_gram_is_no_larger_than_the_values(monkeypatch):
+    """A CV run keeps V'V for its training sets only when m <= n, where the
+    m x m array is no larger than the n x m values; with m > n it keeps none."""
+    grams = []
+    reduce = evaluation._reduce
+
+    def watched(*args):
+        grams.append(args[6])
+        return reduce(*args)
+
+    monkeypatch.setattr(evaluation, "_reduce", watched)
+    eval_cfg = EvalConfig(folds=4, alpha_grid=(1.0,), k=3, seed=8)
+    for n, kept in ((30, True), (24, True), (8, False)):
+        db = class_db(5, n=n, m=24)
+        grams.clear()
+        sweep_alpha(db, eval_cfg, SolverConfig(alpha=1.0), gt_nodes=[0, 1])
+        assert len(grams) == 5
+        if kept:
+            assert all(gram.shape == (24, 24) for gram in grams)
+            assert max(gram.nbytes for gram in grams) <= db.values.nbytes
+        else:
+            assert all(gram is None for gram in grams)
+
+
+def test_cv_setup_memory_peaks_at_two_instance_squares(monkeypatch):
+    """n = 4, m = 3000: V'V becomes the cosine in place and the neighbour
+    table is ranked beside it, so the set-up peaks within 10% of two m x m
+    float64 arrays, and from the first training set's Laplacians on the
+    peak stays below one (tracemalloc, this process only)."""
+    rng = np.random.default_rng(0)
+    m = 3000
+    db = build_db(rng.normal(2.0, 1.0, size=(4, m)), np.arange(m) % 2, [()] * m)
+    square = m * m * 8
+    setup_peak = []
+    laplacians = evaluation.laplacians
+
+    def watched(*args):
+        if not setup_peak:
+            setup_peak.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+        return laplacians(*args)
+
+    monkeypatch.setattr(evaluation, "laplacians", watched)
+    tracemalloc.start()
+    try:
+        sweep_alpha(db, EvalConfig(folds=10, alpha_grid=(1.0,)), SolverConfig(alpha=1.0, d=1))
+        fold_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert square < setup_peak[0] <= 2.2 * square
+    assert fold_peak < square
 
 
 def test_cv_runs_read_no_training_set_edge_rows(monkeypatch):

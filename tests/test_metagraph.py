@@ -64,6 +64,21 @@ def test_cosine_similarity_basics():
         cosine_similarity([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("shape", [(100, 500), (4000, 50), (300, 200), (4, 3000), (7, 5), (1, 9)])
+def test_gram_and_cosine_are_exactly_symmetric(shape):
+    """V'V is formed from one triangle (BLAS syrk), for a whole matrix and
+    for a training set's column slice, so the cosine, one product of inverse
+    norms per entry, is bitwise symmetric with no symmetrizing pass."""
+    rng = np.random.default_rng(shape[0])
+    values = rng.normal(size=shape)
+    train = np.sort(rng.permutation(shape[1])[: shape[1] // 2 + 1])
+    for v in (values, np.take(values, train, axis=1)):
+        gram = StateMatrix(v).inner_products()
+        sims = _cosine_matrix(StateMatrix(v))
+        for a in (gram, sims):
+            assert np.array_equal(a.view(np.uint64), a.T.view(np.uint64))
+
+
 def test_knn_matches_exhaustive_search():
     for seed in range(5):
         rng = np.random.default_rng(seed)

@@ -1,7 +1,8 @@
 """Property tests: invariants of the fit under reordering, tied
 eigenvalues included, reuse of the per-database edge index, the array
 network and constraint against their tuple oracles, the kNN Laplacians
-against their argsort oracle on tied similarities, every training set's
+against their argsort oracle on tied similarities, the cosine and the
+reduction that read V'V against their explicit-X oracles, every training set's
 Laplacians read from a shared neighbour table, every training set's
 generalized network read from a shared fold table, independence of the
 rows of a stacked classifier fit, and the classifier's invariance under
@@ -14,13 +15,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     build_db,
     constraint_from_tuples,
     edge_tuples,
+    explicit_x_reduction,
     laplacian_set_oracle,
     linked_sets,
     nearest_by_argsort,
@@ -32,13 +34,15 @@ from helpers import (
     split_affinities,
     symmetric_relation,
     template_db,
+    unit_cosine,
 )
 from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_network
 from subnetmine import evaluation
-from subnetmine.evaluation import EvalConfig, evaluate_dataset, fit_model, train_linear_classifier
+from subnetmine.errors import SubnetmineError
+from subnetmine.evaluation import DEFAULT_ALPHA_GRID, EvalConfig, evaluate_dataset, fit_model, train_linear_classifier
 from subnetmine.metagraph import _cosine_matrix, build_laplacian_set
 from subnetmine.selection import score_nodes
-from subnetmine.solver import SolverConfig, topology_term, truncated_svd_basis
+from subnetmine.solver import SolverConfig, reduce_problem, topology_term, truncated_svd_basis
 
 SETTINGS = settings(max_examples=12, derandomize=True, deadline=None)
 K = 4
@@ -199,6 +203,76 @@ def test_knn_laplacians_match_the_argsort_oracle_on_ties(seed, n, m, copies, zer
     oracle_d_plus, oracle_l_tilde = laplacian_set_oracle(sims, labels, k)
     assert np.array_equal(d_plus, oracle_d_plus)
     assert np.array_equal(dense, oracle_l_tilde.toarray())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    m=st.integers(2, 10),
+    extra_rows=st.sampled_from([3, 0, -1, -3]),  # m < n, m = n and m > n
+    nulls=st.integers(0, 2),
+    copies=st.integers(0, 3),
+    powers=st.lists(st.integers(-20, 20), max_size=3),
+    energy=st.sampled_from([0.5, 0.95, 1.0]),
+)
+@example(seed=0, m=4, extra_rows=0, nulls=4, copies=0, powers=[], energy=0.95)  # all null
+@example(seed=5, m=6, extra_rows=3, nulls=1, copies=3, powers=[7, -7, 20], energy=1.0)
+def test_gram_path_matches_the_explicit_x_oracle(
+    seed, m, extra_rows, nulls, copies, powers, energy
+):
+    """All-null instances (zero columns), duplicated and power-of-2-scaled
+    columns.  The cosine read from V'V is bitwise symmetric, zero on the
+    diagonal and on the rows of zero columns, equal bit for bit whether V'V
+    is made in place or carried, and within 4 eps of the unit-vector
+    cosine.  The reduction that reads S K S and K S W_r / sigma^2 keeps the
+    explicit-X oracle's r, rho0 and rho1 within 1e-12 relative, and its U
+    at every grid alpha within 1e-10 relative, signs included, or raises
+    where the oracle's D+ or singular values do."""
+    rng = np.random.default_rng(seed)
+    n = max(m + extra_rows, 1)
+    values = rng.normal(1.0, 1.0, size=(n, m))
+    values[:, rng.integers(0, m, size=copies)] = values[:, rng.integers(0, m, size=copies)]
+    for p in powers:
+        values[:, rng.integers(0, m)] *= 2.0**p
+    zero = rng.integers(0, m, size=nulls)
+    values[:, zero] = 0.0
+
+    sims = _cosine_matrix(StateMatrix(values))
+    gram = values.T @ values
+    assert np.array_equal(sims.view(np.uint64), sims.T.view(np.uint64))
+    assert not sims.diagonal().any() and not sims[zero].any()
+    carried = _cosine_matrix(StateMatrix(values, gram))
+    assert np.array_equal(carried.view(np.uint64), sims.view(np.uint64))
+    assert np.array_equal(gram, values.T @ values)  # a carried V'V is kept
+    assert np.abs(sims - unit_cosine(values)).max() <= 4 * np.finfo(np.float64).eps
+
+    labels = rng.permutation(np.arange(m) % 2)
+    d_plus, l_tilde = build_laplacian_set(sims, labels, min(3, m - 1))
+    edges = [[(p, q) for p in range(n) for q in range(p + 1, n) if rng.random() < 0.4]
+             for _ in range(m)]
+    g = build_db(values, labels, edges).network(np.arange(m))
+    v = StateMatrix(values)
+    if np.any(d_plus < 0.0):
+        with pytest.raises(SubnetmineError, match="negative"):
+            reduce_problem(v, d_plus, l_tilde, g, energy)
+        return
+    try:
+        want = explicit_x_reduction(v, d_plus, l_tilde, g, energy)
+    except SubnetmineError:
+        with pytest.raises(SubnetmineError, match="vanish"):
+            reduce_problem(v, d_plus, l_tilde, g, energy)
+        return
+    # rho0 far below its bound |z|^2 |L~| is mostly rounding (identical columns lie in
+    # the null space of L~, so it can vanish): only a data term above 1e-3 of it is compared
+    z = values.T @ want.basis.q
+    assume(want.rho0 > 1e-3 * np.linalg.norm(z, 2) ** 2 * abs(l_tilde).sum(axis=1).max())
+    got = reduce_problem(v, d_plus, l_tilde, g, energy)
+    assert got.basis.r == want.basis.r
+    for rho_got, rho_want in ((got.rho0, want.rho0), (got.rho1, want.rho1)):
+        assert abs(rho_got - rho_want) <= 1e-12 * abs(rho_want)
+    d = min(2, got.basis.r)
+    for alpha in DEFAULT_ALPHA_GRID:
+        assert relative_error(got.model(alpha, d).u_matrix, want.model(alpha, d).u_matrix) <= 1e-10
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
