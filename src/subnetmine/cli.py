@@ -13,8 +13,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, selection, solver, synth
 from .data import load_database, write_tsv
 from .errors import ConfigInvalid, SubnetmineError
@@ -186,7 +184,7 @@ def _cmd_transform(args) -> int:
 def _cmd_select(args) -> int:
     db = load_database(args.dataset)
     report = selection.build_report(
-        _model_u(args.model, db), db.network(np.arange(db.m)), args.top_c,
+        _model_u(args.model, db), db.network(), args.top_c,
         min_edge_weight=args.min_edge_weight,
     )
     selection.write_report(report, db.node_ids, args.out)

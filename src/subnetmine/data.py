@@ -66,9 +66,9 @@ class NetworkDatabase:
     ordinal pairs (p, q), p < q, both endpoints valid in their instance,
     sorted by (instance, p, q) with no repeats, and the rows of instance i
     are ``offsets[i]:offsets[i + 1]``.  ``instance_edges[i]`` is that block
-    as a read-only k_i x 2 view, ``network(indices)`` the generalized
-    network of the instances at ``indices``, and ``group_counts(groups)``
-    the edge counts of each group of a partition of the instances.
+    as a read-only k_i x 2 view, ``network()`` the generalized network of
+    every instance, and ``group_counts(groups)`` the edge counts of each
+    group of a partition of the instances.
 
     The labels must hold two or more distinct global states.
     """
@@ -131,23 +131,11 @@ class NetworkDatabase:
         counts = np.bincount(edge_of, minlength=keys.size)
         return _freeze(np.column_stack(np.divmod(keys, n))), presence, _freeze(counts)
 
-    def network(self, indices) -> GeneralizedNetwork:
-        """Union network of the instances at ``indices``: the distinct edges
-        they carry, each weighted by the share of them that carry it.
-
-        The counts are the full database's, corrected by the presence rows
-        of the instances whose multiplicity in ``indices`` is not 1, so a
-        training set reads only the rows of the instances it leaves out.
-        Every instance once is the whole union, so that network shares its
-        edge pairs with the database."""
-        pairs, presence, counts = self._union
-        indices = np.asarray(indices, dtype=np.intp)
-        multiplicity = np.bincount(indices, minlength=self.m)
-        if multiplicity.size > self.m:
-            raise ValueError("instance index out of range")
-        if (changed := np.flatnonzero(multiplicity != 1)).size:
-            counts = counts + (multiplicity[changed] - 1) @ presence[changed]
-            return GeneralizedNetwork.counted(self.n, pairs, counts, indices.size)
+    def network(self) -> GeneralizedNetwork:
+        """The generalized network of every instance: the distinct edges,
+        each weighted by the share of instances that carry it.  It shares
+        its edge pairs with the database."""
+        pairs, _, counts = self._union
         return GeneralizedNetwork(self.n, pairs, counts / self.m)
 
     def group_counts(self, groups) -> tuple[np.ndarray, np.ndarray, sparse.csr_array]:
@@ -625,6 +613,6 @@ def write_database(db: NetworkDatabase, path) -> None:
 
 
 def build_generalized_network(db: NetworkDatabase) -> GeneralizedNetwork:
-    """``db.network(np.arange(db.m))``, which the library calls instead; kept
-    only because ``perfbench/`` calls it, until ROADMAP items 1a and 3."""
-    return db.network(np.arange(db.m))
+    """``db.network()``, which the library calls instead; kept only because
+    ``perfbench/`` calls it, until ROADMAP items 1a and 3."""
+    return db.network()

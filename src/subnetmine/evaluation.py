@@ -9,22 +9,19 @@ curve of the scores against a ground-truth node set.  Accuracy is that of
 a linear discriminant analysis (LDA) classifier in the d-dimensional
 embedding.
 
-One Gram, one ranking of neighbours and one edge count per fold serve a
-cross-validation run.  The database's V'V, cosine and ``neighbour_table``
-are computed once; every training set reads its basis from its slice of
-V'V (kept if m <= n, so no larger than V) and its kNN meta-graphs from
-the table.  The table ranks a fold's test instances too, but a
+Every reduction, a plain fit's and each training set's, goes one way:
+``_reducer`` computes the database's V'V, cosine and ``neighbour_table``
+once, and with folds counts each fold's union edges once
+(``NetworkDatabase.group_counts``); a plain fit is the reduction with no
+folds left out.  The table ranks a fold's test instances too, but a
 training set keeps only its own entries, and the cosine of two instances
 depends on those two alone, so no test information reaches a fold's
-meta-graphs.  Likewise each fold's union edges are counted once, in one
-pass over the edge rows (``NetworkDatabase.group_counts``), and a training
-set's generalized network is the database's counts minus those of the
-folds it leaves out: the same integers that ``NetworkDatabase.network``
-counts on its instances, so no training set reads an edge row.  Per
-distinct training set, ``_reduce`` runs once: kNN Laplacians, SVD basis
-and whitened terms over its network.  Per alpha there is one eigensolve
-for the top d pairs of the r x r reduced matrix.  The classifiers of all
-alphas on one training set come from one call of
+meta-graphs.  A training set's generalized network is the database's
+counts minus those of the folds it leaves out, so no training set reads
+an edge row.  Per distinct training set, ``reduce`` runs once: kNN
+Laplacians, SVD basis and whitened terms over its network.  Per alpha
+there is one eigensolve for the top d pairs of the r x r reduced matrix.
+The classifiers of all alphas on one training set come from one call of
 ``train_linear_classifier``, one batched d x d solve over the stacked
 embeddings.  Inner splits (f, g) and (g, f) share their training set, so
 F-fold ``evaluate_dataset`` reduces and trains on F + F(F-1)/2 sets and
@@ -43,7 +40,7 @@ import numpy as np
 
 from .data import GeneralizedNetwork, NetworkDatabase, StateMatrix, write_json, write_tsv
 from .errors import ConfigInvalid, SubnetmineError
-from .metagraph import _cosine_matrix, build_laplacian_set, laplacians, neighbour_table
+from .metagraph import _cosine_matrix, laplacians, neighbour_table
 from .seeds import substream
 from .selection import score_nodes
 from .solver import ReducedProblem, SolverConfig, SpectralModel, check_alpha, reduce_problem
@@ -176,41 +173,59 @@ def _check_k(k: int) -> None:
         raise ConfigInvalid(f"k must be positive, got {k}")
 
 
-def _reduce(
+def _reducer(
     db: NetworkDatabase,
-    idx: np.ndarray,
-    network: GeneralizedNetwork,
     k: int,
     energy_fraction: float,
-    table: tuple[np.ndarray, np.ndarray] | None = None,
-    gram: np.ndarray | None = None,
-) -> ReducedProblem:
-    """The alpha-invariant part of every fit: meta-graphs, Laplacians and
-    reduced problem over the instances at ``idx`` only, with ``network``
-    their generalized network; k >= 1 is clamped to |idx| - 1.  The
-    meta-graphs are read from ``table``, a ``neighbour_table`` of the
-    database's cosine deep enough for ``idx``, or else from a k-column
-    table of the training set's own.  Its cosine and basis read their slice
-    of ``gram``, the database's V'V, when it is kept."""
+    assignment: np.ndarray | None = None,
+    most_left_out: int = 0,
+):
+    """``reduce(left_out)``: the alpha-invariant part of every fit (kNN
+    Laplacians, SVD basis and whitened terms) on the instances outside the
+    folds ``left_out`` of ``assignment``, at most ``most_left_out`` of
+    them; ``()`` is every instance, the only set without folds.  k >= 1 is
+    clamped to the training set's size - 1.
+
+    One Gram, one ranking of neighbours and, with folds, one edge count per
+    fold serve every reduction.  A training set's basis reads its slice of
+    the database's V'V when it is kept (m <= n, so no larger than V), and
+    its meta-graphs one neighbour table of the database's cosine: leaving
+    out at most the ``most_left_out`` largest folds, a row's first k
+    training neighbours lie within its first k plus that many.  Its
+    generalized network is the database's edge counts minus those of the
+    folds it leaves out, so no training set reads an edge row."""
     _check_k(k)
-    if idx.size < 2:
-        raise SubnetmineError(
-            f"training set has {idx.size} instance, need 2 or more; "
-            "use more instances or a one-point --alpha-grid"
+    sizes = [] if assignment is None else np.sort(np.bincount(assignment))[::-1]
+    depth = min(db.m - 1, k + int(np.sum(sizes[:most_left_out])))
+    gram = StateMatrix(db.values).inner_products() if db.m <= db.n else None
+    table = neighbour_table(_cosine_matrix(StateMatrix(db.values, gram)), depth)
+    if assignment is not None:
+        pairs, total, by_fold = db.group_counts(assignment)
+
+    def reduce(left_out) -> ReducedProblem:
+        if not left_out:
+            train, network = np.arange(db.m), db.network()
+        else:
+            train = np.flatnonzero(~np.isin(assignment, left_out))
+            counts = total.copy()
+            for fold in left_out:
+                # a row of the table names each edge at most once
+                row = slice(by_fold.indptr[fold], by_fold.indptr[fold + 1])
+                counts[by_fold.indices[row]] -= by_fold.data[row]
+            network = GeneralizedNetwork.counted(db.n, pairs, counts, train.size)
+        if train.size < 2:
+            raise SubnetmineError(
+                f"training set has {train.size} instance, need 2 or more; "
+                "use more instances or a one-point --alpha-grid"
+            )
+        # np.take keeps C order, as an index would not
+        v_train = StateMatrix(
+            np.take(db.values, train, axis=1), None if gram is None else gram[np.ix_(train, train)]
         )
-    k = min(k, idx.size - 1)
-    gram = None if gram is None else gram[np.ix_(idx, idx)]
-    v_train = StateMatrix(np.take(db.values, idx, axis=1), gram)  # C order, as an index is not
-    if table is None:
-        d_plus, l_tilde = build_laplacian_set(_cosine_matrix(v_train), db.labels[idx], k)
-    else:
-        d_plus, l_tilde = laplacians(table, db.labels, idx, k)
-    return reduce_problem(v_train, d_plus, l_tilde, network, energy_fraction)
+        d_plus, l_tilde = laplacians(table, db.labels, train, min(k, train.size - 1))
+        return reduce_problem(v_train, d_plus, l_tilde, network, energy_fraction)
 
-
-def _gram(db: NetworkDatabase) -> np.ndarray | None:
-    """The database's V'V to keep: only if m <= n, so no larger than V."""
-    return StateMatrix(db.values).inner_products() if db.m <= db.n else None
+    return reduce
 
 
 def reduce_database(
@@ -218,8 +233,7 @@ def reduce_database(
 ) -> ReducedProblem:
     """The alpha-invariant part of a fit on every instance of ``db``: to fit
     at several alphas, reduce once and call ``model(alpha, d)`` per alpha."""
-    everyone = np.arange(db.m)
-    return _reduce(db, everyone, db.network(everyone), k, energy_fraction, gram=_gram(db))
+    return _reducer(db, k, energy_fraction)(())
 
 
 def _dimension(d: int | None, labels: np.ndarray) -> int:
@@ -248,45 +262,19 @@ def fit_model(
 def _cv_scorer(
     db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig, most_left_out: int
 ):
-    """Fold count, ``score(left_out, held_out, alphas)`` and
-    ``reduce(left_out)``.  ``reduce`` is the reduction on the instances
-    outside the folds ``left_out`` (at most ``most_left_out`` of them; none
-    for the full database).  ``score`` reduces once on those instances,
-    solves once per alpha, trains the classifiers of all alphas in one
-    stacked run, and scores each on every fold in ``held_out``; it returns
-    the len(alphas) x len(held_out) accuracies.
-
-    One Gram, one ranking of neighbours and one edge count per fold serve a
-    run.  A reduction reads its basis from a slice of ``_gram`` and its
-    meta-graphs from one neighbour table of the database's cosine: a
-    training set leaves out at most the ``most_left_out`` largest folds, so
-    a row's first k training neighbours lie within its first k plus that
-    many.  Its generalized network is the database's edge counts minus
-    those of the folds it leaves out, so no training set reads an edge row."""
+    """Fold count, ``score(left_out, held_out, alphas)`` and the run's
+    ``_reducer``, whose training sets leave out at most ``most_left_out``
+    folds.  ``score`` reduces once on the instances outside the folds
+    ``left_out``, solves once per alpha, trains the classifiers of all
+    alphas in one stacked run, and scores each on every fold in
+    ``held_out``; it returns the len(alphas) x len(held_out) accuracies."""
     labels, v = db.labels, db.values
     d = _dimension(solver_cfg.d, labels)
     assignment = stratified_folds(labels, eval_cfg.folds, eval_cfg.seed)
-    sizes = np.sort(np.bincount(assignment))
-    depth = min(db.m - 1, eval_cfg.k + int(sizes[-most_left_out:].sum()))
-    gram = _gram(db)
-    table = neighbour_table(_cosine_matrix(StateMatrix(v, gram)), depth)
-    pairs, total, by_fold = db.group_counts(assignment)
-
-    def training_set(left_out) -> np.ndarray:
-        return np.flatnonzero(~np.isin(assignment, left_out))
-
-    def reduce(left_out) -> ReducedProblem:
-        train = training_set(left_out)
-        counts = total.copy()
-        for fold in left_out:
-            # a row of the table names each edge at most once
-            row = slice(by_fold.indptr[fold], by_fold.indptr[fold + 1])
-            counts[by_fold.indices[row]] -= by_fold.data[row]
-        network = GeneralizedNetwork.counted(db.n, pairs, counts, train.size)
-        return _reduce(db, train, network, eval_cfg.k, solver_cfg.energy_fraction, table, gram)
+    reduce = _reducer(db, eval_cfg.k, solver_cfg.energy_fraction, assignment, most_left_out)
 
     def score(left_out, held_out, alphas) -> np.ndarray:
-        train = training_set(left_out)
+        train = np.flatnonzero(~np.isin(assignment, left_out))
         held = [np.flatnonzero(assignment == fold) for fold in held_out]
         held = [(v[:, idx], labels[idx]) for idx in held]
         problem = reduce(left_out)

@@ -14,10 +14,9 @@ set of a cross validation, and a training set's cosine is a slice of the
 database's.  The solver needs only D+ (the row sums of A+) and
 L~ = L- - L+, so both are written straight from the linked pairs, listed
 in CSR order, with ``np.bincount`` degrees; neither affinity is formed, and
-no step after the table holds an m x m array.  ``build_laplacian_set`` is
-the two steps over all instances of one similarity matrix.  The node-level
-topology term comes from the generalized network in
-``solver.topology_term``.
+no step after the table holds an m x m array; a fit on every instance
+reads a table of k columns.  The node-level topology term comes from the
+generalized network in ``solver.topology_term``.
 
 Cosines, V'V scaled by inverse column norms, are kept raw (negative
 entries are not clamped), so row sums of the affinities are not guaranteed
@@ -137,11 +136,3 @@ def laplacians(
     indptr = np.searchsorted(rows, np.arange(size + 1))
     return d_plus, sparse.csr_array((data, cols, indptr), shape=(size, size))
 
-
-def build_laplacian_set(
-    sims: np.ndarray, labels, k: int
-) -> tuple[np.ndarray, sparse.csr_array]:
-    """(d_plus, l_tilde) of the kNN relation of the m x m similarity
-    ``sims`` over all its instances, split by agreement of ``labels``;
-    1 <= k < m: ``laplacians`` of a k-column ``neighbour_table``."""
-    return laplacians(neighbour_table(sims, k), labels, np.arange(sims.shape[0]), k)

@@ -17,7 +17,7 @@ With Q = P S^{-1} the reduced matrix splits into a data term and a topology
 term, M = M0 - alpha M1 with M0 = (V'Q)' Ltilde (V'Q) and M1 = Q' C Q
 (``topology_term``).  Only the final r x r eigensolve depends on alpha, so
 a fit runs in two steps: ``reduce_problem`` takes the D+ diagonal and L~ of
-``metagraph.build_laplacian_set`` and the generalized network, does the
+``metagraph.laplacians`` and the generalized network, does the
 alpha-invariant work once per training set (SVD basis, Q, M0, M1 and their
 spectral radii) and returns a ``ReducedProblem``; ``model(alpha, d)`` then
 costs one eigensolve per alpha for the top d eigenpairs of the r x r
@@ -115,18 +115,6 @@ class SpectralModel:
     @property
     def d(self) -> int:
         return self.u_matrix.shape[1]
-
-
-def _check_dims(v: StateMatrix, l_tilde: sparse.csr_array, n: int) -> None:
-    if l_tilde.shape[0] != v.m_cols:
-        raise SubnetmineError(
-            f"Laplacians are {l_tilde.shape[0]}x{l_tilde.shape[0]}, "
-            f"state matrix has {v.m_cols} columns"
-        )
-    if n != v.n_rows:
-        raise SubnetmineError(
-            f"constraint matrix is {n}x{n}, state matrix has {v.n_rows} rows"
-        )
 
 
 def truncated_svd_basis(
@@ -270,7 +258,6 @@ def reduce_problem(
 ) -> ReducedProblem:
     """Truncated basis of V (D+)^{1/2} plus the whitened terms M0 and M1 of
     the D+ diagonal ``d_plus``, the m x m L~ and the generalized network."""
-    _check_dims(v, l_tilde, g.n)
     basis = truncated_svd_basis(v, d_plus, energy_fraction)
     q = basis.q
     z = v.matrix.T @ q if basis.vq is None else basis.vq

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from subnetmine import metagraph
 from subnetmine.data import GeneralizedNetwork, NetworkDatabase, StateMatrix
 from subnetmine.errors import ParseError, SubnetmineError
-from subnetmine.metagraph import _cosine_matrix, build_laplacian_set
+from subnetmine.metagraph import _cosine_matrix, neighbour_table
 from subnetmine.solver import (
-    ReducedProblem, SpectralModel, TruncatedBasis, _check_dims, _top_eigenpairs, topology_term,
+    ReducedProblem, SpectralModel, TruncatedBasis, _top_eigenpairs, topology_term,
 )
 
 
@@ -260,7 +261,7 @@ def edge_tuples(g: GeneralizedNetwork) -> tuple[tuple[int, int, float], ...]:
 def network_by_counting(db, indices) -> tuple[tuple[int, int, float], ...]:
     """(p, q, w) per union edge of the instances at ``indices``, sorted,
     counted one instance edge at a time: the oracle for
-    ``NetworkDatabase.network``."""
+    ``NetworkDatabase.network`` and for a training set's network."""
     counts: dict[tuple[int, int], int] = {}
     for i in indices:
         for p, q in db.instance_edges[i].tolist():
@@ -369,17 +370,24 @@ def laplacian_set_oracle(
     sims: np.ndarray, labels, k: int
 ) -> tuple[np.ndarray, sparse.csr_array]:
     """(D+, L- - L+) from the argsort kNN, the dense-mask affinities and
-    two checked Laplacians: the oracle for ``build_laplacian_set``."""
+    two checked Laplacians: the oracle for ``laplacian_set``."""
     aff = affinity_pair_by_masks(sims, labels, k)
     d_plus, l_plus = laplacian(aff.a_plus)
     _, l_minus = laplacian(aff.a_minus)
     return d_plus, sparse.csr_array(l_minus - l_plus)
 
 
+def laplacian_set(sims: np.ndarray, labels, k: int) -> tuple[np.ndarray, sparse.csr_array]:
+    """The library's (D+, L~) of the kNN relation of the m x m similarity
+    ``sims`` over all its instances, 1 <= k < m: ``metagraph.laplacians``
+    of a k-column ``neighbour_table``, as a fit on every instance reads it."""
+    return metagraph.laplacians(neighbour_table(sims, k), labels, np.arange(sims.shape[0]), k)
+
+
 def laplacians(db: NetworkDatabase, k: int) -> tuple[np.ndarray, sparse.csr_array]:
     """The library's (D+, L~) over every instance of ``db``, built as a
     reduction builds it."""
-    return build_laplacian_set(_cosine_matrix(StateMatrix(db.values)), db.labels, k)
+    return laplacian_set(_cosine_matrix(StateMatrix(db.values)), db.labels, k)
 
 
 def split_affinities(l_tilde: sparse.csr_array, labels) -> AffinityPair:
@@ -430,7 +438,7 @@ def knn_neighborhoods(v_matrix: StateMatrix, k: int) -> list[frozenset[int]]:
     """The instances the library's symmetric kNN relation links to each
     instance, read from the stored pattern of L~."""
     sims = _cosine_matrix(v_matrix)
-    return linked_sets(build_laplacian_set(sims, np.zeros(v_matrix.m_cols), k)[1])
+    return linked_sets(laplacian_set(sims, np.zeros(v_matrix.m_cols), k)[1])
 
 
 def svd_basis(v: StateMatrix, d_plus: np.ndarray, energy_fraction: float) -> TruncatedBasis:
@@ -507,7 +515,7 @@ def assemble_objective_matrix(
     dense n x n form is the reference that ``ReducedProblem`` is checked
     against.
     """
-    _check_dims(v, l_tilde, c.shape[0])
+    assert l_tilde.shape == (v.m_cols,) * 2 and c.shape == (v.n_rows,) * 2
     mat = v.matrix @ (l_tilde @ v.matrix.T)
     if alpha != 0.0:
         mat = mat - alpha * c.toarray()

@@ -111,21 +111,6 @@ def test_generalized_network_random_counts():
             assert w == expected[(p, q)] / db.m
 
 
-def test_subset_network_matches_counting_loop():
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        db = random_db(rng, n=8, m=12)
-        subset = np.sort(rng.choice(db.m, size=7, replace=False))
-        counts = {}
-        for i in subset:
-            for e in map(tuple, db.instance_edges[i].tolist()):
-                counts[e] = counts.get(e, 0) + 1
-        expected = tuple((p, q, c / subset.size) for (p, q), c in sorted(counts.items()))
-        g = db.network(subset)
-        assert edge_tuples(g) == expected
-        assert g.edges.dtype == np.intp and g.weights.dtype == np.float64
-
-
 # Bytes that tracemalloc sees retained per union edge by
 # build_generalized_network, measured at 24.7 on the 2000-node database
 # below (13,952 edges): the E x 2 intp pairs and the float64 weights need
@@ -139,7 +124,7 @@ PEAK_BYTES_PER_EDGE = 160
 def test_generalized_network_memory_per_edge():
     cfg = SynthConfig(n=2000, m=20, n_gt=10, edges_per_node=7, seed=0)
     db = sample_database(generate_backbone(cfg), cfg)
-    db.network([0])  # the edge union is built once per database, before the measured call
+    db.network()  # the edge union is built once per database, before the measured call
     gc.collect()
     tracemalloc.start()
     try:
@@ -167,7 +152,7 @@ def test_fold_table_memory_per_edge_row():
     n, m = 400, 80
     edge_lists = [[rng.choice(n, 2, replace=False) for _ in range(300)] for _ in range(m)]
     db = build_db(rng.normal(size=(n, m)), np.arange(m) % 2, edge_lists)
-    db.network([0])  # the edge union is built once per database, before the measured call
+    db.network()  # the edge union is built once per database, before the measured call
     gc.collect()
     tracemalloc.start()
     try:

@@ -64,11 +64,11 @@ def write(path, text):
     return path
 
 
-def reduced(n, m, c_size):
-    """reduce_problem on an n x n state matrix, m x m Laplacians and a
-    c_size-node network, so a c_size x c_size constraint."""
-    g = network(c_size, ())
-    return reduce_problem(StateMatrix(np.eye(n)), np.ones(m), sparse.csr_array((m, m)), g, 1.0)
+def reduced(n):
+    """reduce_problem on the n x n identity state matrix, with zero
+    Laplacians and a network without edges."""
+    v, l_tilde = StateMatrix(np.eye(n)), sparse.csr_array((n, n))
+    return reduce_problem(v, np.ones(n), l_tilde, network(n, ()), 1.0)
 
 
 def leave_one_out_of_three():
@@ -172,16 +172,6 @@ ROWS = {
         "training set has 1 instance, need 2 or more; "
         "use more instances or a one-point --alpha-grid",
     ),
-    "laplacian-size": (
-        lambda tmp: reduced(3, 4, 3),
-        SubnetmineError,
-        "Laplacians are 4x4, state matrix has 3 columns",
-    ),
-    "constraint-size": (
-        lambda tmp: reduced(3, 3, 5),
-        SubnetmineError,
-        "constraint matrix is 5x5, state matrix has 3 rows",
-    ),
     "degree-length": (
         lambda tmp: truncated_svd_basis(StateMatrix(np.eye(3)), np.ones(5), 1.0),
         SubnetmineError,
@@ -199,7 +189,7 @@ ROWS = {
         "all singular values vanish; affinity graph is degenerate",
     ),
     "d-above-rank": (
-        lambda tmp: reduced(3, 3, 3).model(1.0, 4),
+        lambda tmp: reduced(3).model(1.0, 4),
         SubnetmineError,
         "requested d=4 exceeds retained rank r=3",
     ),

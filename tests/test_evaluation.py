@@ -29,7 +29,7 @@ from subnetmine.evaluation import (
     write_eval_report,
     write_sweep,
 )
-from subnetmine.selection import build_report
+from subnetmine.selection import build_report, score_nodes
 from subnetmine.solver import SolverConfig
 from subnetmine.synth import SynthConfig, generate_backbone, sample_database
 
@@ -388,26 +388,27 @@ def test_one_gram_product_per_fit_and_per_cv_run(monkeypatch, n):
 
 def test_kept_gram_is_no_larger_than_the_values(monkeypatch):
     """A CV run keeps V'V for its training sets only when m <= n, where the
-    m x m array is no larger than the n x m values; with m > n it keeps none."""
+    m x m array is no larger than the n x m values; with m > n it keeps none.
+    Each reduction's state matrix carries its training set's slice of it."""
     grams = []
-    reduce = evaluation._reduce
+    reduce_problem = evaluation.reduce_problem
 
-    def watched(*args):
-        grams.append(args[6])
-        return reduce(*args)
+    def watched(v, *rest):
+        grams.append((v.m_cols, v.gram))
+        return reduce_problem(v, *rest)
 
-    monkeypatch.setattr(evaluation, "_reduce", watched)
+    monkeypatch.setattr(evaluation, "reduce_problem", watched)
     eval_cfg = EvalConfig(folds=4, alpha_grid=(1.0,), k=3, seed=8)
     for n, kept in ((30, True), (24, True), (8, False)):
         db = class_db(5, n=n, m=24)
         grams.clear()
         sweep_alpha(db, eval_cfg, SolverConfig(alpha=1.0), gt_nodes=[0, 1])
-        assert len(grams) == 5
+        assert [size for size, _ in grams] == [18] * 4 + [24]
         if kept:
-            assert all(gram.shape == (24, 24) for gram in grams)
-            assert max(gram.nbytes for gram in grams) <= db.values.nbytes
+            assert all(gram.shape == (size, size) for size, gram in grams)
+            assert max(gram.nbytes for _, gram in grams) <= db.values.nbytes
         else:
-            assert all(gram is None for gram in grams)
+            assert all(gram is None for _, gram in grams)
 
 
 def test_cv_setup_memory_peaks_at_two_instance_squares(monkeypatch):
@@ -441,17 +442,16 @@ def test_cv_setup_memory_peaks_at_two_instance_squares(monkeypatch):
 
 def test_cv_runs_read_no_training_set_edge_rows(monkeypatch):
     """Nested CV and the sweep with ground truth get every training set's
-    generalized network from one fold table per run: neither calls
-    NetworkDatabase.network on a proper subset of the instances, and each
-    counts the folds' edges in one call."""
+    generalized network from one fold table per run: each counts the folds'
+    edges in one call, and reads the whole database's network once, for
+    its full-database reduction."""
     db = class_db(6, n=8, m=24)
-    subsets, tables = [], []
+    networks, tables = [], []
     network, group_counts = NetworkDatabase.network, NetworkDatabase.group_counts
 
-    def counted_network(self, indices):
-        if sorted(np.asarray(indices).tolist()) != list(range(self.m)):
-            subsets.append(indices)
-        return network(self, indices)
+    def counted_network(self):
+        networks.append(self)
+        return network(self)
 
     def counted_group_counts(self, groups):
         tables.append(groups)
@@ -462,7 +462,7 @@ def test_cv_runs_read_no_training_set_edge_rows(monkeypatch):
     eval_cfg = EvalConfig(folds=4, alpha_grid=(0.1, 1.0, 4.0), k=3, seed=8)
     evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1, 2])
     sweep_alpha(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1, 2])
-    assert subsets == [] and len(tables) == 2
+    assert len(networks) == 2 and len(tables) == 2
 
 
 def test_one_reduction_serves_the_whole_grid(monkeypatch):
@@ -483,6 +483,82 @@ def test_one_reduction_serves_the_whole_grid(monkeypatch):
     for alpha, model in zip(DEFAULT_ALPHA_GRID, models):
         assert np.array_equal(model.u_matrix, fit_model(db, k=4, alpha=alpha).u_matrix)
     assert len(calls) == 1 + len(DEFAULT_ALPHA_GRID)
+
+
+@pytest.mark.parametrize("n", [30, 8])  # m = 24 <= n: K is sliced; m > n: the XX' path
+def test_cv_aucs_are_those_of_fit_model(n):
+    """A CV run's full-database reduction is fit_model's: at every grid
+    alpha, the sweep's AUC and the AUC of evaluate_dataset with that alpha
+    as its one grid point equal, exactly, the AUC of fit_model's U; so does
+    nested CV's at the alpha it selects."""
+    db = class_db(5, n=n, m=24)
+    gt = [0, 1, 2]
+    eval_cfg = EvalConfig(folds=4, k=3, seed=8)
+
+    def fitted_auc(alpha):
+        return ranking_auc(score_nodes(fit_model(db, k=3, alpha=alpha).u_matrix), gt)[0]
+
+    rows = sweep_alpha(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=gt)
+    assert [row.alpha for row in rows] == list(DEFAULT_ALPHA_GRID)
+    for row in rows:
+        single = EvalConfig(folds=4, alpha_grid=(row.alpha,), k=3, seed=8)
+        report = evaluate_dataset(db, single, SolverConfig(alpha=row.alpha), gt_nodes=gt)
+        assert row.auc == report.auc == fitted_auc(row.alpha)
+    nested = evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=gt)
+    assert nested.auc == fitted_auc(nested.best_alpha)
+
+
+def watch_table_depths(monkeypatch) -> tuple[list[int], list]:
+    """The depth of every neighbour table evaluation ranks, and the groups
+    of every fold-count table the database counts, as calls happen."""
+    depths, tables = [], []
+    neighbour_table, group_counts = evaluation.neighbour_table, NetworkDatabase.group_counts
+
+    def ranked(sims, t):
+        depths.append(t)
+        return neighbour_table(sims, t)
+
+    def counted(self, groups):
+        tables.append(groups)
+        return group_counts(self, groups)
+
+    monkeypatch.setattr(evaluation, "neighbour_table", ranked)
+    monkeypatch.setattr(NetworkDatabase, "group_counts", counted)
+    return depths, tables
+
+
+def test_a_plain_fit_ranks_k_neighbours_and_counts_no_folds(monkeypatch):
+    """fit_model and reduce_database rank t = min(k, m - 1) neighbours per
+    instance in one table, all that a fit on every instance reads, and
+    count no fold edges: no fold is left out, so none widens the table."""
+    depths, tables = watch_table_depths(monkeypatch)
+    db = class_db(5, n=8, m=24)
+    for k, t in ((3, 3), (22, 22), (23, 23), (10_000, 23)):
+        depths.clear()
+        fit_model(db, k=k)
+        reduce_database(db, k)
+        assert depths == [t, t]
+    assert tables == []
+
+
+def test_cv_runs_rank_k_plus_their_largest_left_out_folds(monkeypatch):
+    """A sweep ranks k plus its largest fold's size of neighbours, nested CV
+    k plus its two largest folds', both capped at m - 1, each in one table;
+    each run counts every fold's edges in one call."""
+    depths, tables = watch_table_depths(monkeypatch)
+    db = class_db(5, n=8, m=26)
+    sizes = sorted(np.bincount(stratified_folds(db.labels, 4, seed=8)).tolist())
+    assert sizes == [6, 6, 6, 8]
+    for k, sweep_depth, nested_depth in ((3, 11, 17), (10, 18, 24), (20, 25, 25)):
+        depths.clear()
+        tables.clear()
+        eval_cfg = EvalConfig(folds=4, alpha_grid=(0.1, 1.0), k=k, seed=8)
+        sweep_alpha(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1])
+        evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1])
+        single = EvalConfig(folds=4, alpha_grid=(1.0,), k=k, seed=8)
+        evaluate_dataset(db, single, SolverConfig(alpha=1.0))
+        assert depths == [sweep_depth, nested_depth, sweep_depth]
+        assert len(tables) == 3
 
 
 @pytest.mark.parametrize("power", [-3, 3])

@@ -384,7 +384,7 @@ def test_header_only_edges_file(tmp_path):
     assert db.edges.shape == (0, 2) and db.edges.dtype == np.intp
     assert db.offsets.tolist() == [0, 0, 0]
     assert [e.shape for e in db.instance_edges] == [(0, 2), (0, 2)]
-    assert db.network([0, 1]).edges.shape == (0, 2)
+    assert db.network().edges.shape == (0, 2)
     assert edge_tuples(build_generalized_network(db)) == ()
 
 

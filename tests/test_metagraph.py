@@ -17,6 +17,7 @@ from helpers import (
     cosine_similarity,
     knn_neighborhoods,
     laplacian,
+    laplacian_set,
     laplacian_set_oracle,
     laplacians,
     nearest_by_argsort,
@@ -29,7 +30,7 @@ from subnetmine import evaluation, metagraph
 from subnetmine.data import StateMatrix
 from subnetmine.errors import ConfigInvalid, SubnetmineError
 from subnetmine.evaluation import EvalConfig, evaluate_dataset, reduce_database
-from subnetmine.metagraph import _cosine_matrix, build_laplacian_set, neighbour_table
+from subnetmine.metagraph import _cosine_matrix, neighbour_table
 from subnetmine.solver import SolverConfig, topology_term
 from subnetmine.synth import SynthConfig, generate_backbone, sample_database
 
@@ -175,7 +176,7 @@ def test_laplacian_quadratic_form_identity():
         upper = np.triu(rng.normal(size=(m, m)), 1)
         sims = upper + upper.T
         labels = rng.integers(0, 2, size=m)
-        d_plus, l_tilde = build_laplacian_set(sims, labels, m - 1)
+        d_plus, l_tilde = laplacian_set(sims, labels, m - 1)
         same = labels[:, np.newaxis] == labels[np.newaxis, :]
         assert np.allclose(d_plus, np.where(same, sims, 0.0).sum(axis=1))
         for _ in range(10):
@@ -209,7 +210,7 @@ def test_l_tilde_is_symmetric_by_construction():
     sims = rng.normal(size=(9, 9))
     labels = rng.integers(0, 2, size=9)
     for k in (1, 3, 8):
-        dense = build_laplacian_set(sims, labels, k)[1].toarray()
+        dense = laplacian_set(sims, labels, k)[1].toarray()
         assert np.array_equal(dense.view(np.uint64), dense.T.view(np.uint64))
         assert np.array_equal(dense, laplacian_set_oracle(sims, labels, k)[1].toarray())
 

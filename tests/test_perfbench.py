@@ -32,6 +32,7 @@ ABSENT = {
         "_fit_subset",
         "_fit_and_score",
         "build_constraint_matrix",
+        "build_laplacian_set",
     )
 }
 

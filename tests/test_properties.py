@@ -23,9 +23,11 @@ from helpers import (
     constraint_from_tuples,
     edge_tuples,
     explicit_x_reduction,
+    laplacian_set,
     laplacian_set_oracle,
     linked_sets,
     nearest_by_argsort,
+    network,
     network_by_counting,
     random_db,
     restrict_instances,
@@ -40,7 +42,7 @@ from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_netw
 from subnetmine import evaluation
 from subnetmine.errors import SubnetmineError
 from subnetmine.evaluation import DEFAULT_ALPHA_GRID, EvalConfig, evaluate_dataset, fit_model, train_linear_classifier
-from subnetmine.metagraph import _cosine_matrix, build_laplacian_set
+from subnetmine.metagraph import _cosine_matrix
 from subnetmine.selection import score_nodes
 from subnetmine.solver import SolverConfig, reduce_problem, topology_term, truncated_svd_basis
 
@@ -145,30 +147,26 @@ def test_repeated_fits_reuse_one_edge_index(seed, alphas):
     picks=st.lists(st.integers(0, 13), min_size=1, max_size=14),
 )
 @example(seed=0, n=4, m=3, edge_prob=0.0, picks=[2, 0])  # no edges anywhere
-@example(seed=1, n=5, m=6, edge_prob=0.6, picks=[1, 4, 1, 5, 0, 4])  # repeats, 2 left out
+@example(seed=1, n=5, m=6, edge_prob=0.6, picks=[1, 4, 1, 5, 0, 4])  # 2 left out
 def test_network_and_constraint_match_the_tuple_oracles(seed, n, m, edge_prob, picks):
-    """NetworkDatabase.network equals the counting loop on a random pick of
-    instances (in drawn order, repeats kept), on one instance, on all but
-    one, on every instance and on every instance plus the pick, and the
-    topology term Q'CQ built from the arrays matches the one of C built
-    from (p, q, w) tuples, for a random n x 3 Q.  An index one past the last
-    instance raises."""
+    """NetworkDatabase.network equals the counting loop on every instance,
+    and on the networks the counting loop gives for a random pick of
+    instances, for one instance, for all but one and for every instance,
+    the topology term Q'CQ built from the arrays matches the one of C built
+    from (p, q, w) tuples, for a random n x 3 Q."""
     db = random_db(np.random.default_rng(seed), n=n, m=m, edge_prob=edge_prob)
-    subset = [p % m for p in picks]
+    subset = sorted({p % m for p in picks})
     everyone = list(range(m))
     left_out = everyone[: subset[0]] + everyone[subset[0] + 1 :]
-    for indices in (subset, subset[-1:], left_out, everyone, everyone + subset):
-        g = db.network(indices)
+    g = db.network()
+    assert edge_tuples(g) == network_by_counting(db, everyone)
+    assert g.edges.dtype == np.intp and g.weights.dtype == np.float64
+    for indices in (subset, subset[-1:], left_out, everyone):
         expected = network_by_counting(db, indices)
-        assert edge_tuples(g) == expected
-        assert g.edges.dtype == np.intp and g.edges.shape == (len(expected), 2)
-        assert g.weights.dtype == np.float64
         q = np.random.default_rng(seed).normal(size=(n, 3))
-        got, want = topology_term(g, q), q.T @ (constraint_from_tuples(n, expected) @ q)
+        got = topology_term(network(n, expected), q)
+        want = q.T @ (constraint_from_tuples(n, expected) @ q)
         assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1e-300)
-    for indices in (everyone[1:] + [m], subset + [m]):
-        with pytest.raises(ValueError, match="^instance index out of range$"):
-            db.network(indices)
 
 
 @SETTINGS
@@ -193,7 +191,7 @@ def test_knn_laplacians_match_the_argsort_oracle_on_ties(seed, n, m, copies, zer
     labels = rng.integers(0, 2, size=m)
     k = k_pick % m  # 1, 2, m - 2 or m - 1
     sims = _cosine_matrix(StateMatrix(values))
-    d_plus, l_tilde = build_laplacian_set(sims, labels, k)
+    d_plus, l_tilde = laplacian_set(sims, labels, k)
 
     assert linked_sets(l_tilde) == symmetric_relation(nearest_by_argsort(sims, k).tolist())
     dense = l_tilde.toarray()
@@ -247,10 +245,10 @@ def test_gram_path_matches_the_explicit_x_oracle(
     assert np.abs(sims - unit_cosine(values)).max() <= 4 * np.finfo(np.float64).eps
 
     labels = rng.permutation(np.arange(m) % 2)
-    d_plus, l_tilde = build_laplacian_set(sims, labels, min(3, m - 1))
+    d_plus, l_tilde = laplacian_set(sims, labels, min(3, m - 1))
     edges = [[(p, q) for p in range(n) for q in range(p + 1, n) if rng.random() < 0.4]
              for _ in range(m)]
-    g = build_db(values, labels, edges).network(np.arange(m))
+    g = build_db(values, labels, edges).network()
     v = StateMatrix(values)
     if np.any(d_plus < 0.0):
         with pytest.raises(SubnetmineError, match="negative"):
@@ -294,7 +292,7 @@ def test_shared_neighbour_table_matches_each_training_sets_own(
     """Small-integer values, duplicated and zero-norm columns and null
     nodes tie many similarities.  Every training set that nested CV and the
     sweep reduce, and the full set, reads from its run's one neighbour table
-    the D+ and L~ that ``build_laplacian_set`` gives on its slice of the
+    the D+ and L~ that ``laplacian_set`` gives on its slice of the
     database's cosine, bit for bit; k runs up to m - 1."""
     rng = np.random.default_rng(seed)
     values = rng.integers(-2, 3, size=(n, m)).astype(np.float64)
@@ -310,7 +308,7 @@ def test_shared_neighbour_table_matches_each_training_sets_own(
     sims = _cosine_matrix(StateMatrix(db.values))
     assignment = evaluation.stratified_folds(labels, folds, seed)
 
-    def laplacian_set(v, d_plus, l_tilde, *rest):  # in place of the rest of the reduction
+    def the_laplacians(v, d_plus, l_tilde, *rest):  # in place of the rest of the reduction
         return d_plus, l_tilde
 
     for most_left_out in (1, 2):  # the sweep, then nested CV
@@ -319,9 +317,9 @@ def test_shared_neighbour_table_matches_each_training_sets_own(
             train = np.flatnonzero(~np.isin(assignment, left_out))
             if train.size < 2:
                 continue
-            with mock.patch.object(evaluation, "reduce_problem", laplacian_set):
+            with mock.patch.object(evaluation, "reduce_problem", the_laplacians):
                 d_plus, l_tilde = reduce(left_out)
-            own_d_plus, own_l_tilde = build_laplacian_set(
+            own_d_plus, own_l_tilde = laplacian_set(
                 sims[np.ix_(train, train)], labels[train], min(k, train.size - 1)
             )
             assert np.array_equal(d_plus.view(np.uint64), own_d_plus.view(np.uint64))
@@ -348,8 +346,8 @@ def test_fold_table_networks_match_each_training_sets_own(
     """Null nodes, instances with no edges, and an edge that one instance
     alone carries, so that leaving its fold out drops the edge.  Every
     training set that nested CV and the sweep reduce, and the full set,
-    gets from its run's one fold table the generalized network that
-    ``NetworkDatabase.network`` gives on its instances, bit for bit."""
+    gets from its run's one fold table the generalized network that the
+    counting loop gives on its instances, bit for bit."""
     rng = np.random.default_rng(seed)
     valid = rng.random((n, m)) > 0.3
     lone = int(rng.integers(m))
@@ -380,7 +378,7 @@ def test_fold_table_networks_match_each_training_sets_own(
                 continue
             with mock.patch.object(evaluation, "reduce_problem", generalized_network):
                 g = reduce(left_out)
-            own = db.network(train)
+            own = network(n, network_by_counting(db, train.tolist()))
             assert g.n == own.n == n
             assert g.edges.dtype == own.edges.dtype and g.weights.dtype == own.weights.dtype
             assert np.array_equal(g.edges, own.edges)

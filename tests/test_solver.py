@@ -71,19 +71,6 @@ def test_objective_zero_laplacian_gives_minus_c():
     assert np.allclose(a, -c.toarray(), atol=1e-15)
 
 
-def test_objective_dimension_checks():
-    _, v, _, l_tilde, c = pipeline_pieces(2)
-    bad_v = StateMatrix(np.zeros((v.n_rows, v.m_cols + 1)))
-    m, n = v.m_cols, v.n_rows
-    message = f"Laplacians are {m}x{m}, state matrix has {m + 1} columns"
-    with pytest.raises(SubnetmineError, match=re.escape(message)):
-        assemble_objective_matrix(bad_v, l_tilde, c, 1.0)
-    bad_c = sparse.csr_array((n + 2, n + 2))
-    message = f"constraint matrix is {n + 2}x{n + 2}, state matrix has {n} rows"
-    with pytest.raises(SubnetmineError, match=re.escape(message)):
-        assemble_objective_matrix(v, l_tilde, bad_c, 1.0)
-
-
 def diag_fixture(sigmas):
     n = len(sigmas)
     return StateMatrix(np.diag(np.asarray(sigmas, dtype=np.float64))), np.ones(n)
@@ -511,11 +498,6 @@ def test_reduce_problem_rank_and_dimension_errors():
     for alpha in (-1.0, np.nan, np.inf):
         with pytest.raises(ConfigInvalid):
             problem.model(alpha, 1)
-    n = v.n_rows
-    bad_g = network(n + 2, ())
-    message = f"constraint matrix is {n + 2}x{n + 2}, state matrix has {n} rows"
-    with pytest.raises(SubnetmineError, match=re.escape(message)):
-        reduce_problem(v, d_plus, l_tilde, bad_g, 0.95)
 
 
 def test_topology_term_without_edges_is_zero_and_alpha_is_used_as_is():
