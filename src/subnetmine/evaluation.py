@@ -20,8 +20,12 @@ meta-graphs.  A training set's generalized network is the database's
 counts minus those of the folds it leaves out, so no training set reads
 an edge row.  Per distinct training set, ``reduce`` runs once: kNN
 Laplacians, SVD basis and whitened terms over its network.  Per alpha
-there is one eigensolve for the top d pairs of the r x r reduced matrix.
-The classifiers of all alphas on one training set come from one call of
+there is one solve for the top d pairs w of the r x r reduced matrix, and
+no n-length work: U'V = w'(Q'V), the training set's Q'V is the reduction's
+z' and a held-out fold's is formed once per training set.  LDA needs no
+sign convention on w, as a negated feature negates its mean and weight
+exactly; U is built only for the AUC.  The classifiers of all alphas on
+one training set come from one call of
 ``train_linear_classifier``, one batched d x d solve over the stacked
 embeddings.  Inner splits (f, g) and (g, f) share their training set, so
 F-fold ``evaluate_dataset`` reduces and trains on F + F(F-1)/2 sets and
@@ -218,8 +222,8 @@ def _reducer(
                 f"training set has {train.size} instance, need 2 or more; "
                 "use more instances or a one-point --alpha-grid"
             )
-        # np.take keeps C order, as an index would not
-        v_train = StateMatrix(
+        # a plain fit reads V and V'V in place; np.take keeps C order, as an index would not
+        v_train = StateMatrix(db.values, gram) if not left_out else StateMatrix(
             np.take(db.values, train, axis=1), None if gram is None else gram[np.ix_(train, train)]
         )
         d_plus, l_tilde = laplacians(table, db.labels, train, min(k, train.size - 1))
@@ -265,8 +269,8 @@ def _cv_scorer(
     """Fold count, ``score(left_out, held_out, alphas)`` and the run's
     ``_reducer``, whose training sets leave out at most ``most_left_out``
     folds.  ``score`` reduces once on the instances outside the folds
-    ``left_out``, solves once per alpha, trains the classifiers of all
-    alphas in one stacked run, and scores each on every fold in
+    ``left_out``, solves once per alpha for w, trains the classifiers of
+    all alphas in one stacked run, and scores each on every fold in
     ``held_out``; it returns the len(alphas) x len(held_out) accuracies."""
     labels, v = db.labels, db.values
     d = _dimension(solver_cfg.d, labels)
@@ -274,16 +278,15 @@ def _cv_scorer(
     reduce = _reducer(db, eval_cfg.k, solver_cfg.energy_fraction, assignment, most_left_out)
 
     def score(left_out, held_out, alphas) -> np.ndarray:
-        train = np.flatnonzero(~np.isin(assignment, left_out))
-        held = [np.flatnonzero(assignment == fold) for fold in held_out]
-        held = [(v[:, idx], labels[idx]) for idx in held]
         problem = reduce(left_out)
-        v_train = v[:, train]
-        us = [problem.model(alpha, d).u_matrix for alpha in alphas]
-        clfs = train_linear_classifier(np.stack([u.T @ v_train for u in us]), labels[train])
+        held = [assignment == fold for fold in held_out]
+        held = [(problem.basis.q.T @ v[:, in_fold], labels[in_fold]) for in_fold in held]
+        ws = [problem.coordinates(alpha, d)[1] for alpha in alphas]
+        train = ~np.isin(assignment, left_out)
+        clfs = train_linear_classifier(np.stack([(problem.z @ w).T for w in ws]), labels[train])
         return np.array([
-            [np.mean(clf.predict(u.T @ v_held) == y_held) for v_held, y_held in held]
-            for u, clf in zip(us, clfs)
+            [np.mean(clf.predict(w.T @ qv_held) == y_held) for qv_held, y_held in held]
+            for w, clf in zip(ws, clfs)
         ])
 
     return int(assignment.max()) + 1, score, reduce
@@ -319,7 +322,7 @@ def ranking_auc(scores, gt_nodes) -> tuple[float, list[tuple[float, float]]]:
         raise SubnetmineError(
             f"need 0 < |ground truth| < n, got {n_pos} of {n}"
         )
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)  # a tie shares one ROC point, in any order
     # one ROC point after the last node of each distinct score
     ends = np.append(np.flatnonzero(np.diff(scores[order]) != 0.0), n - 1)
     tp = np.cumsum(positive[order])[ends]

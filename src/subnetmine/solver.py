@@ -15,29 +15,30 @@ spectrum real and the normalization u'Bu = ||w||^2 = 1 exact.
 
 With Q = P S^{-1} the reduced matrix splits into a data term and a topology
 term, M = M0 - alpha M1 with M0 = (V'Q)' Ltilde (V'Q) and M1 = Q' C Q
-(``topology_term``).  Only the final r x r eigensolve depends on alpha, so
-a fit runs in two steps: ``reduce_problem`` takes the D+ diagonal and L~ of
+(``topology_term``).  Only the final r x r eigensolve depends on alpha, so a
+fit runs in two steps: ``reduce_problem`` takes the D+ diagonal and L~ of
 ``metagraph.laplacians`` and the generalized network, does the
-alpha-invariant work once per training set (SVD basis, Q, M0, M1 and their
-spectral radii) and returns a ``ReducedProblem``; ``model(alpha, d)`` then
-costs one eigensolve per alpha for the top d eigenpairs of the r x r
-matrix, and maps only those d columns back to node space through the same
-Q.  Within an exactly tied eigenvalue group any orthonormal basis is
-equally optimal; U holds the one the solver returns.  Multiplying every
-node value by s leaves M0 unchanged but scales M1 by 1/s^2, so an absolute
-alpha would mean something different in every unit system.  Alpha is
-therefore relative to the data term: the topology weight actually used is
-alpha * rho(M0) / rho(M1), rho being the largest absolute eigenvalue.
+alpha-invariant work once per training set (SVD basis, Q, z = V'Q, M0, M1
+and their spectral radii) and returns a ``ReducedProblem``; per alpha,
+``coordinates(alpha, d)`` is one LAPACK solve for the top d eigenpairs w of
+the r x r matrix, and ``model(alpha, d)`` maps w to U = Q w.  Within an
+exactly tied eigenvalue group any orthonormal basis is equally optimal; U
+holds the one the solver returns.  Multiplying every node value by s leaves
+M0 unchanged but scales M1 by 1/s^2, so an absolute alpha would mean
+something different in every unit system.  Alpha is therefore relative to
+the data term: the weight used is alpha * rho(M0) / rho(M1), rho being the
+largest absolute eigenvalue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
+from scipy.linalg import lapack
 
 from .data import (
     GeneralizedNetwork, StateMatrix, TsvFile, floats, value_error, write_json, write_tsv,
@@ -177,57 +178,53 @@ def truncated_svd_basis(
     return TruncatedBasis(p_r=v.matrix @ w, sigma_r=sigma[:r].copy(), vq=k @ w / sigma[:r])
 
 
-def _top_eigenpairs(
-    reduced: np.ndarray, basis: TruncatedBasis, d: int, alpha: float
-) -> SpectralModel:
-    """Top-d eigenpairs of a symmetric r x r reduced matrix in descending
-    order, mapped back to node space by ``basis.q`` with the
-    largest-magnitude entry of each column made positive."""
-    r = basis.r
+# LAPACK's solver for eigenpairs il..iu as scipy.linalg.eigh(subset_by_index=...) calls it,
+# without eigh's per-call checks and with the workspace queried once per size
+_SYEVR, _syevr_lwork = lapack.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+_syevr_lwork = cache(_syevr_lwork)
+
+
+def _top_eigenpairs(reduced: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-d eigenvalues and eigenvectors w (r x d) of a symmetric r x r
+    reduced matrix in descending order, from one ?syevr call."""
+    r = reduced.shape[0]
     if d > r:
         raise SubnetmineError(f"requested d={d} exceeds retained rank r={r}")
     if d < 1:
         raise ConfigInvalid(f"d must be positive, got {d}")
-    eigvals, eigvecs = linalg.eigh(reduced, subset_by_index=[r - d, r - 1])
-    eigvals = eigvals[::-1]
-    u = basis.q @ eigvecs[:, ::-1]
-    flip = np.take_along_axis(
-        u, np.argmax(np.abs(u), axis=0)[np.newaxis, :], axis=0
-    ).ravel()
-    u[:, flip < 0] *= -1.0
-
-    return SpectralModel(u_matrix=u, eigenvalues=eigvals, basis=basis, alpha=alpha)
+    lwork, liwork, _ = _syevr_lwork(r, lower=1)
+    eigvals, w, _, _, info = _SYEVR(
+        reduced, range="I", il=r - d + 1, iu=r, lower=1, lwork=int(lwork), liwork=liwork
+    )
+    if info:
+        raise np.linalg.LinAlgError(f"?syevr failed to converge: info {info}")
+    return eigvals[d - 1::-1], w[:, ::-1]
 
 
 @dataclass(frozen=True, eq=False)
 class ReducedProblem:
     """The alpha-invariant part of one fit: the truncated basis (with its Q,
-    built once), the whitened data term M0 and topology term M1 (both
-    r x r), and their spectral radii.
+    built once), z = V'Q (m x r), the whitened data term M0 and topology
+    term M1 (both r x r), and their spectral radii.
 
     rho0 and rho1 are kept apart, not as a ratio, so every weight is
     computed as alpha * rho0 / rho1 with one rounding order.
     """
 
     basis: TruncatedBasis
+    z: np.ndarray
     m0: np.ndarray
     m1: np.ndarray
     rho0: float
     rho1: float
 
-    def model(self, alpha: float, d: int) -> SpectralModel:
-        """Top-d eigenpairs of M0 - alpha_eff M1, mapped back to node space.
-
-        ``alpha`` is relative: alpha_eff = alpha * rho(M0) / rho(M1), so
-        alpha = 1 gives the topology term the same spectral radius as the
-        data term in the whitened space, and multiplying every node value by
-        s scales U by 1/s and changes nothing else.  Without edges
-        (rho(M1) = 0) alpha is used as is.  The result equals the top
-        eigenpairs of the whitened dense objective V Ltilde V' - alpha_eff C,
-        but no n x n matrix is formed.  A negative, infinite or NaN alpha
-        raises ConfigInvalid, as does one so large that alpha_eff or the
-        reduced matrix overflows.
-        """
+    def coordinates(self, alpha: float, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Top-d eigenvalues and eigenvectors w (r x d) of M0 - alpha_eff M1,
+        descending.  ``alpha`` is relative: alpha_eff = alpha * rho(M0) /
+        rho(M1), so alpha = 1 gives the topology term the data term's spectral
+        radius in the whitened space; without edges (rho(M1) = 0) alpha is
+        used as is.  A negative, infinite, NaN or overflowing alpha (alpha_eff
+        or the reduced matrix not finite) raises ConfigInvalid."""
         check_alpha(alpha)
         with np.errstate(over="ignore", invalid="ignore"):
             weight = alpha * self.rho0 / self.rho1 if self.rho1 > 0.0 else alpha
@@ -237,7 +234,17 @@ class ReducedProblem:
                 f"alpha={alpha} overflows the reduced problem (topology weight {weight:g}); "
                 "use a smaller alpha"
             )
-        return _top_eigenpairs(reduced, self.basis, d, alpha)
+        return _top_eigenpairs(reduced, d)
+
+    def model(self, alpha: float, d: int) -> SpectralModel:
+        """``coordinates`` mapped to node space, U = Q w, with each column's
+        largest-magnitude entry made positive: the top eigenvectors of the
+        whitened V Ltilde V' - alpha_eff C, with no n x n matrix formed.
+        Scaling every node value by s scales U by 1/s, and nothing else."""
+        eigvals, w = self.coordinates(alpha, d)
+        u = self.basis.q @ w
+        u[:, u[np.argmax(np.abs(u), axis=0), np.arange(d)] < 0.0] *= -1.0
+        return SpectralModel(u_matrix=u, eigenvalues=eigvals, basis=self.basis, alpha=alpha)
 
 
 def topology_term(g: GeneralizedNetwork, q: np.ndarray) -> np.ndarray:
@@ -266,7 +273,7 @@ def reduce_problem(
     m1 = topology_term(g, q)
     rho0 = float(np.abs(np.linalg.eigvalsh(m0)).max())
     rho1 = float(np.abs(np.linalg.eigvalsh(m1)).max())
-    return ReducedProblem(basis=basis, m0=m0, m1=m1, rho0=rho0, rho1=rho1)
+    return ReducedProblem(basis=basis, z=z, m0=m0, m1=m1, rho0=rho0, rho1=rho1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from subnetmine import metagraph
+from subnetmine import evaluation, metagraph
 from subnetmine.data import GeneralizedNetwork, NetworkDatabase, StateMatrix
 from subnetmine.errors import ParseError, SubnetmineError
 from subnetmine.metagraph import _cosine_matrix, neighbour_table
 from subnetmine.solver import (
-    ReducedProblem, SpectralModel, TruncatedBasis, _top_eigenpairs, topology_term,
+    ReducedProblem, SpectralModel, TruncatedBasis, topology_term,
 )
 
 
@@ -503,7 +503,7 @@ def explicit_x_reduction(
     m0 = (m0 + m0.T) / 2.0
     m1 = topology_term(g, basis.q)
     rho0, rho1 = (float(np.abs(np.linalg.eigvalsh(m)).max()) for m in (m0, m1))
-    return ReducedProblem(basis=basis, m0=m0, m1=m1, rho0=rho0, rho1=rho1)
+    return ReducedProblem(basis=basis, z=z, m0=m0, m1=m1, rho0=rho0, rho1=rho1)
 
 
 def assemble_objective_matrix(
@@ -534,7 +534,14 @@ def solve_spectral(
     the model; it must match the absolute weight used to assemble ``a``.
     """
     reduced = basis.q.T @ (a @ basis.q)
-    return _top_eigenpairs((reduced + reduced.T) / 2.0, basis, d, alpha)
+    return fixed_problem((reduced + reduced.T) / 2.0, basis).model(alpha, d)
+
+
+def fixed_problem(reduced: np.ndarray, basis: TruncatedBasis) -> ReducedProblem:
+    """A reduction whose reduced matrix is ``reduced`` at every alpha: no
+    topology term, and no training instances in ``z``."""
+    zero = np.zeros_like(reduced)
+    return ReducedProblem(basis, z=np.empty((0, basis.r)), m0=reduced, m1=zero, rho0=1.0, rho1=0.0)
 
 
 def top_eigenpairs_by_full_solve(
@@ -548,3 +555,29 @@ def top_eigenpairs_by_full_solve(
     u = basis.q @ eigvecs[:, ::-1][:, :d]
     u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(d)])
     return eigvals[::-1][:d], u
+
+
+def node_space_scorer(db: NetworkDatabase, eval_cfg, solver_cfg, most_left_out: int):
+    """``score(left_out, held_out, alphas)`` of ``evaluation._cv_scorer``
+    computed in node space: per alpha, U = ``model(alpha, d).u_matrix`` with
+    its sign convention, LDA trained on U'V_train and scored on U'V of each
+    held-out fold: the oracle for the scorer, which reads only the reduced
+    coordinates w."""
+    labels, v = db.labels, db.values
+    d = solver_cfg.d if solver_cfg.d is not None else len(np.unique(labels))
+    assignment = evaluation.stratified_folds(labels, eval_cfg.folds, eval_cfg.seed)
+    _, _, reduce = evaluation._cv_scorer(db, eval_cfg, solver_cfg, most_left_out)
+
+    def score(left_out, held_out, alphas) -> np.ndarray:
+        train = ~np.isin(assignment, left_out)
+        problem = reduce(left_out)
+        us = [problem.model(alpha, d).u_matrix for alpha in alphas]
+        stack = np.stack([u.T @ v[:, train] for u in us])
+        clfs = evaluation.train_linear_classifier(stack, labels[train])
+        held = [assignment == fold for fold in held_out]
+        return np.array([
+            [np.mean(clf.predict(u.T @ v[:, fold]) == labels[fold]) for fold in held]
+            for u, clf in zip(us, clfs)
+        ])
+
+    return score

@@ -85,7 +85,8 @@ def overflowing(rho1):
     reduced matrix overflows."""
     basis = TruncatedBasis(p_r=np.eye(2), sigma_r=np.ones(2))
     m0, m1 = np.diag([1.0, 0.0]), np.diag([2.0, 1.0])
-    return ReducedProblem(basis, m0=m0, m1=m1, rho0=1.0, rho1=rho1).model(1e308, 1)
+    problem = ReducedProblem(basis, z=np.eye(2), m0=m0, m1=m1, rho0=1.0, rho1=rho1)
+    return problem.model(1e308, 1)
 
 
 # name: (call on the temporary directory, class, text)

@@ -6,11 +6,12 @@ import json
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from helpers import build_db, laplacians, restrict_instances, template_db
+from helpers import build_db, laplacians, node_space_scorer, restrict_instances, template_db
 from subnetmine import evaluation, solver
 from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_network
 from subnetmine.errors import ConfigInvalid, SubnetmineError
@@ -483,6 +484,70 @@ def test_one_reduction_serves_the_whole_grid(monkeypatch):
     for alpha, model in zip(DEFAULT_ALPHA_GRID, models):
         assert np.array_equal(model.u_matrix, fit_model(db, k=4, alpha=alpha).u_matrix)
     assert len(calls) == 1 + len(DEFAULT_ALPHA_GRID)
+
+
+def mixture_db(seed, n, m, states, kinds=4):
+    """Instances of ``kinds`` positive templates, each raised by 7 on its own
+    quarter of the nodes, labelled kind % states: every training set of a
+    4-fold run keeps r >= 3 at the seeds used."""
+    rng = np.random.default_rng(seed)
+    kind = rng.permutation(np.arange(m) % kinds)
+    templates = 1.0 + rng.random((n, kinds))
+    for j in range(kinds):
+        templates[j * n // kinds : (j + 1) * n // kinds, j] += 7.0
+    values = templates[:, kind] + rng.normal(0.0, 0.4, size=(n, m))
+    edge_lists = [
+        [(p, q) for p in range(n) for q in range(p + 1, n) if rng.random() < 0.35]
+        for _ in range(m)
+    ]
+    return build_db(values, kind % states, edge_lists)
+
+
+@pytest.mark.parametrize(
+    "n, states, d",
+    [
+        *((60, 2, d) for d in (1, 2, 3)),  # m = 40 <= n: z is the basis's V'Q
+        *((12, 2, d) for d in (1, 2, 3)),  # m > n: z is reduce_problem's product
+        (40, 3, None),  # three states, d = 3
+        (10, 3, None),
+    ],
+)
+def test_reduced_scorer_matches_the_node_space_oracle(n, states, d):
+    """Scoring in reduced coordinates, w'z' for the training set and
+    w'(Q'V_held) per held-out fold with no sign convention, gives exactly
+    the accuracies of scoring U'V with U = model(alpha, d).u_matrix, for
+    the inner pairs of nested CV and for the outer folds."""
+    db = mixture_db(0, n, 40 if states == 2 else 30, states)
+    eval_cfg = EvalConfig(folds=4, k=3, seed=0)
+    solver_cfg = SolverConfig(alpha=1.0, d=d)
+    for most_left_out in (1, 2):
+        _, score, _ = evaluation._cv_scorer(db, eval_cfg, solver_cfg, most_left_out)
+        oracle = node_space_scorer(db, eval_cfg, solver_cfg, most_left_out)
+        for left_out in combinations(range(4), most_left_out):
+            held_out = left_out[::-1]
+            got = score(left_out, held_out, DEFAULT_ALPHA_GRID)
+            assert got.shape == (len(DEFAULT_ALPHA_GRID), most_left_out)
+            assert np.array_equal(got, oracle(left_out, held_out, DEFAULT_ALPHA_GRID))
+
+
+def test_scoring_builds_no_node_space_model(monkeypatch):
+    """CV scoring reads only each alpha's reduced coordinates: nested CV
+    and the sweep without ground truth never call ReducedProblem.model."""
+    db = class_db(4, n=10, m=24)
+    calls = []
+    model = solver.ReducedProblem.model
+
+    def counted(self, alpha, d):
+        calls.append(alpha)
+        return model(self, alpha, d)
+
+    monkeypatch.setattr(solver.ReducedProblem, "model", counted)
+    eval_cfg = EvalConfig(folds=4, alpha_grid=(0.1, 1.0, 4.0), k=3, seed=8)
+    evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1))
+    sweep_alpha(db, eval_cfg, SolverConfig(alpha=0.1))
+    assert calls == []
+    evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1, 2])
+    assert len(calls) == 1  # the full-database model of the AUC
 
 
 @pytest.mark.parametrize("n", [30, 8])  # m = 24 <= n: K is sliced; m > n: the XX' path

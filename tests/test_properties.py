@@ -439,3 +439,33 @@ def test_classifier_invariant_under_invertible_maps(seed, dim, m, classes):
     after = train_linear_classifier((mix @ x)[np.newaxis], labels)[0]
     assert np.array_equal(before.predict(x), after.predict(mix @ x))
     assert np.array_equal(before.predict(test), after.predict(mix @ test))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**16),
+    dim=st.integers(1, 4),
+    m=st.integers(4, 40),
+    classes=st.integers(2, 3),
+    integer=st.booleans(),
+    flips=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+@example(seed=0, dim=3, m=12, classes=3, integer=True, flips=[True, False, True, False])
+def test_classifier_predictions_ignore_feature_signs(seed, dim, m, classes, integer, flips):
+    """Negating features negates their class means and discriminant weights
+    exactly and leaves the scatter's magnitudes as they were, so the
+    predictions are bit-identical: CV scoring needs no sign convention on
+    the reduced coordinates."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(m) % classes)
+    if integer:  # tied values and tied scores
+        x, test = (rng.integers(-2, 3, size=(dim, size)).astype(float) for size in (m, 50))
+    else:
+        x, test = rng.normal(size=(dim, m)) + labels, rng.normal(size=(dim, 50))
+    signs = np.where(flips[:dim], -1.0, 1.0)[:, np.newaxis]
+    before = train_linear_classifier(x[np.newaxis], labels)[0]
+    after = train_linear_classifier((signs * x)[np.newaxis], labels)[0]
+    assert np.array_equal(after.weights, before.weights * signs.T)
+    assert np.array_equal(after.biases, before.biases)
+    assert np.array_equal(before.predict(x), after.predict(signs * x))
+    assert np.array_equal(before.predict(test), after.predict(signs * test))

@@ -9,6 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import linalg, sparse
 
 from helpers import (
@@ -16,6 +18,7 @@ from helpers import (
     build_db,
     constraint_from_tuples,
     edge_tuples,
+    fixed_problem,
     laplacians,
     network,
     random_db,
@@ -23,7 +26,7 @@ from helpers import (
     svd_basis,
     top_eigenpairs_by_full_solve,
 )
-from subnetmine import cli
+from subnetmine import cli, solver
 from subnetmine.data import StateMatrix, build_generalized_network, write_database
 from subnetmine.errors import ConfigInvalid, ParseError, SubnetmineError
 from subnetmine.solver import (
@@ -342,25 +345,74 @@ R = 7
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("d", [1, 2, R - 1, R])
 def test_top_eigenpairs_match_the_full_solve(seed, d):
-    """A random reduced problem: each model is one scipy eigensolve for the
-    top d pairs, and it matches the top d of a full numpy solve."""
+    """A random reduced problem: each model is one call of LAPACK's ?syevr
+    for the top d pairs, through neither eigh, and it matches the top d of
+    a full numpy solve."""
     rng = np.random.default_rng(seed)
     p, _ = np.linalg.qr(rng.normal(size=(12, R)))
     basis = TruncatedBasis(p_r=p, sigma_r=np.sort(rng.uniform(0.5, 3.0, R))[::-1])
     s = rng.normal(size=(R, R))
     reduced = (s + s.T) / 2.0
-    problem = ReducedProblem(basis, m0=reduced, m1=np.zeros((R, R)), rho0=1.0, rho1=0.0)
+    problem = fixed_problem(reduced, basis)
     with (
+        mock.patch.object(solver, "_SYEVR", wraps=solver._SYEVR) as syevr,
         mock.patch("scipy.linalg.eigh", wraps=linalg.eigh) as top,
         mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as full,
     ):
         model = problem.model(0.0, d)
-    assert (top.call_count, full.call_count) == (1, 0)
+    assert (syevr.call_count, top.call_count, full.call_count) == (1, 0, 0)
     eigvals, u = top_eigenpairs_by_full_solve(reduced, basis, d)
     assert np.abs(model.eigenvalues - eigvals).max() <= 1e-10 * np.abs(eigvals).max()
     # the sign convention is applied on both sides, so no column may flip
     assert model.u_matrix.shape == (12, d)
     assert np.abs(model.u_matrix - u).max() <= 1e-10 * np.abs(u).max()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    r=st.integers(1, 120),
+    d_pick=st.integers(0, 2**16),
+    tied=st.booleans(),
+)
+@example(seed=0, r=1, d_pick=0, tied=False)
+@example(seed=1, r=120, d_pick=119, tied=True)
+@example(seed=2, r=40, d_pick=2, tied=True)
+def test_top_eigenpairs_equal_scipy_eigh(seed, r, d_pick, tied):
+    """The direct ?syevr call gives, bit for bit, the reversed pairs of
+    scipy.linalg.eigh(subset_by_index=[r - d, r - 1]), on random symmetric
+    matrices and on rotated spectra drawn from three values, whose ties
+    fall inside the top d and across its edge."""
+    rng = np.random.default_rng(seed)
+    d = 1 + d_pick % r
+    if tied:
+        q, _ = np.linalg.qr(rng.normal(size=(r, r)))
+        reduced = (q * rng.choice([-1.0, 0.5, 2.0], size=r)) @ q.T
+    else:
+        reduced = rng.normal(size=(r, r))
+    reduced = (reduced + reduced.T) / 2.0
+    eigvals, w = _top_eigenpairs(reduced, d)
+    want_vals, want_w = linalg.eigh(reduced, subset_by_index=[r - d, r - 1])
+    assert np.array_equal(eigvals, want_vals[::-1])
+    assert np.array_equal(w, want_w[:, ::-1])
+
+
+def test_coordinates_raise_the_errors_of_model():
+    """d above r, d below 1, a bad alpha and an overflowing one raise the
+    same errors from the reduced coordinates as from the model."""
+    basis = TruncatedBasis(p_r=np.eye(3), sigma_r=np.ones(3))
+    m0, m1 = np.diag([1.0, 0.0, 0.0]), np.diag([2.0, 1.0, 0.0])
+    problem = ReducedProblem(basis, z=np.eye(3), m0=m0, m1=m1, rho0=1.0, rho1=0.5)
+    cases = [
+        (1.0, 4, SubnetmineError, "requested d=4 exceeds retained rank r=3"),
+        (1.0, 0, ConfigInvalid, "d must be positive, got 0"),
+        (-1.0, 1, ConfigInvalid, "alpha must be finite and nonnegative, got -1.0"),
+        (1e308, 1, ConfigInvalid, "alpha=1e+308 overflows the reduced problem"),
+    ]
+    for alpha, d, error, text in cases:
+        for call in (problem.coordinates, problem.model):
+            with pytest.raises(error, match=re.escape(text)):
+                call(alpha, d)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -384,7 +436,7 @@ def test_planted_ties_keep_eigenvalues_normalization_and_signs(seed, spectrum, d
     basis = TruncatedBasis(
         p_r=np.eye(12)[:, rng.permutation(12)[:R]], sigma_r=rng.uniform(0.5, 3.0, R)
     )
-    model = _top_eigenpairs(np.diag(rng.permutation(spectrum)), basis, d, alpha=0.0)
+    model = fixed_problem(np.diag(rng.permutation(spectrum)), basis).model(0.0, d)
     assert np.array_equal(model.eigenvalues, spectrum[:d])
     u = model.u_matrix
     pu = basis.p_r.T @ u  # U'BU with B = P S^2 P'
