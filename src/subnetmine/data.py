@@ -8,8 +8,9 @@ mask, the m global states, and every instance edge in one sorted array.
 The union of instance edges, weighted by the fraction of instances carrying
 each edge, forms the generalized network used downstream as the topology
 regularizer.  The per-edge counts of the whole database are kept, so the
-network of a training set is the full counts minus the edge counts of the
-folds it leaves out, which ``group_counts`` counts in one pass.
+network of a training set weighs the same union edges by the full counts
+minus the edge counts of the folds it leaves out, which ``group_counts``
+counts in one pass; an edge none of the set's instances carries weighs 0.
 
 Dataset directory format (UTF-8, tab-separated, header on the first
 non-blank line, lines ending in LF, CRLF or CR, blank lines skipped):
@@ -157,18 +158,13 @@ class NetworkDatabase:
 @dataclass(frozen=True, eq=False)
 class GeneralizedNetwork:
     """Union graph over a set of instances: ``edges`` holds its (p, q) rows,
-    E x 2 intp, p < q, sorted; ``weights`` their presence fractions, float64."""
+    E x 2 intp, p < q, sorted; ``weights`` their presence fractions, float64,
+    >= 0: 0 on a CV training set's union edges that none of its instances
+    carries, > 0 on all of ``db.network()``, which ``select`` reads."""
 
     n: int
     edges: np.ndarray
     weights: np.ndarray
-
-    @classmethod
-    def counted(cls, n: int, pairs: np.ndarray, counts: np.ndarray, size: int):
-        """The ``pairs`` whose instance count is positive, each weighted by
-        its count over the ``size`` instances counted."""
-        kept = np.flatnonzero(counts)
-        return cls(n, pairs[kept], counts[kept] / size)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,21 +16,23 @@ once, and with folds counts each fold's union edges once
 folds left out.  The table ranks a fold's test instances too, but a
 training set keeps only its own entries, and the cosine of two instances
 depends on those two alone, so no test information reaches a fold's
-meta-graphs.  A training set's generalized network is the database's
-counts minus those of the folds it leaves out, so no training set reads
-an edge row.  Per distinct training set, ``reduce`` runs once: kNN
-Laplacians, SVD basis and whitened terms over its network.  Per alpha
-there is one solve for the top d pairs w of the r x r reduced matrix, and
-no n-length work: U'V = w'(Q'V), the training set's Q'V is the reduction's
-z' and a held-out fold's is formed once per training set.  LDA needs no
-sign convention on w, as a negated feature negates its mean and weight
-exactly; U is built only for the AUC.  The classifiers of all alphas on
-one training set come from one call of
-``train_linear_classifier``, one batched d x d solve over the stacked
-embeddings.  Inner splits (f, g) and (g, f) share their training set, so
-F-fold ``evaluate_dataset`` reduces and trains on F + F(F-1)/2 sets and
-``sweep_alpha`` on F, plus one more reduction of the full database when
-ground truth is given.
+meta-graphs.  A training set's generalized network holds the union's
+edges, weighted by the database's counts minus those of the folds it
+leaves out, so no training set reads an edge row; an edge none of its
+instances carries weighs 0, which adds exactly 0 to the topology term.
+A CV run reads ``_cv_scorer``'s pair alone: ``score(left_out, alphas)``
+reduces the training set outside the folds ``left_out`` once (kNN
+Laplacians, SVD basis and whitened terms) and scores every alpha on each
+fold it leaves out, and ``aucs(alphas)`` reduces the full database.  Per
+alpha there is one solve for the top d pairs w of the r x r reduced
+matrix, and no n-length work: U'V = w'(Q'V), the training set's Q'V is
+the reduction's z' and a held-out fold's is formed once per training
+set.  LDA needs no sign convention on w, as a negated feature negates its
+mean and weight exactly; U is built only for the AUC.  All alphas'
+classifiers on one training set come from one batched d x d solve.
+Inner splits (f, g) and (g, f) share their training set, so F-fold
+``evaluate_dataset`` reduces on F + F(F-1)/2 sets and ``sweep_alpha`` on
+F, plus one full reduction when ground truth is given.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ def _reducer(
                 # a row of the table names each edge at most once
                 row = slice(by_fold.indptr[fold], by_fold.indptr[fold + 1])
                 counts[by_fold.indices[row]] -= by_fold.data[row]
-            network = GeneralizedNetwork.counted(db.n, pairs, counts, train.size)
+            network = GeneralizedNetwork(db.n, pairs, counts / train.size)
         if train.size < 2:
             raise SubnetmineError(
                 f"training set has {train.size} instance, need 2 or more; "
@@ -264,22 +266,26 @@ def fit_model(
 
 
 def _cv_scorer(
-    db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig, most_left_out: int
+    db: NetworkDatabase, eval_cfg: EvalConfig, solver_cfg: SolverConfig, most_left_out: int,
+    gt_nodes=None,
 ):
-    """Fold count, ``score(left_out, held_out, alphas)`` and the run's
-    ``_reducer``, whose training sets leave out at most ``most_left_out``
-    folds.  ``score`` reduces once on the instances outside the folds
-    ``left_out``, solves once per alpha for w, trains the classifiers of
-    all alphas in one stacked run, and scores each on every fold in
-    ``held_out``; it returns the len(alphas) x len(held_out) accuracies."""
+    """A CV run's whole interface, ``(score, aucs)``, checking ``gt_nodes``
+    before any set-up; training sets leave out at most ``most_left_out``
+    folds.  ``score(left_out, alphas)`` reduces once on the instances outside
+    the folds ``left_out``, solves once per alpha for w, trains all alphas'
+    classifiers in one stacked run and scores each on every fold left out:
+    len(alphas) x len(left_out) accuracies.  ``aucs(alphas)`` reduces the
+    full database and gives ``ranking_auc`` of its model at each alpha."""
+    if gt_nodes is not None:  # read once, so an iterator works too
+        gt_nodes = np.flatnonzero(_positives(gt_nodes, db.n))
     labels, v = db.labels, db.values
     d = _dimension(solver_cfg.d, labels)
     assignment = stratified_folds(labels, eval_cfg.folds, eval_cfg.seed)
     reduce = _reducer(db, eval_cfg.k, solver_cfg.energy_fraction, assignment, most_left_out)
 
-    def score(left_out, held_out, alphas) -> np.ndarray:
+    def score(left_out, alphas) -> np.ndarray:
         problem = reduce(left_out)
-        held = [assignment == fold for fold in held_out]
+        held = [assignment == fold for fold in left_out]
         held = [(problem.basis.q.T @ v[:, in_fold], labels[in_fold]) for in_fold in held]
         ws = [problem.coordinates(alpha, d)[1] for alpha in alphas]
         train = ~np.isin(assignment, left_out)
@@ -289,7 +295,11 @@ def _cv_scorer(
             for w, clf in zip(ws, clfs)
         ])
 
-    return int(assignment.max()) + 1, score, reduce
+    def aucs(alphas) -> list[tuple[float, list]]:
+        full = reduce(())
+        return [ranking_auc(score_nodes(full.model(a, d).u_matrix), gt_nodes) for a in alphas]
+
+    return score, aucs
 
 
 def _mean_sd(accuracies) -> tuple[float, float]:
@@ -302,6 +312,19 @@ def _mean_sd(accuracies) -> tuple[float, float]:
 # node-ranking AUC
 
 
+def _positives(gt_nodes, n: int) -> np.ndarray:
+    """The mask of a ground-truth set that holds some but not all n nodes."""
+    positive = np.zeros(n, dtype=bool)
+    for p in gt_nodes:
+        if not 0 <= int(p) < n:
+            raise SubnetmineError(f"ground-truth ordinal {p} out of range")
+        positive[int(p)] = True
+    n_pos = int(positive.sum())
+    if n_pos in (0, n):
+        raise SubnetmineError(f"need 0 < |ground truth| < n, got {n_pos} of {n}")
+    return positive
+
+
 def ranking_auc(scores, gt_nodes) -> tuple[float, list[tuple[float, float]]]:
     """Mann-Whitney AUC (ties count one half) of a finite node score vector
     against a positive set, plus the ROC polyline from (0,0) to (1,1); the
@@ -311,17 +334,9 @@ def ranking_auc(scores, gt_nodes) -> tuple[float, list[tuple[float, float]]]:
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         raise SubnetmineError(f"scores must be finite, got {scores[bad[0]]} at node {bad[0]}")
-    positive = np.zeros(n, dtype=bool)
-    for p in gt_nodes:
-        if not 0 <= int(p) < n:
-            raise SubnetmineError(f"ground-truth ordinal {p} out of range")
-        positive[int(p)] = True
+    positive = _positives(gt_nodes, n)
     n_pos = int(positive.sum())
     n_neg = n - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise SubnetmineError(
-            f"need 0 < |ground truth| < n, got {n_pos} of {n}"
-        )
     order = np.argsort(-scores)  # a tie shares one ROC point, in any order
     # one ROC point after the last node of each distinct score
     ends = np.append(np.flatnonzero(np.diff(scores[order]) != 0.0), n - 1)
@@ -350,32 +365,29 @@ def evaluate_dataset(
     ``eval_cfg.alpha_grid`` only: of ``solver_cfg`` just ``d`` and
     ``energy_fraction`` are read, never its ``alpha``.
     """
-    grid = eval_cfg.alpha_grid
+    grid, folds = eval_cfg.alpha_grid, eval_cfg.folds
+    # an inner pair of 2 folds would train on nothing; stratified_folds rejects fewer
+    if len(grid) > 1 and folds == 2:
+        raise ConfigInvalid(
+            f"nested alpha selection needs 3 or more folds, got {folds}; "
+            "use more folds or a one-point --alpha-grid"
+        )
     # an inner pair leaves out two folds
-    folds, score, reduce = _cv_scorer(db, eval_cfg, solver_cfg, 2 if len(grid) > 1 else 1)
+    score, aucs = _cv_scorer(db, eval_cfg, solver_cfg, 2 if len(grid) > 1 else 1, gt_nodes)
     alphas = [grid[0]] * folds
     if len(grid) > 1:
-        if folds < 3:  # an inner pair would leave out both folds and train on nothing
-            raise ConfigInvalid(
-                f"nested alpha selection needs 3 or more folds, got {folds}; "
-                "use more folds or a one-point --alpha-grid"
-            )
         # inner[a, f, g]: accuracy at grid[a] on fold g, trained without f and g
         inner = np.empty((len(grid), folds, folds))
         for f, g in combinations(range(folds), 2):
-            inner[:, f, g], inner[:, g, f] = score((f, g), (g, f), grid).T
+            inner[:, g, f], inner[:, f, g] = score((f, g), grid).T
         for f in range(folds):
             means = [np.mean(np.delete(inner[a, f], f)) for a in range(len(grid))]
             alphas[f] = grid[int(np.argmax(means))]  # argmax keeps the smaller alpha on ties
-    accuracies = [float(score((f,), (f,), (alphas[f],))[0, 0]) for f in range(folds)]
+    accuracies = [float(score((f,), (alphas[f],))[0, 0]) for f in range(folds)]
 
     counts = Counter(alphas)
     best_alpha = min(counts, key=lambda a: (-counts[a], a))
-    auc = roc = None
-    if gt_nodes is not None:
-        model = reduce(()).model(best_alpha, _dimension(solver_cfg.d, db.labels))
-        auc, roc = ranking_auc(score_nodes(model.u_matrix), gt_nodes)
-        roc = tuple(roc)
+    auc, roc = (None, None) if gt_nodes is None else aucs((best_alpha,))[0]
     mean, sd = _mean_sd(accuracies)
     return EvalReport(
         fold_accuracies=tuple(accuracies),
@@ -384,7 +396,7 @@ def evaluate_dataset(
         fold_alphas=tuple(alphas),
         best_alpha=best_alpha,
         auc=auc,
-        roc=roc,
+        roc=None if roc is None else tuple(roc),
     )
 
 
@@ -407,20 +419,11 @@ def sweep_alpha(
     ``evaluate_dataset``, the alphas are ``eval_cfg.alpha_grid`` and of
     ``solver_cfg`` only ``d`` and ``energy_fraction`` are read."""
     grid = eval_cfg.alpha_grid
-    folds, score, reduce = _cv_scorer(db, eval_cfg, solver_cfg, 1)
+    score, aucs = _cv_scorer(db, eval_cfg, solver_cfg, 1, gt_nodes)
     # accuracies[a, f]: accuracy at grid[a] on outer fold f
-    accuracies = np.hstack([score((f,), (f,), grid) for f in range(folds)])
-    aucs = [None] * len(grid)
-    if gt_nodes is not None:
-        full = reduce(())
-        d = _dimension(solver_cfg.d, db.labels)
-        aucs = [
-            ranking_auc(score_nodes(full.model(alpha, d).u_matrix), gt_nodes)[0]
-            for alpha in grid
-        ]
-    return [
-        SweepRow(alpha, *_mean_sd(accuracies[a]), aucs[a]) for a, alpha in enumerate(grid)
-    ]
+    accuracies = np.hstack([score((f,), grid) for f in range(eval_cfg.folds)])
+    auc = [None] * len(grid) if gt_nodes is None else [pair[0] for pair in aucs(grid)]
+    return [SweepRow(alpha, *_mean_sd(row), a) for alpha, row, a in zip(grid, accuracies, auc)]
 
 
 # ---------------------------------------------------------------------------

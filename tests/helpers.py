@@ -558,23 +558,25 @@ def top_eigenpairs_by_full_solve(
 
 
 def node_space_scorer(db: NetworkDatabase, eval_cfg, solver_cfg, most_left_out: int):
-    """``score(left_out, held_out, alphas)`` of ``evaluation._cv_scorer``
-    computed in node space: per alpha, U = ``model(alpha, d).u_matrix`` with
-    its sign convention, LDA trained on U'V_train and scored on U'V of each
-    held-out fold: the oracle for the scorer, which reads only the reduced
-    coordinates w."""
+    """``score(left_out, alphas)`` of ``evaluation._cv_scorer`` computed in
+    node space over the run's reductions: per alpha, U =
+    ``model(alpha, d).u_matrix`` with its sign convention, LDA trained on
+    U'V_train and scored on U'V of each left-out fold: the oracle for the
+    scorer, which reads only the reduced coordinates w."""
     labels, v = db.labels, db.values
     d = solver_cfg.d if solver_cfg.d is not None else len(np.unique(labels))
     assignment = evaluation.stratified_folds(labels, eval_cfg.folds, eval_cfg.seed)
-    _, _, reduce = evaluation._cv_scorer(db, eval_cfg, solver_cfg, most_left_out)
+    reduce = evaluation._reducer(
+        db, eval_cfg.k, solver_cfg.energy_fraction, assignment, most_left_out
+    )
 
-    def score(left_out, held_out, alphas) -> np.ndarray:
+    def score(left_out, alphas) -> np.ndarray:
         train = ~np.isin(assignment, left_out)
         problem = reduce(left_out)
         us = [problem.model(alpha, d).u_matrix for alpha in alphas]
         stack = np.stack([u.T @ v[:, train] for u in us])
         clfs = evaluation.train_linear_classifier(stack, labels[train])
-        held = [assignment == fold for fold in held_out]
+        held = [assignment == fold for fold in left_out]
         return np.array([
             [np.mean(clf.predict(u.T @ v[:, fold]) == labels[fold]) for fold in held]
             for u, clf in zip(us, clfs)

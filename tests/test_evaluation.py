@@ -258,6 +258,40 @@ def test_fit_rejects_invalid_settings():
         evaluate_dataset(db, EvalConfig(folds=3, alpha_grid=(1.0,), k=0), SolverConfig(alpha=1.0))
 
 
+NESTED, FIXED = EvalConfig(folds=4, k=3), EvalConfig(folds=4, alpha_grid=(1.0,), k=3)
+TWO_FOLDS = EvalConfig(folds=2, alpha_grid=(1.0, 2.0), k=3)
+TWO_FOLDS_TEXT = (
+    "nested alpha selection needs 3 or more folds, got 2; "
+    "use more folds or a one-point --alpha-grid"
+)
+
+
+@pytest.mark.parametrize("run, eval_cfg, gt, error, text", [
+    (evaluate_dataset, TWO_FOLDS, None, ConfigInvalid, TWO_FOLDS_TEXT),
+    # the usage error comes before the ground truth's
+    (evaluate_dataset, TWO_FOLDS, [], ConfigInvalid, TWO_FOLDS_TEXT),
+    *((run, cfg, [], SubnetmineError, "need 0 < |ground truth| < n, got 0 of 8")
+      for run, cfg in ((evaluate_dataset, NESTED), (evaluate_dataset, FIXED),
+                       (sweep_alpha, NESTED))),
+    *((run, NESTED, range(8), SubnetmineError, "need 0 < |ground truth| < n, got 8 of 8")
+      for run in (evaluate_dataset, sweep_alpha)),
+    (sweep_alpha, FIXED, [0, 8], SubnetmineError, "ground-truth ordinal 8 out of range"),
+])
+def test_usage_and_ground_truth_errors_come_before_the_set_up(
+    monkeypatch, run, eval_cfg, gt, error, text
+):
+    """A nested run of 2 folds and a ground truth that is empty, all nodes
+    or out of range fail with ranking_auc's own messages before the run
+    ranks a neighbour table or builds a basis."""
+    calls = []
+    monkeypatch.setattr(evaluation, "neighbour_table", lambda *args: calls.append(args))
+    monkeypatch.setattr(solver, "truncated_svd_basis", lambda *args: calls.append(args))
+    with pytest.raises(error) as exc:
+        run(class_db(1, n=8, m=16), eval_cfg, SolverConfig(alpha=1.0), gt_nodes=gt)
+    assert str(exc.value) == text
+    assert calls == []
+
+
 def test_cv_matches_manual_per_fold_refit():
     """Pin the no-leakage contract: each fold must equal an explicit refit
     on the restricted training database."""
@@ -521,13 +555,12 @@ def test_reduced_scorer_matches_the_node_space_oracle(n, states, d):
     eval_cfg = EvalConfig(folds=4, k=3, seed=0)
     solver_cfg = SolverConfig(alpha=1.0, d=d)
     for most_left_out in (1, 2):
-        _, score, _ = evaluation._cv_scorer(db, eval_cfg, solver_cfg, most_left_out)
+        score, _ = evaluation._cv_scorer(db, eval_cfg, solver_cfg, most_left_out)
         oracle = node_space_scorer(db, eval_cfg, solver_cfg, most_left_out)
         for left_out in combinations(range(4), most_left_out):
-            held_out = left_out[::-1]
-            got = score(left_out, held_out, DEFAULT_ALPHA_GRID)
+            got = score(left_out, DEFAULT_ALPHA_GRID)
             assert got.shape == (len(DEFAULT_ALPHA_GRID), most_left_out)
-            assert np.array_equal(got, oracle(left_out, held_out, DEFAULT_ALPHA_GRID))
+            assert np.array_equal(got, oracle(left_out, DEFAULT_ALPHA_GRID))
 
 
 def test_scoring_builds_no_node_space_model(monkeypatch):
@@ -571,6 +604,9 @@ def test_cv_aucs_are_those_of_fit_model(n):
         assert row.auc == report.auc == fitted_auc(row.alpha)
     nested = evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=gt)
     assert nested.auc == fitted_auc(nested.best_alpha)
+    # the ground truth is read once, before the set-up, so an iterator serves too
+    once = evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=iter(gt))
+    assert once.auc == nested.auc and once.roc == nested.roc
 
 
 def watch_table_depths(monkeypatch) -> tuple[list[int], list]:

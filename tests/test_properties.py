@@ -4,7 +4,8 @@ network and constraint against their tuple oracles, the kNN Laplacians
 against their argsort oracle on tied similarities, the cosine and the
 reduction that read V'V against their explicit-X oracles, every training set's
 Laplacians read from a shared neighbour table, every training set's
-generalized network read from a shared fold table, independence of the
+generalized network read from a shared fold table, the exactness of its
+zero weights in the topology term, independence of the
 rows of a stacked classifier fit, and the classifier's invariance under
 invertible maps of the embedding."""
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from helpers import (
     build_db,
@@ -38,7 +40,9 @@ from helpers import (
     template_db,
     unit_cosine,
 )
-from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_network
+from subnetmine.data import (
+    GeneralizedNetwork, NetworkDatabase, StateMatrix, build_generalized_network,
+)
 from subnetmine import evaluation
 from subnetmine.errors import SubnetmineError
 from subnetmine.evaluation import DEFAULT_ALPHA_GRID, EvalConfig, evaluate_dataset, fit_model, train_linear_classifier
@@ -304,7 +308,6 @@ def test_shared_neighbour_table_matches_each_training_sets_own(
     choices = [*range(2, m // 2 + 1), m]  # each class has m // 2 or more members
     folds = choices[folds_pick % len(choices)]
     k = min(k_pick, m - 1)
-    eval_cfg = EvalConfig(folds=folds, k=k, seed=seed)
     sims = _cosine_matrix(StateMatrix(db.values))
     assignment = evaluation.stratified_folds(labels, folds, seed)
 
@@ -312,7 +315,7 @@ def test_shared_neighbour_table_matches_each_training_sets_own(
         return d_plus, l_tilde
 
     for most_left_out in (1, 2):  # the sweep, then nested CV
-        _, _, reduce = evaluation._cv_scorer(db, eval_cfg, SolverConfig(alpha=1.0), most_left_out)
+        reduce = evaluation._reducer(db, k, 0.95, assignment, most_left_out)
         for left_out in [*combinations(range(folds), most_left_out), ()]:
             train = np.flatnonzero(~np.isin(assignment, left_out))
             if train.size < 2:
@@ -328,26 +331,10 @@ def test_shared_neighbour_table_matches_each_training_sets_own(
             assert np.array_equal(l_tilde.data.view(np.uint64), own_l_tilde.data.view(np.uint64))
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(
-    seed=st.integers(0, 2**16),
-    n=st.integers(2, 7),
-    m=st.integers(4, 13),
-    edge_prob=st.sampled_from([0.0, 0.2, 0.6]),
-    bare=st.integers(0, 4),
-    folds_pick=st.integers(0, 12),
-)
-@example(seed=0, n=3, m=6, edge_prob=0.0, bare=0, folds_pick=1)  # one edge in all
-# leave-one-out folds, dense edges, some instances without any
-@example(seed=3, n=6, m=12, edge_prob=0.6, bare=3, folds_pick=12)
-def test_fold_table_networks_match_each_training_sets_own(
-    seed, n, m, edge_prob, bare, folds_pick
-):
-    """Null nodes, instances with no edges, and an edge that one instance
-    alone carries, so that leaving its fold out drops the edge.  Every
-    training set that nested CV and the sweep reduce, and the full set,
-    gets from its run's one fold table the generalized network that the
-    counting loop gives on its instances, bit for bit."""
+def lone_edge_db(seed, n, m, edge_prob, bare) -> tuple[NetworkDatabase, int]:
+    """A database with null nodes, ``bare`` instances with no edges, and an
+    edge (0, 1) that the one instance ``lone`` alone carries, so that
+    leaving its fold out leaves the edge with a zero count; and ``lone``."""
     rng = np.random.default_rng(seed)
     valid = rng.random((n, m)) > 0.3
     lone = int(rng.integers(m))
@@ -361,29 +348,97 @@ def test_fold_table_networks_match_each_training_sets_own(
         edge_lists[i] = []
     edge_lists[lone].append((0, 1))
     labels = rng.permutation(np.arange(m) % 2)
-    db = build_db(rng.normal(size=(n, m)), labels, edge_lists, valid=valid)
-    choices = [*range(2, m // 2 + 1), m]  # each class has m // 2 or more members
-    folds = choices[folds_pick % len(choices)]
-    eval_cfg = EvalConfig(folds=folds, k=K, seed=seed)
-    assignment = evaluation.stratified_folds(labels, folds, seed)
+    return build_db(rng.normal(size=(n, m)), labels, edge_lists, valid=valid), lone
 
-    def generalized_network(v, d_plus, l_tilde, g, *rest):  # in place of the reduction
-        return g
 
+def generalized_network(v, d_plus, l_tilde, g, *rest):  # in place of reduce_problem
+    return g
+
+
+def cv_training_networks(db: NetworkDatabase, folds: int, seed: int):
+    """(training instances, generalized network) of every training set that
+    nested CV and the sweep reduce, and of the full set, as ``_reducer``
+    builds them."""
+    assignment = evaluation.stratified_folds(db.labels, folds, seed)
     for most_left_out in (1, 2):  # the sweep, then nested CV
-        _, _, reduce = evaluation._cv_scorer(db, eval_cfg, SolverConfig(alpha=1.0), most_left_out)
+        reduce = evaluation._reducer(db, K, 0.95, assignment, most_left_out)
         for left_out in [*combinations(range(folds), most_left_out), ()]:
             train = np.flatnonzero(~np.isin(assignment, left_out))
-            if train.size < 2:
-                continue
-            with mock.patch.object(evaluation, "reduce_problem", generalized_network):
-                g = reduce(left_out)
-            own = network(n, network_by_counting(db, train.tolist()))
-            assert g.n == own.n == n
-            assert g.edges.dtype == own.edges.dtype and g.weights.dtype == own.weights.dtype
-            assert np.array_equal(g.edges, own.edges)
-            assert np.array_equal(g.weights.view(np.uint64), own.weights.view(np.uint64))
-            assert ((0, 1) in map(tuple, g.edges.tolist())) == (lone in train)
+            if train.size >= 2:
+                with mock.patch.object(evaluation, "reduce_problem", generalized_network):
+                    g = reduce(left_out)
+                yield train, g
+
+
+LONE_EDGE_DBS = given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 7),
+    m=st.integers(4, 13),
+    edge_prob=st.sampled_from([0.0, 0.2, 0.6]),
+    bare=st.integers(0, 4),
+    folds_pick=st.integers(0, 12),
+)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@LONE_EDGE_DBS
+@example(seed=0, n=3, m=6, edge_prob=0.0, bare=0, folds_pick=1)  # one edge in all
+# leave-one-out folds, dense edges, some instances without any
+@example(seed=3, n=6, m=12, edge_prob=0.6, bare=3, folds_pick=12)
+def test_fold_table_networks_match_each_training_sets_own(
+    seed, n, m, edge_prob, bare, folds_pick
+):
+    """Every training set that nested CV and the sweep reduce, and the full
+    set, gets from its run's one fold table a network over the union's
+    edge pairs: the weights of the edges that the counting loop finds on
+    its instances equal the loop's bit for bit, and every other weight is
+    exactly 0.0, the lone edge's among them when its carrier is left out."""
+    db, lone = lone_edge_db(seed, n, m, edge_prob, bare)
+    choices = [*range(2, m // 2 + 1), m]  # each class has m // 2 or more members
+    union = db.network()
+    for train, g in cv_training_networks(db, choices[folds_pick % len(choices)], seed):
+        own = {(p, q): w for p, q, w in network_by_counting(db, train.tolist())}
+        pairs = list(map(tuple, g.edges.tolist()))
+        assert g.n == n
+        assert g.edges.dtype == union.edges.dtype and g.weights.dtype == np.float64
+        assert np.array_equal(g.edges, union.edges)
+        assert np.count_nonzero(g.weights) == len(own)
+        want = np.array([own.get(pair, 0.0) for pair in pairs])
+        assert np.array_equal(g.weights.view(np.uint64), want.view(np.uint64))
+        assert (g.weights[pairs.index((0, 1))] > 0.0) == (lone in train)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@LONE_EDGE_DBS
+@example(seed=0, n=3, m=6, edge_prob=0.0, bare=0, folds_pick=1)  # one edge in all
+@example(seed=3, n=6, m=12, edge_prob=0.6, bare=3, folds_pick=12)
+def test_zero_weight_edges_add_exactly_nothing_to_the_topology_term(
+    seed, n, m, edge_prob, bare, folds_pick
+):
+    """M1 = Q'CQ from a training set's network over the union's pairs equals
+    bit for bit M1 from its positive-count edges alone, for Q with columns
+    scaled from 1e-3 to 1e3; a training set that carries no edge, all its
+    union weights 0, gets M1 = 0 and rho1 = 0."""
+    db, _ = lone_edge_db(seed, n, m, edge_prob, bare)
+    choices = [*range(2, m // 2 + 1), m]  # each class has m // 2 or more members
+    rng = np.random.default_rng(seed)
+    carries = np.diff(db.offsets) > 0
+    networks = [g for _, g in cv_training_networks(db, choices[folds_pick % len(choices)], seed)]
+    if np.count_nonzero(~carries) >= 2:  # a training set of the instances that carry no edge
+        reduce = evaluation._reducer(db, K, 0.95, carries.astype(np.intp), 1)
+        with mock.patch.object(evaluation, "reduce_problem", generalized_network):
+            networks.append(reduce((1,)))
+        assert networks[-1].edges.size and not networks[-1].weights.any()
+    for g in networks:
+        q = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=3)
+        kept = g.weights > 0.0
+        positive = GeneralizedNetwork(n, g.edges[kept], g.weights[kept])
+        assert np.array_equal(topology_term(g, q), topology_term(positive, q))
+        if not kept.any():
+            assert not topology_term(g, q).any()
+            v = StateMatrix(rng.normal(size=(n, 3)))
+            problem = reduce_problem(v, np.ones(3), sparse.csr_array(np.eye(3)), g, 0.95)
+            assert not problem.m1.any() and problem.rho1 == 0.0
 
 
 @SETTINGS
