@@ -69,7 +69,8 @@ class NetworkDatabase:
     are ``offsets[i]:offsets[i + 1]``.  ``instance_edges[i]`` is that block
     as a read-only k_i x 2 view, ``network()`` the generalized network of
     every instance, and ``group_counts(groups)`` the edge counts of each
-    group of a partition of the instances.
+    group of a partition of the instances.  ``gram`` and ``network()``,
+    with its Laplacian pattern, are built on first use and kept.
 
     The labels must hold two or more distinct global states.
     """
@@ -117,11 +118,11 @@ class NetworkDatabase:
         return tuple(self.edges[a:b] for a, b in pairwise(self.offsets.tolist()))
 
     @cached_property
-    def _union(self) -> tuple[np.ndarray, sparse.csr_array, np.ndarray]:
-        """The distinct instance edges, E x 2 and sorted by (p, q), the
-        sparse m x E matrix that is True where instance i carries edge j,
-        and the number of instances that carry each edge.  Built on first
-        use and kept: the database and its arrays are immutable."""
+    def _union(self) -> tuple[GeneralizedNetwork, sparse.csr_array, np.ndarray]:
+        """``network()``, the sparse m x E matrix that is True where instance
+        i carries union edge j, and the number of instances that carry each
+        edge.  Built on first use and kept: the database and its arrays are
+        immutable, and every network of the database shares its pattern."""
         n = self.n
         # p * n + q sorts like (p, q) because q < n
         keys, edge_of = np.unique(self.edges[:, 0] * n + self.edges[:, 1], return_inverse=True)
@@ -129,15 +130,19 @@ class NetworkDatabase:
             (np.ones(edge_of.size, dtype=bool), edge_of, self.offsets),
             shape=(self.m, keys.size),
         )
-        counts = np.bincount(edge_of, minlength=keys.size)
-        return _freeze(np.column_stack(np.divmod(keys, n))), presence, _freeze(counts)
+        counts = _freeze(np.bincount(edge_of, minlength=keys.size))
+        pairs = _freeze(np.column_stack(np.divmod(keys, n)))
+        return GeneralizedNetwork(n, pairs, _freeze(counts / self.m)), presence, counts
+
+    @cached_property
+    def gram(self) -> np.ndarray | None:
+        """V'V, read-only, if m <= n, so that it is no larger than V; else None."""
+        return _freeze(StateMatrix(self.values).inner_products()) if self.m <= self.n else None
 
     def network(self) -> GeneralizedNetwork:
         """The generalized network of every instance: the distinct edges,
-        each weighted by the share of instances that carry it.  It shares
-        its edge pairs with the database."""
-        pairs, _, counts = self._union
-        return GeneralizedNetwork(self.n, pairs, counts / self.m)
+        each weighted by the share of instances that carry it, one object."""
+        return self._union[0]
 
     def group_counts(self, groups) -> tuple[np.ndarray, np.ndarray, sparse.csr_array]:
         """Edge counts of a partition of the instances, instance i in group
@@ -146,13 +151,13 @@ class NetworkDatabase:
         whose row g counts the instances of group g that carry each edge.
         The table comes from one product with the presence rows and holds
         at most min(G E, R) entries, R the number of edge rows."""
-        pairs, presence, counts = self._union
+        network, presence, counts = self._union
         groups = np.asarray(groups, dtype=np.intp)
         members = sparse.csr_array(
             (np.ones(self.m, dtype=np.intp), (groups, np.arange(self.m))),
             shape=(int(groups.max()) + 1, self.m),
         )
-        return pairs, counts, members @ presence
+        return network.edges, counts, members @ presence
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,11 +165,26 @@ class GeneralizedNetwork:
     """Union graph over a set of instances: ``edges`` holds its (p, q) rows,
     E x 2 intp, p < q, sorted; ``weights`` their presence fractions, float64,
     >= 0: 0 on a CV training set's union edges that none of its instances
-    carries, > 0 on all of ``db.network()``, which ``select`` reads."""
+    carries, > 0 on all of ``db.network()``, which ``select`` reads.
+    ``pattern``, built from the edges unless given, holds the Laplacian's
+    CSR ``indptr`` and ``indices`` ((p, q), (q, p) and (i, i) in row, then
+    column order), each entry's edge (E at a diagonal) and each diagonal's slot."""
 
     n: int
     edges: np.ndarray
     weights: np.ndarray
+    pattern: tuple[np.ndarray, ...] | None = None
+
+    def __post_init__(self):
+        if self.pattern is None:
+            n, e = self.n, len(self.edges)
+            diagonal = np.repeat(np.arange(n), 2).reshape(n, 2)
+            rows, cols = np.concatenate([self.edges, self.edges[:, ::-1], diagonal]).T
+            order = np.argsort(rows * n + cols)
+            edge = np.concatenate([np.arange(e), np.arange(e), np.full(n, e)])[order]
+            indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n)))
+            pattern = indptr, cols[order], edge, np.flatnonzero(edge == e)
+            object.__setattr__(self, "pattern", tuple(map(_freeze, pattern)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,16 +10,15 @@ a linear discriminant analysis (LDA) classifier in the d-dimensional
 embedding.
 
 Every reduction, a plain fit's and each training set's, goes one way:
-``_reducer`` computes the database's V'V, cosine and ``neighbour_table``
-once, and with folds counts each fold's union edges once
-(``NetworkDatabase.group_counts``); a plain fit is the reduction with no
-folds left out.  The table ranks a fold's test instances too, but a
-training set keeps only its own entries, and the cosine of two instances
-depends on those two alone, so no test information reaches a fold's
-meta-graphs.  A training set's generalized network holds the union's
-edges, weighted by the database's counts minus those of the folds it
-leaves out, so no training set reads an edge row; an edge none of its
-instances carries weighs 0, which adds exactly 0 to the topology term.
+``_reducer`` reads the V'V and the Laplacian pattern that the database
+keeps, ranks the cosine's neighbours once per run (``neighbour_table``)
+and, with folds, counts each fold's union edges once; a plain fit is the
+reduction with no folds left out.  A training set keeps only its own
+entries of the table, and the cosine of two instances depends on those
+two alone, so no test information reaches a fold's meta-graphs.  Its
+network weighs the union's edges by its own instances' counts, so it reads
+no edge row; an edge none of them carries weighs 0, which adds exactly 0
+to the topology term.
 A CV run reads ``_cv_scorer``'s pair alone: ``score(left_out, alphas)``
 reduces the training set outside the folds ``left_out`` once (kNN
 Laplacians, SVD basis and whitened terms) and scores every alpha on each
@@ -38,13 +37,13 @@ F, plus one full reduction when ground truth is given.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .data import GeneralizedNetwork, NetworkDatabase, StateMatrix, write_json, write_tsv
+from .data import NetworkDatabase, StateMatrix, write_json, write_tsv
 from .errors import ConfigInvalid, SubnetmineError
 from .metagraph import _cosine_matrix, laplacians, neighbour_table
 from .seeds import substream
@@ -186,39 +185,39 @@ def _reducer(
     assignment: np.ndarray | None = None,
     most_left_out: int = 0,
 ):
-    """``reduce(left_out)``: the alpha-invariant part of every fit (kNN
-    Laplacians, SVD basis and whitened terms) on the instances outside the
-    folds ``left_out`` of ``assignment``, at most ``most_left_out`` of
-    them; ``()`` is every instance, the only set without folds.  k >= 1 is
-    clamped to the training set's size - 1.
+    """``reduce(left_out, train=None)``: the alpha-invariant part of every
+    fit (kNN Laplacians, SVD basis and whitened terms) on the instances
+    outside the folds ``left_out`` of ``assignment``, at most
+    ``most_left_out`` of them, whose mask is ``train`` if the caller has
+    it; ``()`` is every instance.  k >= 1 is clamped to the set's size - 1.
 
-    One Gram, one ranking of neighbours and, with folds, one edge count per
-    fold serve every reduction.  A training set's basis reads its slice of
-    the database's V'V when it is kept (m <= n, so no larger than V), and
-    its meta-graphs one neighbour table of the database's cosine: leaving
-    out at most the ``most_left_out`` largest folds, a row's first k
-    training neighbours lie within its first k plus that many.  Its
-    generalized network is the database's edge counts minus those of the
-    folds it leaves out, so no training set reads an edge row."""
+    A training set's basis reads its slice of ``db.gram`` (m <= n), its
+    meta-graphs one neighbour table of the database's cosine (leaving out
+    at most the ``most_left_out`` largest folds, a row's first k training
+    neighbours lie within its first k plus that many), and its network is
+    ``db.network()`` reweighted by the counts of its instances' edges."""
     _check_k(k)
     sizes = [] if assignment is None else np.sort(np.bincount(assignment))[::-1]
     depth = min(db.m - 1, k + int(np.sum(sizes[:most_left_out])))
-    gram = StateMatrix(db.values).inner_products() if db.m <= db.n else None
+    gram = db.gram
     table = neighbour_table(_cosine_matrix(StateMatrix(db.values, gram)), depth)
+    full = db.network()
     if assignment is not None:
-        pairs, total, by_fold = db.group_counts(assignment)
+        _, total, by_fold = db.group_counts(assignment)
 
-    def reduce(left_out) -> ReducedProblem:
+    def reduce(left_out, train=None) -> ReducedProblem:
         if not left_out:
-            train, network = np.arange(db.m), db.network()
+            train, network = np.arange(db.m), full
         else:
-            train = np.flatnonzero(~np.isin(assignment, left_out))
+            if train is None:
+                train = np.isin(assignment, left_out, invert=True)
+            train = np.flatnonzero(train)
             counts = total.copy()
             for fold in left_out:
                 # a row of the table names each edge at most once
                 row = slice(by_fold.indptr[fold], by_fold.indptr[fold + 1])
                 counts[by_fold.indices[row]] -= by_fold.data[row]
-            network = GeneralizedNetwork(db.n, pairs, counts / train.size)
+            network = replace(full, weights=counts / train.size)
         if train.size < 2:
             raise SubnetmineError(
                 f"training set has {train.size} instance, need 2 or more; "
@@ -284,18 +283,18 @@ def _cv_scorer(
     reduce = _reducer(db, eval_cfg.k, solver_cfg.energy_fraction, assignment, most_left_out)
 
     def score(left_out, alphas) -> np.ndarray:
-        problem = reduce(left_out)
         held = [assignment == fold for fold in left_out]
+        train = ~np.logical_or.reduce(held)
+        problem = reduce(left_out, train)
         held = [(problem.basis.q.T @ v[:, in_fold], labels[in_fold]) for in_fold in held]
         ws = [problem.coordinates(alpha, d)[1] for alpha in alphas]
-        train = ~np.isin(assignment, left_out)
         clfs = train_linear_classifier(np.stack([(problem.z @ w).T for w in ws]), labels[train])
         return np.array([
             [np.mean(clf.predict(w.T @ qv_held) == y_held) for qv_held, y_held in held]
             for w, clf in zip(ws, clfs)
         ])
 
-    def aucs(alphas) -> list[tuple[float, list]]:
+    def aucs(alphas) -> list[tuple[float, np.ndarray]]:
         full = reduce(())
         return [ranking_auc(score_nodes(full.model(a, d).u_matrix), gt_nodes) for a in alphas]
 
@@ -325,10 +324,11 @@ def _positives(gt_nodes, n: int) -> np.ndarray:
     return positive
 
 
-def ranking_auc(scores, gt_nodes) -> tuple[float, list[tuple[float, float]]]:
+def ranking_auc(scores, gt_nodes) -> tuple[float, np.ndarray]:
     """Mann-Whitney AUC (ties count one half) of a finite node score vector
-    against a positive set, plus the ROC polyline from (0,0) to (1,1); the
-    AUC is exactly the trapezoid area under that polyline."""
+    against a positive set, plus the ROC polyline from (0,0) to (1,1) as a
+    (k+1) x 2 float array of (fpr, tpr) points, k the number of distinct
+    scores; the AUC is exactly the trapezoid area under that polyline."""
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.shape[0]
     bad = np.flatnonzero(~np.isfinite(scores))
@@ -345,7 +345,7 @@ def ranking_auc(scores, gt_nodes) -> tuple[float, list[tuple[float, float]]]:
     # twice the trapezoid area in integer counts, so the division is the one rounding
     twice_u = int(np.diff(fp, prepend=0) @ (tp + np.append(0, tp[:-1])))
     auc = twice_u / (2 * n_pos * n_neg)
-    return auc, [(0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())]
+    return auc, np.column_stack((np.append(0, fp) / n_neg, np.append(0, tp) / n_pos))
 
 
 def evaluate_dataset(
@@ -396,7 +396,7 @@ def evaluate_dataset(
         fold_alphas=tuple(alphas),
         best_alpha=best_alpha,
         auc=auc,
-        roc=None if roc is None else tuple(roc),
+        roc=None if roc is None else tuple(map(tuple, roc.tolist())),
     )
 
 

@@ -14,20 +14,20 @@ symmetric reduced form instead of the non-symmetric product keeps the
 spectrum real and the normalization u'Bu = ||w||^2 = 1 exact.
 
 With Q = P S^{-1} the reduced matrix splits into a data term and a topology
-term, M = M0 - alpha M1 with M0 = (V'Q)' Ltilde (V'Q) and M1 = Q' C Q
-(``topology_term``).  Only the final r x r eigensolve depends on alpha, so a
-fit runs in two steps: ``reduce_problem`` takes the D+ diagonal and L~ of
-``metagraph.laplacians`` and the generalized network, does the
-alpha-invariant work once per training set (SVD basis, Q, z = V'Q, M0, M1
-and their spectral radii) and returns a ``ReducedProblem``; per alpha,
-``coordinates(alpha, d)`` is one LAPACK solve for the top d eigenpairs w of
-the r x r matrix, and ``model(alpha, d)`` maps w to U = Q w.  Within an
-exactly tied eigenvalue group any orthonormal basis is equally optimal; U
-holds the one the solver returns.  Multiplying every node value by s leaves
-M0 unchanged but scales M1 by 1/s^2, so an absolute alpha would mean
-something different in every unit system.  Alpha is therefore relative to
-the data term: the weight used is alpha * rho(M0) / rho(M1), rho being the
-largest absolute eigenvalue.
+term, M = M0 - alpha M1 with M0 = (V'Q)' Ltilde (V'Q) and M1 = Q'(CQ) from
+one CSR product over the network's Laplacian ``pattern`` (``topology_term``).
+Only the final r x r eigensolve depends on alpha, so a fit runs in two
+steps: ``reduce_problem`` takes D+ and L~ of ``metagraph.laplacians``
+and the generalized network, does the alpha-invariant work once per
+training set (SVD basis, Q, z = V'Q, M0, M1 and their spectral radii) and
+returns a ``ReducedProblem``; per alpha, ``coordinates(alpha, d)`` is one
+LAPACK solve for the top d eigenpairs w, and ``model(alpha, d)`` maps w to
+U = Q w.  Within an exactly tied eigenvalue group any orthonormal basis is
+equally optimal; U holds the one the solver returns.  Multiplying every
+node value by s leaves M0 unchanged but scales M1 by 1/s^2, so an absolute
+alpha would mean something different in every unit system.  Alpha is
+therefore relative to the data term: the weight used is alpha * rho(M0) /
+rho(M1), rho being the largest absolute eigenvalue.
 """
 
 from __future__ import annotations
@@ -248,14 +248,14 @@ class ReducedProblem:
 
 
 def topology_term(g: GeneralizedNetwork, q: np.ndarray) -> np.ndarray:
-    """M1 = Q'CQ, r x r, for q n x r and C the network's Laplacian, never
-    formed; ``topology_term(g, np.eye(g.n))`` is C.  ``g.edges`` is documented
-    sorted with p < q, so it is the upper triangle W of the adjacency in CSR
-    order; CQ = deg Q - WQ - W'Q cancels per node, before Q', as C @ Q did."""
-    (rows, cols), w, n = g.edges.T, g.weights, g.n
-    upper = sparse.csr_array((w, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
-    deg = np.bincount(rows, w, minlength=n) + np.bincount(cols, w, minlength=n)
-    m1 = q.T @ (deg[:, np.newaxis] * q - upper @ q - upper.T @ q)
+    """M1 = Q'(CQ), r x r, for q n x r and C the network's Laplacian: one CSR
+    product over ``g.pattern`` filled with -w off and the degrees on the
+    diagonal, so row i of CQ, deg_i Q_i - sum_j w_ij Q_j, cancels before Q'
+    (a weight 0 adds exactly 0); ``topology_term(g, np.eye(g.n))`` is C."""
+    indptr, indices, edge, diagonal = g.pattern
+    data = np.append(-g.weights, 0.0)[edge]
+    data[diagonal] = -np.add.reduceat(data, indptr[:-1])  # no row is empty
+    m1 = q.T @ (sparse.csr_array((data, indices, indptr), shape=(g.n, g.n)) @ q)
     return (m1 + m1.T) / 2.0
 
 

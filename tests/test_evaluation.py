@@ -13,7 +13,9 @@ import pytest
 
 from helpers import build_db, laplacians, node_space_scorer, restrict_instances, template_db
 from subnetmine import evaluation, solver
-from subnetmine.data import NetworkDatabase, StateMatrix, build_generalized_network
+from subnetmine.data import (
+    GeneralizedNetwork, NetworkDatabase, StateMatrix, build_generalized_network,
+)
 from subnetmine.errors import ConfigInvalid, SubnetmineError
 from subnetmine.evaluation import (
     DEFAULT_ALPHA_GRID,
@@ -396,9 +398,11 @@ def test_each_training_set_is_reduced_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [30, 8])  # m = 24 <= n: K is sliced; m > n: the XX' path
 def test_one_gram_product_per_fit_and_per_cv_run(monkeypatch, n):
-    """fit_model, nested CV and the sweep with ground truth each form V'V
-    over the n rows once, for all m columns: the cosine, and where m <= n
-    every training set's SVD basis and data term, read that one product."""
+    """Where m <= n, fit_model, nested CV and the sweep with ground truth
+    on one database together form V'V over the n rows once, for all m
+    columns: every run's cosine and every training set's SVD basis and data
+    term read ``db.gram``.  Where m > n none is kept, and each run forms it
+    once, for its cosine."""
     products = []
     inner_products = StateMatrix.inner_products
 
@@ -416,9 +420,45 @@ def test_one_gram_product_per_fit_and_per_cv_run(monkeypatch, n):
         lambda: sweep_alpha(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1]),
     )
     for run in runs:
-        products.clear()
         run()
-        assert products == [(n, 24)]
+    assert products == [(n, 24)] * (1 if n >= 24 else len(runs))
+
+
+def test_one_gram_and_one_laplacian_pattern_per_database(monkeypatch):
+    """Two fit_model calls, nested CV and the sweep with ground truth on one
+    database (m <= n) form V'V once and build the union's Laplacian pattern
+    once: every reduction's topology term reads that one pattern."""
+    products, patterns, used = [], [], []
+    inner_products, post_init = StateMatrix.inner_products, GeneralizedNetwork.__post_init__
+    topology_term = solver.topology_term
+
+    def counted_products(self):
+        if self.gram is None:
+            products.append(self.matrix.shape)
+        return inner_products(self)
+
+    def counted_patterns(self):
+        if self.pattern is None:
+            patterns.append(self.n)
+        post_init(self)
+
+    def watched(g, q):
+        used.append(g.pattern)
+        return topology_term(g, q)
+
+    monkeypatch.setattr(StateMatrix, "inner_products", counted_products)
+    monkeypatch.setattr(GeneralizedNetwork, "__post_init__", counted_patterns)
+    monkeypatch.setattr(solver, "topology_term", watched)
+    db = class_db(5, n=30, m=24)
+    eval_cfg = EvalConfig(folds=4, alpha_grid=(0.1, 1.0), k=3, seed=8)
+    for alpha in (0.5, 2.0):
+        fit_model(db, k=3, alpha=alpha)
+    evaluate_dataset(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1])
+    sweep_alpha(db, eval_cfg, SolverConfig(alpha=0.1), gt_nodes=[0, 1])
+    assert products == [(30, 24)] and patterns == [30]
+    # 2 fits; 6 inner pairs, 4 outer folds and the full set; 4 folds and the full set
+    assert len(used) == 2 + 11 + 5
+    assert all(pattern is db.network().pattern for pattern in used)
 
 
 def test_kept_gram_is_no_larger_than_the_values(monkeypatch):
@@ -828,6 +868,8 @@ def test_auc_matches_pairwise_oracle_with_ties():
         positive = np.zeros(n, dtype=bool)
         positive[rng.choice(n, size=n_pos, replace=False)] = True
         auc, roc = ranking_auc(scores, np.flatnonzero(positive))
+        assert roc.dtype == np.float64 and roc.shape == (len(np.unique(scores)) + 1, 2)
+        roc = [tuple(point) for point in roc.tolist()]
         assert auc == float(auc_pairwise_oracle(scores, positive))
         assert roc == roc_walk_oracle(scores, positive)
         assert all(type(x) is float for point in roc for x in point)
@@ -844,6 +886,8 @@ def test_auc_extremes_and_flat():
 def test_auc_roc_contract():
     scores = np.array([0.9, 0.9, 0.5, 0.1, 0.5])
     auc, roc = ranking_auc(scores, [0, 2])
+    assert roc.dtype == np.float64 and roc.ndim == 2
+    roc = [tuple(point) for point in roc.tolist()]
     assert roc[0] == (0.0, 0.0)
     assert roc[-1] == (1.0, 1.0)
     assert len(roc) == len(np.unique(scores)) + 1

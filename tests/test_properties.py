@@ -5,7 +5,8 @@ against their argsort oracle on tied similarities, the cosine and the
 reduction that read V'V against their explicit-X oracles, every training set's
 Laplacians read from a shared neighbour table, every training set's
 generalized network read from a shared fold table, the exactness of its
-zero weights in the topology term, independence of the
+zero weights in the topology term, the topology term against the dense
+Laplacian, independence of the
 rows of a stacked classifier fit, and the classifier's invariance under
 invertible maps of the embedding."""
 
@@ -406,6 +407,38 @@ def test_fold_table_networks_match_each_training_sets_own(
         want = np.array([own.get(pair, 0.0) for pair in pairs])
         assert np.array_equal(g.weights.view(np.uint64), want.view(np.uint64))
         assert (g.weights[pairs.index((0, 1))] > 0.0) == (lone in train)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 12),
+    r=st.integers(1, 4),
+    edge_prob=st.sampled_from([0.0, 0.2, 0.7]),
+    zero_share=st.sampled_from([0.0, 0.5, 1.0]),
+)
+@example(seed=0, n=1, r=1, edge_prob=0.0, zero_share=0.0)  # one node, no edge
+@example(seed=2, n=6, r=3, edge_prob=0.7, zero_share=1.0)  # every weight 0
+def test_topology_term_matches_the_dense_oracle(seed, n, r, edge_prob, zero_share):
+    """M1 from the CSR pattern equals Q'CQ of the dense Laplacian to 1e-13
+    of |Q|'|C||Q| entry by entry, over graphs with isolated nodes, no
+    edges and zero weights, for Q columns scaled from 1e-3 to 1e3 and for
+    Q = I, where it is C."""
+    rng = np.random.default_rng(seed)
+    pairs = [(p, q) for p, q in combinations(range(n), 2) if rng.random() < edge_prob]
+    weights = np.where(rng.random(len(pairs)) < zero_share, 0.0, rng.random(len(pairs)))
+    g = network(n, [(p, q, w) for (p, q), w in zip(pairs, weights.tolist())])
+    c = np.zeros((n, n))
+    for (p, q), w in zip(pairs, weights):
+        c[p, q] = c[q, p] = -w
+    c[np.diag_indices(n)] = -c.sum(axis=1)
+    for q in (rng.normal(size=(n, r)) * 10.0 ** rng.uniform(-3.0, 3.0, size=r), np.eye(n)):
+        got = topology_term(g, q)
+        assert np.array_equal(got, got.T)
+        scale = np.abs(q).T @ np.abs(c) @ np.abs(q)
+        assert np.all(np.abs(got - q.T @ c @ q) <= 1e-13 * scale)
+    off = ~np.eye(n, dtype=bool)
+    assert np.array_equal(got[off], c[off])  # Q = I: -w exactly off the diagonal
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
